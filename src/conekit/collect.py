@@ -11,10 +11,13 @@ import numpy as np
 from . import linalg as la
 from .cone import SimplicialCone, dual_description
 from .errors import DomainError, InternalConsistencyError
-from .linalg import IntMat, IntVec
+from .linalg import INT64_SAFE, IntMat, IntVec
 from .simplex import SeriesContribution, hb_candidates
 
-_INT64_SAFE = 1 << 62
+# sorted candidates per dominance pass, and the boolean entries one
+# comparison slab may hold
+_BLOCK = 1 << 12
+_SLAB = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +141,59 @@ class ComputationResult:
 
 
 def _support_values(cands: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    # bounds each value and their sum, the aux degree, over all forms
     bound = (int(np.abs(cands).max(initial=0)) *
-             int(np.abs(forms).max(initial=0)) * cands.shape[1])
-    if cands.dtype != object and bound < _INT64_SAFE:
+             int(np.abs(forms).max(initial=0)) * cands.shape[1] * len(forms))
+    if cands.dtype != object and bound < INT64_SAFE:
         return cands @ forms.T
     return cands.astype(object) @ forms.T.astype(object)
 
 
-def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
-    """Discard reducible candidates; returns the minimal generating set.
+def _dominated(vals, aux, red_vals, red_aux) -> np.ndarray:
+    """Mask of rows x with a reducer y: vals(x) >= vals(y), aux(y) < aux(x).
 
-    x is reducible when x - y lies in the cone for another candidate y,
-    i.e. when y's support-form values are dominated by x's.  Candidates
-    are swept in increasing order of the auxiliary degree (sum of all
-    support-form values, strictly positive on the pointed cone), so a
-    reducer is always accepted before everything it reduces; members of
-    one level cannot reduce each other.
+    Rows and reducers come in increasing aux order.  Each slab compares
+    the rows not yet dominated with as many reducers as keep the
+    (rows x reducers) boolean temporary within _SLAB entries.
+    """
+    dominated = np.zeros(len(vals), dtype=bool)
+    todo = np.arange(len(vals))
+    lo = 0
+    while todo.size and lo < len(red_vals) and red_aux[lo] < aux[todo[-1]]:
+        hi = lo + max(1, _SLAB // todo.size)
+        x = vals[todo]
+        hit = red_aux[None, lo:hi] < aux[todo, None]
+        for k in range(vals.shape[1]):
+            hit &= x[:, k, None] >= red_vals[None, lo:hi, k]
+        hit = hit.any(1)
+        dominated[todo[hit]] = True
+        todo = todo[~hit]
+        lo = hi
+    return dominated
+
+
+def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
+    """Discard reducible candidates; returns the minimal elements.
+
+    x is reducible by another candidate y when x - y lies in the cone,
+    i.e. when x's support-form values dominate y's; then y has smaller
+    auxiliary degree (the sum of all support-form values, positive on
+    the pointed cone).  The result is the set of candidates that no
+    other candidate reduces, in increasing (aux, lex) order.
+
+    Reduction is transitive, so a reducible candidate is also reduced by
+    a minimal one, of smaller aux degree.  The sorted candidates are
+    therefore taken in blocks of _BLOCK rows, each tested once against
+    every minimal element of the earlier blocks and once against its own
+    survivors; nothing within a block depends on the order of the tests.
+    A test holds at most _SLAB booleans at a time, so its temporaries
+    stay bounded whatever the number of candidates.
+
+    Normaliz also skips reducers of more than half the aux degree of x.
+    That is sound only for a candidate set that contains the Hilbert
+    basis.  approx_candidates passes a filtered subset (overcone points
+    inside the simplex, below generator height), where x - y need not
+    be a candidate, so the cut would change its subdivision points.
     """
     if isinstance(candidates, np.ndarray):
         cands = candidates
@@ -164,19 +204,13 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
                 cands = cands.astype(np.int64)
             except OverflowError:
                 pass
+    if cands.dtype == object:
+        cands = np.array(sorted({tuple(int(x) for x in row)
+                                 for row in cands if any(row)}), dtype=object)
+    else:
+        cands = np.unique(cands[np.any(cands != 0, axis=1)], axis=0)
     if cands.size == 0:
         return ()
-    if cands.dtype == object:
-        uniq = sorted({tuple(int(x) for x in row) for row in cands
-                       if any(x != 0 for x in row)})
-        if not uniq:
-            return ()
-        cands = np.array(uniq, dtype=object)
-    else:
-        cands = cands[np.any(cands != 0, axis=1)]
-        if cands.size == 0:
-            return ()
-        cands = np.unique(cands, axis=0)
     forms = np.array(support_forms,
                      dtype=object if cands.dtype == object else np.int64)
     vals = _support_values(cands, forms)
@@ -184,52 +218,13 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
     order = np.argsort(aux, kind="stable")
     cands, vals, aux = cands[order], vals[order], aux[order]
 
-    accepted_rows: list[np.ndarray] = []
-    accepted_vals: list[np.ndarray] = []
-    n = len(cands)
-    batch = 1 << 15
-    for start in range(0, n, batch):
-        stop = min(n, start + batch)
-        # a batch boundary may split an aux level, which is harmless:
-        # equal-aux candidates cannot dominate one another
-        bv = vals[start:stop]
-        dominated = np.zeros(stop - start, dtype=bool)
-        for chunk in accepted_vals:
-            for lo in range(0, len(chunk), 256):
-                sub = chunk[lo:lo + 256]
-                todo = np.flatnonzero(~dominated)
-                if todo.size == 0:
-                    break
-                cmp = (bv[todo][:, None, :] >= sub[None, :, :]).all(2).any(1)
-                dominated[todo] |= cmp
-        survivors = np.flatnonzero(~dominated)
-        # level sweep among the (few) survivors of this batch
-        baux = aux[start:stop]
-        local_rows: list[np.ndarray] = []
-        local_vals: list[np.ndarray] = []
-        i = 0
-        while i < len(survivors):
-            j = i
-            level = baux[survivors[i]]
-            while j < len(survivors) and baux[survivors[j]] == level:
-                j += 1
-            grp = survivors[i:j]
-            gv = bv[grp]
-            dom = np.zeros(len(grp), dtype=bool)
-            for lv in local_vals:
-                dom |= (gv[:, None, :] >= lv[None, :, :]).all(2).any(1)
-            keep = np.flatnonzero(~dom)
-            if keep.size:
-                local_rows.append(cands[start + grp[keep]])
-                local_vals.append(gv[keep])
-            i = j
-        if local_rows:
-            accepted_rows.append(np.vstack(local_rows))
-            accepted_vals.append(np.vstack(local_vals))
-    out = []
-    for block in accepted_rows:
-        out.extend(tuple(int(x) for x in row) for row in block)
-    return tuple(out)
+    kept = np.zeros(0, dtype=np.intp)
+    for start in range(0, len(cands), _BLOCK):
+        idx = np.arange(start, min(len(cands), start + _BLOCK))
+        idx = idx[~_dominated(vals[idx], aux[idx], vals[kept], aux[kept])]
+        idx = idx[~_dominated(vals[idx], aux[idx], vals[idx], aux[idx])]
+        kept = np.concatenate([kept, idx])
+    return tuple(tuple(int(x) for x in row) for row in cands[kept])
 
 
 def accumulate_series(contribs, extreme_degrees, rank: int) -> HilbertSeries:

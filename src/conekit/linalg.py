@@ -15,6 +15,9 @@ from .errors import DimensionError, SingularMatrixError
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 
+# magnitude bound below which int64 arithmetic is trusted (one bit spare)
+INT64_SAFE = 1 << 62
+
 
 def as_vec(entries) -> IntVec:
     return tuple(int(x) for x in entries)

@@ -19,11 +19,9 @@ import numpy as np
 from . import linalg as la
 from .cone import SimplicialCone
 from .errors import DomainError, GradingNotPositiveError, InternalConsistencyError
-from .linalg import IntVec
+from .linalg import INT64_SAFE, IntVec
 
 DEFAULT_BLOCK = 1 << 20
-
-_INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -63,7 +61,7 @@ def _block_dtype(s: SimplicialCone) -> object:
     det = s.det
     r = s.dim
     max_a = max((abs(x) for g in s.gens for x in g), default=1)
-    if det * det + det < _INT64_SAFE and r * (det - 1) * max_a < _INT64_SAFE:
+    if det * det + det < INT64_SAFE and r * (det - 1) * max_a < INT64_SAFE:
         return np.int64
     return object
 

@@ -1,7 +1,11 @@
-import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conekit import collect
 from conekit import linalg as la
 from conekit.cone import ConeInput, build_cone, make_simplicial_cone, triangulate
 from conekit.collect import (
@@ -9,7 +13,9 @@ from conekit.collect import (
     reduce_to_hilbert_basis,
 )
 from conekit.errors import DomainError, InternalConsistencyError
+from conekit.pipeline import RunOptions, compute
 from conekit.simplex import SeriesContribution, hb_candidates, series_contribution
+from conekit.subdivide import SubdivisionConfig
 
 from oracles import (brute_hilbert_basis, brute_support_forms, dotv,
                      enumerate_polytope_points, in_cone, sweep_polytope_points)
@@ -64,6 +70,75 @@ class TestReduce:
     def test_duplicates_and_zero_dropped(self):
         got = reduce_to_hilbert_basis([(0, 0), (1, 0), (1, 0)], QUADRANT_FORMS)
         assert got == ((1, 0),)
+
+    def test_aux_degree_does_not_wrap_in_int64(self):
+        # each support value of x fits in int64, but x's aux degree, the
+        # sum over the octagon's 8 facets, does not
+        octagon = build_cone(ConeInput(3, generators=(
+            (1, 2, 1), (-1, 2, 1), (1, -2, 1), (-1, -2, 1),
+            (2, 1, 1), (-2, 1, 1), (2, -1, 1), (-2, -1, 1))))
+        y = (0, 0, 2**62 // 19)
+        x = tuple(2 * a for a in y)
+        got = reduce_to_hilbert_basis(np.array([x, y]), octagon.support_forms)
+        assert got == (y,)
+
+    def test_subdivided_basis_matches_undivided_at_det_2e4(self):
+        # 22,244 candidates reach the reduction without subdivision
+        ci = ConeInput(5, generators=(
+            (11, 5, 1, 8, -15), (-4, -1, -2, 9, 8), (-8, -6, 11, -12, 25),
+            (-4, 8, 6, 11, -11), (-2, -4, 9, -10, 17)))
+        hb = frozenset({"hilbert_basis"})
+        none = compute(ci, RunOptions(
+            goals=hb, subdivision=SubdivisionConfig(strategy="none")))
+        ip = compute(ci, RunOptions(goals=hb, subdivision=SubdivisionConfig(
+            strategy="ip", volume_bound=1000, node_limit=500,
+            time_limit_scale=None)))
+        assert none.stats.volume_used == 22240
+        assert ip.stats.volume_used < none.stats.volume_used
+        assert len(none.hilbert_basis) == 753
+        assert ip.hilbert_basis == none.hilbert_basis
+
+
+def naive_minimal(candidates, forms):
+    """Nonzero distinct x with no other candidate y, forms·(x − y) ≥ 0,
+    in (aux, lex) order."""
+    pts = {tuple(int(a) for a in x) for x in candidates if any(x)}
+    kept = [x for x in pts
+            if not any(y != x and in_cone(forms, tuple(a - b for a, b in zip(x, y)))
+                       for y in pts)]
+    return tuple(sorted(kept, key=lambda x: (sum(dotv(f, x) for f in forms), x)))
+
+
+@st.composite
+def candidate_sets(draw):
+    """A subset of a small simplex's candidates with repeats and zero
+    rows, optionally scaled past int64."""
+    d = draw(st.integers(2, 3))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    assume(0 < abs(la.determinant(la.as_mat(rows))) <= 60)
+    s = make_simplicial_cone(rows)
+    pool = hb_candidates(s)
+    picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    picked += [(0,) * d] * draw(st.integers(0, 2))
+    scale = draw(st.sampled_from([1, 1, 2**62 + 1]))
+    picked = [tuple(scale * a for a in x) for x in picked]
+    return draw(st.permutations(picked)), s.facet_forms
+
+
+class TestReduceProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_sets(), st.sampled_from([(1, 1), (3, 2), (4096, 1 << 20)]))
+    def test_matches_naive_minimal_elements(self, case, sizes):
+        cands, forms = case
+        with mock.patch.object(collect, "_BLOCK", sizes[0]), \
+                mock.patch.object(collect, "_SLAB", sizes[1]):
+            got = reduce_to_hilbert_basis(cands, forms)
+            got_array = reduce_to_hilbert_basis(
+                np.array(cands, dtype=object), forms)
+        want = naive_minimal(cands, forms)
+        assert got == want
+        assert got_array == want
 
 
 def pairwise_hilbert_basis(gens):
