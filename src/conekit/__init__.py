@@ -14,21 +14,21 @@ from .cone import (Cone, ConeInput, SimplicialCone, build_cone, is_pointed,
 from .errors import (ConeKitError, DomainError, GradingNotPositiveError,
                      InputParseError, InternalConsistencyError, NotPointedError)
 from .pipeline import RunOptions, compute
-from .simplex import (FundamentalDomain, SeriesContribution, fundamental_points,
-                      half_open_shift, hb_candidates, series_contribution)
-from .subdivide import (IpOutcome, SubdivisionConfig, height_normal,
-                        recursive_subdivide, solve_star_ip, stellar_subdivide)
+from .simplex import (SeriesContribution, fundamental_points, half_open_shift,
+                      hb_candidates, series_contribution)
+from .subdivide import (IpOutcome, SubdivisionConfig, recursive_subdivide,
+                        solve_star_ip, stellar_subdivide)
 
 __all__ = [
     "Cone", "ConeInput", "SimplicialCone", "build_cone", "is_pointed",
     "make_simplicial_cone", "normalize_grading", "support_hyperplanes",
     "triangulate",
-    "FundamentalDomain", "SeriesContribution", "fundamental_points",
-    "half_open_shift", "hb_candidates", "series_contribution",
+    "SeriesContribution", "fundamental_points", "half_open_shift",
+    "hb_candidates", "series_contribution",
     "ComputationResult", "HilbertSeries", "StatsRecord", "accumulate_series",
     "bottom_volume", "reduce_to_hilbert_basis",
-    "IpOutcome", "SubdivisionConfig", "height_normal", "recursive_subdivide",
-    "solve_star_ip", "stellar_subdivide",
+    "IpOutcome", "SubdivisionConfig", "recursive_subdivide", "solve_star_ip",
+    "stellar_subdivide",
     "approx_candidates", "approximate_cone", "minimal_cube_face_vertices",
     "RunOptions", "compute",
     "ConeKitError", "DomainError", "GradingNotPositiveError", "InputParseError",

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
+import numpy as np
+
 from . import linalg as la
-from .collect import reduce_to_hilbert_basis
+from .collect import as_rows, reduce_to_hilbert_basis, support_values
 from .cone import SimplicialCone, dual_description, make_simplicial_cone
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
@@ -30,13 +32,6 @@ class CrossSection:
     vertices: tuple[tuple[Fraction, ...], ...]
     height_form: IntVec
     level: int
-
-
-@dataclass(frozen=True)
-class ApproxCone:
-    """Overcone generated by cube-face vertices; contains the simplex."""
-
-    generators: tuple[IntVec, ...]
 
 
 def cross_section(s: SimplicialCone, level: int = 1) -> CrossSection:
@@ -77,8 +72,9 @@ def minimal_cube_face_vertices(v) -> tuple[IntVec, ...]:
     return tuple(out)
 
 
-def approximate_cone(s: SimplicialCone, level: int = 1) -> ApproxCone:
-    """Overcone from cube-face vertices of all cross-section vertices.
+def approximate_cone(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
+    """Generators of an overcone: the cube-face vertices of all
+    cross-section vertices, in order of first appearance.
 
     Containment of the simplex is guaranteed (each vertex is a convex
     combination of its cube-face vertices) and verified exactly.
@@ -95,7 +91,7 @@ def approximate_cone(s: SimplicialCone, level: int = 1) -> ApproxCone:
     for g in s.gens:
         if any(la.dot(f, g) < 0 for f in forms):
             raise InternalConsistencyError("approximation is not an overcone")
-    return ApproxCone(generators=tuple(gens))
+    return tuple(gens)
 
 
 def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
@@ -107,31 +103,24 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     approximation found nothing at this level; it is also the result
     when an overcone simplex is at least as big as the simplex itself,
     in which case approximating cannot pay off.
+
+    The facet forms sum to (det/h)·N for the height normal N and the
+    generator height h, so N·x < h is the sum of x's facet values below
+    det.  Zero and repeated rows are left to the reduction, which drops
+    them.
     """
     over = approximate_cone(s, level)
-    _, tri = dual_description(over.generators, want_triangulation=True)
-    cands: list[IntVec] = list(over.generators)
+    _, tri = dual_description(over, want_triangulation=True)
+    blocks = [as_rows(over)]
     for idx in tri:
-        sub = make_simplicial_cone(tuple(over.generators[i] for i in idx))
+        sub = make_simplicial_cone(tuple(over[i] for i in idx))
         if sub.det >= max(2, s.det):
             return ()
-        cands.extend(hb_candidates(sub))
-    normal = s.height_normal
-    height = s.gen_height
-    survivors = []
-    seen = set()
-    for x in cands:
-        if x in seen:
-            continue
-        seen.add(x)
-        if not any(x):
-            continue
-        if la.dot(normal, x) >= height:
-            continue
-        if any(la.dot(f, x) < 0 for f in s.facet_forms):
-            continue
-        survivors.append(x)
-    return reduce_to_hilbert_basis(survivors, s.facet_forms)
+        blocks.append(hb_candidates(sub))
+    cands = np.vstack(blocks)
+    vals = support_values(cands, s.facet_forms)
+    keep = np.all(vals >= 0, axis=1) & (vals.sum(axis=1) < s.det)
+    return reduce_to_hilbert_basis(cands[keep], s.facet_forms)
 
 
 def best_candidate(s: SimplicialCone, cands) -> IntVec | None:

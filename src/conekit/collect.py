@@ -140,13 +140,30 @@ class ComputationResult:
 # ---------------------------------------------------------------------------
 
 
-def _support_values(cands: np.ndarray, forms: np.ndarray) -> np.ndarray:
-    # bounds each value and their sum, the aux degree, over all forms
+def as_rows(rows) -> np.ndarray:
+    """Integer rows as an int64 array when every entry fits, else object."""
+    out = np.array([tuple(r) for r in rows], dtype=object)
+    if out.size:
+        try:
+            return out.astype(np.int64)
+        except OverflowError:
+            pass
+    return out
+
+
+def support_values(cands: np.ndarray, forms: IntMat) -> np.ndarray:
+    """Exact values cands · formsᵀ of forms given as Python ints.
+
+    int64 arithmetic is used when a bound on each value and on their
+    sum over all forms, the aux degree, proves it exact; Python ints
+    otherwise.
+    """
     bound = (int(np.abs(cands).max(initial=0)) *
-             int(np.abs(forms).max(initial=0)) * cands.shape[1] * len(forms))
+             max((abs(x) for f in forms for x in f), default=0) *
+             cands.shape[1] * len(forms))
     if cands.dtype != object and bound < INT64_SAFE:
-        return cands @ forms.T
-    return cands.astype(object) @ forms.T.astype(object)
+        return cands @ np.array(forms, dtype=np.int64).T
+    return cands.astype(object) @ np.array(forms, dtype=object).T
 
 
 def _dominated(vals, aux, red_vals, red_aux) -> np.ndarray:
@@ -195,15 +212,7 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
     inside the simplex, below generator height), where x - y need not
     be a candidate, so the cut would change its subdivision points.
     """
-    if isinstance(candidates, np.ndarray):
-        cands = candidates
-    else:
-        cands = np.array([tuple(c) for c in candidates], dtype=object)
-        if cands.size:
-            try:
-                cands = cands.astype(np.int64)
-            except OverflowError:
-                pass
+    cands = candidates if isinstance(candidates, np.ndarray) else as_rows(candidates)
     if cands.dtype == object:
         cands = np.array(sorted({tuple(int(x) for x in row)
                                  for row in cands if any(row)}), dtype=object)
@@ -211,9 +220,7 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
         cands = np.unique(cands[np.any(cands != 0, axis=1)], axis=0)
     if cands.size == 0:
         return ()
-    forms = np.array(support_forms,
-                     dtype=object if cands.dtype == object else np.int64)
-    vals = _support_values(cands, forms)
+    vals = support_values(cands, support_forms)
     aux = vals.sum(axis=1)
     order = np.argsort(aux, kind="stable")
     cands, vals, aux = cands[order], vals[order], aux[order]

@@ -10,7 +10,6 @@ basis so that restricted and ambient coordinates coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import lcm
 
 from . import linalg as la
 from .errors import DimensionError, DomainError, NotPointedError, GradingNotPositiveError
@@ -239,39 +238,41 @@ def is_pointed(obj) -> bool:
         restricted = gens
     else:
         basis = la.saturation_basis(gens, d)
-        restricted = tuple(_restrict(basis, g) for g in gens)
+        restricted = _restrict(basis, gens)
     forms, _ = dual_description(restricted)
     return la.rank(forms, r) == r
 
 
-def _restrict(basis: IntMat, v: IntVec) -> IntVec:
-    """Coordinates of v in the lattice basis (v must lie in its span)."""
-    gram = la.matmul(basis, la.transpose(basis))
-    rhs = tuple(la.dot(b, v) for b in basis)
-    sol = la.solve_rational(gram, rhs)
+def _restrict(basis: IntMat, vectors) -> IntMat:
+    """Coordinates of the vectors in the lattice basis (each must lie in it).
+
+    The coordinates x of v solve G·x = B·v for the Gram matrix G = B·Bᵀ,
+    so x = adj(G)·B·v / det(G) with an exact division.
+    """
+    adj, det = la.adjugate(la.matmul(basis, la.transpose(basis)))
     out = []
-    for x in sol:
-        if x.denominator != 1:
+    for v in vectors:
+        num = la.mat_vec(adj, la.mat_vec(basis, v))
+        if any(x % det for x in num):
             raise DomainError("vector is not in the lattice spanned by the basis")
-        out.append(int(x))
+        out.append(tuple(x // det for x in num))
     return tuple(out)
 
 
 def ambient_support_forms(cone: Cone) -> IntMat:
-    """Support forms lifted back to ambient coordinates (canonical lift)."""
+    """Support forms lifted back to ambient coordinates (canonical lift).
+
+    The lift of a form y is the ambient form in span(B) that agrees with
+    y on the basis rows, (G^-1·y)·B; the Gram matrix G is positive
+    definite, so adj(G)·y is a positive multiple of G^-1·y and has the
+    same primitive lift.
+    """
     if cone.rank == cone.ambient_dim:
         return cone.support_forms
-    lifted = []
     b = cone.lattice_basis
-    gram = la.matmul(b, la.transpose(b))
-    for form in cone.support_forms:
-        y = la.solve_rational(gram, form)
-        denom = 1
-        for x in y:
-            denom = lcm(denom, x.denominator)
-        ints = tuple(int(x * denom) for x in y)
-        lifted.append(la.primitive(la.vec_mat(ints, b)))
-    return tuple(sorted(lifted))
+    adj, _ = la.adjugate(la.matmul(b, la.transpose(b)))
+    return tuple(sorted(la.primitive(la.vec_mat(la.mat_vec(adj, form), b))
+                        for form in cone.support_forms))
 
 
 def _rays_from_constraints(ci: ConeInput) -> IntMat:
@@ -327,7 +328,7 @@ def build_cone(ci: ConeInput) -> Cone:
         gens_r = gens_amb
     else:
         basis = la.saturation_basis(gens_amb, d)
-        gens_r = tuple(_restrict(basis, g) for g in gens_amb)
+        gens_r = _restrict(basis, gens_amb)
 
     forms, _ = dual_description(gens_r)
     if la.rank(forms, r) < r:

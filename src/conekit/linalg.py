@@ -7,10 +7,9 @@ Everything here is exact; no floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, InternalConsistencyError, SingularMatrixError
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -70,38 +69,45 @@ def primitive(v) -> IntVec:
     return tuple(x // g for x in v)
 
 
-def determinant(m: IntMat) -> int:
-    """Signed determinant by fraction-free (Bareiss) elimination.
+def _gauss_jordan(m: IntMat) -> tuple[int, IntMat] | None:
+    """(det, adj) of m by fraction-free Gauss-Jordan elimination of [m | I].
 
-    Intermediate entries stay minors of the input, which bounds growth;
-    all divisions are exact.
+    Each step k clears column k above and below the pivot and divides
+    the updated rows by the previous pivot.  By Sylvester's identity
+    (Bareiss 1968) the divisions are exact and the entries stay minors
+    of [m | I]; at the end the left block is p·I for the last pivot
+    p = ±det and the right block is p·m^-1.  Column k and those left of
+    it are never read again, so they are not updated.  None if m is
+    singular.
     """
     n = len(m)
     if any(len(r) != n for r in m):
-        raise DimensionError("determinant requires a square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in m]
+        raise DimensionError("expected a square matrix")
+    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            ri, rk = a[i], a[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk - aik * rk[j]) // prev
-            ri[k] = 0
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        rk = a[k]
+        pk = rk[k]
+        for i, ri in enumerate(a):
+            if i != k:
+                aik = ri[k]
+                for j in range(k + 1, 2 * n):
+                    ri[j] = (ri[j] * pk - aik * rk[j]) // prev
         prev = pk
-    return sign * a[n - 1][n - 1]
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in a)
+
+
+def determinant(m: IntMat) -> int:
+    """Signed determinant; 0 for a singular matrix."""
+    out = _gauss_jordan(m)
+    return 0 if out is None else out[0]
 
 
 class Echelon:
@@ -154,64 +160,16 @@ def independent_rows(rows, ncols: int) -> list[int]:
     return out
 
 
-def _fraction_solve(a, rhs_cols):
-    """Gaussian elimination over Q; returns solution columns or None if singular."""
-    n = len(a)
-    w = [[Fraction(x) for x in row] + [Fraction(c[i]) for c in rhs_cols]
-         for i, row in enumerate(a)]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if w[i][k]), None)
-        if piv is None:
-            return None
-        w[k], w[piv] = w[piv], w[k]
-        pk = w[k][k]
-        w[k] = [x / pk for x in w[k]]
-        for i in range(n):
-            if i != k and w[i][k]:
-                f = w[i][k]
-                w[i] = [x - f * y for x, y in zip(w[i], w[k])]
-    return [[w[i][n + j] for i in range(n)] for j in range(len(rhs_cols))]
-
-
-def solve_rational(a: IntMat, b) -> tuple[Fraction, ...]:
-    """Exact solution x of a·x = b for square nonsingular integer a."""
-    n = len(a)
-    if any(len(r) != n for r in a):
-        raise DimensionError("solve_rational requires a square matrix")
-    if len(b) != n:
-        raise DimensionError("right-hand side has wrong length")
-    sol = _fraction_solve(a, [list(b)])
-    if sol is None:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(sol[0])
-
-
-def invert_rational(a: IntMat):
-    n = len(a)
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    sol = _fraction_solve(a, cols)
-    if sol is None:
-        raise SingularMatrixError("matrix is singular")
-    # sol[j] is column j of the inverse
-    return [[sol[j][i] for j in range(n)] for i in range(n)]
-
-
 def adjugate(m: IntMat) -> tuple[IntMat, int]:
     """Return (adj, det) with m·adj = adj·m = det·I, all entries integer."""
-    d = determinant(m)
-    if d == 0:
+    out = _gauss_jordan(m)
+    if out is None:
         raise SingularMatrixError("adjugate of singular matrix")
-    inv = invert_rational(m)
-    adj = []
-    for row in inv:
-        out = []
-        for x in row:
-            y = x * d
-            if y.denominator != 1:
-                raise SingularMatrixError("adjugate failed exactness check")
-            out.append(int(y))
-        adj.append(tuple(out))
-    return tuple(adj), d
+    det, adj = out
+    if matmul(m, adj) != tuple(tuple(det if i == j else 0 for j in range(len(m)))
+                               for i in range(len(m))):
+        raise InternalConsistencyError("adjugate failed exactness check")
+    return adj, det
 
 
 def unimodular_inverse(m: IntMat) -> IntMat:

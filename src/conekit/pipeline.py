@@ -14,7 +14,7 @@ from .collect import (ComputationResult, StatsRecord, accumulate_series,
                       reduce_to_hilbert_basis)
 from .cone import Cone, ConeInput, ambient_support_forms, build_cone, triangulate
 from .errors import DomainError
-from .simplex import points_from_block, residue_blocks, series_contribution
+from .simplex import hb_candidates, series_contribution
 from .subdivide import (HUGE_DET, SubdivisionConfig, recursive_subdivide,
                         solve_star_ip)
 
@@ -77,17 +77,6 @@ def make_finder(cfg: SubdivisionConfig, stats: StatsRecord):
     return find
 
 
-def _leaf_candidates(leaf) -> np.ndarray:
-    """Stack of Hilbert-basis candidates of one leaf: E \\ {0} plus gens."""
-    blocks = []
-    for v in residue_blocks(leaf):
-        pts = points_from_block(leaf, v)
-        nonzero = np.any(v != 0, axis=1)
-        blocks.append(pts[nonzero])
-    blocks.append(np.array(leaf.gens, dtype=blocks[0].dtype if blocks else None))
-    return np.vstack(blocks)
-
-
 def compute(problem, options: RunOptions = RunOptions()) -> ComputationResult:
     """Run the primal algorithm and collect results in ambient coordinates."""
     stats = StatsRecord()
@@ -126,7 +115,7 @@ def compute(problem, options: RunOptions = RunOptions()) -> ComputationResult:
 
     def evaluate(leaf):
         contrib = series_contribution(leaf, cone.grading) if want_series else None
-        cands = _leaf_candidates(leaf) if want_hb else None
+        cands = hb_candidates(leaf) if want_hb else None
         return contrib, cands
 
     if options.threads > 1 and len(leaves) > 1:
@@ -140,10 +129,9 @@ def compute(problem, options: RunOptions = RunOptions()) -> ComputationResult:
     hilbert_basis = ()
     if want_hb:
         if evaluated:
-            stacks = [c for _, c in evaluated]
-            if any(blk.dtype == object for blk in stacks):
-                stacks = [blk.astype(object) for blk in stacks]
-            basis_r = reduce_to_hilbert_basis(np.vstack(stacks), cone.support_forms)
+            # a leaf of Python ints turns the whole stack into Python ints
+            basis_r = reduce_to_hilbert_basis(np.vstack([c for _, c in evaluated]),
+                                              cone.support_forms)
         else:
             basis_r = ()
         ambient = [cone.to_ambient(v) for v in basis_r]

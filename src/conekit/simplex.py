@@ -25,12 +25,6 @@ DEFAULT_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
-class FundamentalDomain:
-    points: tuple[IntVec, ...]
-    simplex: SimplicialCone
-
-
-@dataclass(frozen=True)
 class SeriesContribution:
     """Stanley-decomposition share of one half-open simplex.
 
@@ -58,10 +52,12 @@ def _residue_axes(s: SimplicialCone):
 
 
 def _block_dtype(s: SimplicialCone) -> object:
+    # bounds the residue arithmetic, the generator entries and the
+    # products v · gens of points_from_block
     det = s.det
     r = s.dim
     max_a = max((abs(x) for g in s.gens for x in g), default=1)
-    if det * det + det < INT64_SAFE and r * (det - 1) * max_a < INT64_SAFE:
+    if det * det + det < INT64_SAFE and r * det * max_a < INT64_SAFE:
         return np.int64
     return object
 
@@ -106,16 +102,13 @@ def points_from_block(s: SimplicialCone, v: np.ndarray) -> np.ndarray:
 
 
 def fundamental_points(s: SimplicialCone,
-                       block_size: int = DEFAULT_BLOCK) -> FundamentalDomain:
-    """All |det| points of the fundamental domain of the simplex."""
-    pts = []
-    for v in residue_blocks(s, block_size):
-        for row in points_from_block(s, v):
-            pts.append(tuple(int(x) for x in row))
+                       block_size: int = DEFAULT_BLOCK) -> np.ndarray:
+    """All |det| points of the fundamental domain, one per row."""
+    pts = np.vstack([points_from_block(s, v) for v in residue_blocks(s, block_size)])
     if len(pts) != s.det:
         raise InternalConsistencyError(
             f"enumerated {len(pts)} points for determinant {s.det}")
-    return FundamentalDomain(points=tuple(pts), simplex=s)
+    return pts
 
 
 def half_open_shift(p: IntVec, s: SimplicialCone) -> IntVec:
@@ -172,12 +165,10 @@ def series_contribution(s: SimplicialCone, deg: IntVec,
 
 
 def hb_candidates(s: SimplicialCone,
-                  block_size: int = DEFAULT_BLOCK) -> list[IntVec]:
-    """Hilbert-basis candidates of the simplex: E \\ {0} plus generators."""
-    out = []
-    for v in residue_blocks(s, block_size):
-        nonzero = np.any(v != 0, axis=1)
-        for row in points_from_block(s, v[nonzero]):
-            out.append(tuple(int(x) for x in row))
-    out.extend(s.gens)
-    return out
+                  block_size: int = DEFAULT_BLOCK) -> np.ndarray:
+    """Hilbert-basis candidates of the simplex, one per row: E \\ {0}
+    followed by the generators."""
+    blocks = [points_from_block(s, v[np.any(v != 0, axis=1)])
+              for v in residue_blocks(s, block_size)]
+    blocks.append(np.array(s.gens, dtype=blocks[0].dtype))
+    return np.vstack(blocks)

@@ -58,16 +58,6 @@ class IpOutcome:
         return self.status == "optimal"
 
 
-def height_normal(s: SimplicialCone) -> IntVec:
-    """Primitive N with N·gen equal and positive for all generators.
-
-    N·x is proportional to the sum of the determinants obtained by
-    replacing one generator with x, which is the quantity a subdivision
-    point should minimize.
-    """
-    return s.height_normal
-
-
 class _Limit(Exception):
     pass
 

@@ -334,3 +334,22 @@ def brute_star_minimum(gens, normal, height):
         if val < height and (best is None or (val, x) < best):
             best = (val, x)
     return best
+
+
+def filter_approx_candidates(cands, facet_forms, normal, height):
+    """Distinct nonzero candidates inside the simplex and strictly below
+    generator height, in first-seen order (tuple by tuple)."""
+    survivors = []
+    seen = set()
+    for x in cands:
+        if x in seen:
+            continue
+        seen.add(x)
+        if not any(x):
+            continue
+        if dotv(normal, x) >= height:
+            continue
+        if any(dotv(f, x) < 0 for f in facet_forms):
+            continue
+        survivors.append(x)
+    return survivors

@@ -1,17 +1,20 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conekit import linalg as la
 from conekit.approx import (
     approx_candidates, approximate_cone, best_candidate, cross_section,
     minimal_cube_face_vertices,
 )
+from conekit.collect import reduce_to_hilbert_basis
 from conekit.cone import dual_description, make_simplicial_cone
+from conekit.simplex import hb_candidates
 from conekit.subdivide import SubdivisionConfig, recursive_subdivide
 
-from oracles import dotv
+from oracles import dotv, filter_approx_candidates
 
 
 def simplex(gens):
@@ -74,18 +77,18 @@ def _chain(base, order):
 class TestApproximateCone:
     def test_cone35_level_one(self):
         over = approximate_cone(simplex(((1, 0), (3, 5))))
-        assert set(over.generators) == {(1, 0), (0, 1), (1, 1)}
+        assert set(over) == {(1, 0), (0, 1), (1, 1)}
 
     def test_unimodular_self(self):
         over = approximate_cone(simplex(((1, 0), (0, 1))))
-        assert set(over.generators) == {(1, 0), (0, 1)}
+        assert set(over) == {(1, 0), (0, 1)}
 
     def test_height_one_generators_give_self(self):
         gens = ((1, 0, 0), (1, 2, 0), (1, 1, 3))
         s = simplex(gens)
         assert s.height_normal == (1, 0, 0)
         over = approximate_cone(s)
-        assert set(over.generators) == set(gens)
+        assert set(over) == set(gens)
 
     def test_cross_section_heights(self):
         s = simplex(((2, 1), (3, 7)))
@@ -104,7 +107,7 @@ class TestApproximateCone:
             return
         s = simplex(rows)
         over = approximate_cone(s, level)
-        forms, _ = dual_description(over.generators)
+        forms, _ = dual_description(over)
         for g in s.gens:
             assert all(dotv(f, g) >= 0 for f in forms)
 
@@ -142,6 +145,36 @@ class TestApproxCandidates:
         assert best_candidate(simplex(((1, 0), (0, 1))), ()) is None
 
 
+def tuple_approx_candidates(s, level):
+    """approx_candidates with the candidates filtered as tuples."""
+    over = approximate_cone(s, level)
+    _, tri = dual_description(over, want_triangulation=True)
+    cands = list(over)
+    for idx in tri:
+        sub = make_simplicial_cone(tuple(over[i] for i in idx))
+        if sub.det >= max(2, s.det):
+            return ()
+        cands.extend(tuple(int(a) for a in x) for x in hb_candidates(sub))
+    survivors = filter_approx_candidates(cands, s.facet_forms, s.height_normal,
+                                         s.gen_height)
+    return reduce_to_hilbert_basis(survivors, s.facet_forms)
+
+
+class TestApproxFilterProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda d: st.lists(
+               st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+               min_size=d, max_size=d)),
+           st.sampled_from([1, 2]),
+           st.sampled_from([1, 1, 2**40 + 1]))
+    def test_matches_tuple_filter(self, rows, level, scale):
+        # scaling the generators keeps the overcone but pushes the facet
+        # forms past int64 in dimension 3
+        assume(la.determinant(la.as_mat(rows)) != 0)
+        s = simplex([[scale * x for x in r] for r in rows])
+        assert approx_candidates(s, level) == tuple_approx_candidates(s, level)
+
+
 def approx_finder(cfg):
     def find(s):
         return best_candidate(s, approx_candidates(s, 1))
@@ -156,8 +189,6 @@ class TestApproxDrivenSubdivision:
         assert sum(p.det for p in leaves) < s.det
 
     def test_matches_ip_pipeline_results(self):
-        from conekit.collect import reduce_to_hilbert_basis
-        from conekit.simplex import hb_candidates
         from conekit.subdivide import solve_star_ip
 
         s = simplex(((2, 1), (3, 70)))
@@ -170,9 +201,7 @@ class TestApproxDrivenSubdivision:
         basis = {}
         for name, finder in [("approx", approx_finder(cfg)), ("ip", ip_find)]:
             leaves = recursive_subdivide(s, cfg, finder)
-            cands = []
-            for leaf in leaves:
-                cands.extend(hb_candidates(leaf))
+            cands = np.vstack([hb_candidates(leaf) for leaf in leaves])
             basis[name] = set(reduce_to_hilbert_basis(cands, s.facet_forms))
         direct = set(reduce_to_hilbert_basis(hb_candidates(s), s.facet_forms))
         assert basis["approx"] == basis["ip"] == direct

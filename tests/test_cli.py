@@ -202,6 +202,15 @@ class TestMain:
         assert "Hilbert series" not in content
         assert "stats:" in content
 
+    def test_unimodular_cone_past_int64(self, tmp_path):
+        # det 1, so the residue bound alone does not see the big entry
+        p = write_input(tmp_path, "det1.in",
+                        "amb_space 2\ncone 2\n1 0\n18446744073709551616 1\n")
+        assert main([str(p), "--goal", "hb"]) == 0
+        lines = (tmp_path / "det1.out").read_text().splitlines()
+        assert lines[:3] == ["2 Hilbert basis elements:", "1 0",
+                             "18446744073709551616 1"]
+
     def test_stats_csv(self, tmp_path):
         p = write_input(tmp_path, "c.in",
                         "amb_space 2\ncone 2\n1 0\n3 5\ngrading\n1 0\n")

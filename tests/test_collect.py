@@ -50,7 +50,7 @@ class TestReduce:
 
     def test_discarded_have_witnesses(self):
         c = build_cone(ConeInput(2, generators=((1, 0), (3, 5))))
-        cands = set(hb_candidates(triangulate(c)[0]))
+        cands = {tuple(int(a) for a in x) for x in hb_candidates(triangulate(c)[0])}
         kept = set(reduce_to_hilbert_basis(cands, c.support_forms))
         for x in cands - kept:
             assert any(
@@ -61,9 +61,7 @@ class TestReduce:
     def test_matches_brute_force(self):
         for gens in [((1, 0), (3, 5)), ((2, 1), (3, 7)), ((1, -2), (4, 1))]:
             c = build_cone(ConeInput(2, generators=gens))
-            cands = []
-            for s in triangulate(c):
-                cands.extend(hb_candidates(s))
+            cands = np.vstack([hb_candidates(s) for s in triangulate(c)])
             got = set(reduce_to_hilbert_basis(cands, c.support_forms))
             assert got == set(brute_hilbert_basis(list(c.generators)))
 
@@ -81,6 +79,20 @@ class TestReduce:
         x = tuple(2 * a for a in y)
         got = reduce_to_hilbert_basis(np.array([x, y]), octagon.support_forms)
         assert got == (y,)
+
+    def test_support_forms_past_int64_with_int64_candidates(self):
+        # the candidates fit in int64, but the support forms, minors of
+        # the generators, do not
+        gens = ((1, 0, 0), (2**40, 1, 0), (7, 2**40 + 1, 2))
+        expected = {(1, 0, 0), (2**40, 1, 0), (7, 2**40 + 1, 2),
+                    (549755813892, 549755813889, 1)}
+        got = compute(ConeInput(3, generators=gens), RunOptions(
+            goals=frozenset({"hilbert_basis"}),
+            subdivision=SubdivisionConfig(strategy="none")))
+        assert set(got.hilbert_basis) == expected
+        s = make_simplicial_cone(gens)
+        cands = [tuple(int(a) for a in x) for x in hb_candidates(s)]
+        assert set(reduce_to_hilbert_basis(cands, s.facet_forms)) == expected
 
     def test_subdivided_basis_matches_undivided_at_det_2e4(self):
         # 22,244 candidates reach the reduction without subdivision
@@ -118,7 +130,7 @@ def candidate_sets(draw):
                          min_size=d, max_size=d))
     assume(0 < abs(la.determinant(la.as_mat(rows))) <= 60)
     s = make_simplicial_cone(rows)
-    pool = hb_candidates(s)
+    pool = [tuple(int(a) for a in x) for x in hb_candidates(s)]
     picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
     picked += [(0,) * d] * draw(st.integers(0, 2))
     scale = draw(st.sampled_from([1, 1, 2**62 + 1]))

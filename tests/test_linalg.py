@@ -1,9 +1,10 @@
-import pytest
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conekit.errors import DimensionError, SingularMatrixError
+from conekit.errors import DimensionError, InternalConsistencyError, SingularMatrixError
 from conekit import linalg as la
 
 from oracles import minor_det
@@ -105,35 +106,80 @@ class TestSmithNormalForm:
         assert res.d == (0, 0)
 
 
-class TestSolveRational:
+def cofactor_adjugate(rows):
+    """adj[j][i] = (-1)^(i+j) · det(rows without row i and column j)."""
+    n = len(rows)
+    return tuple(tuple((-1) ** (i + j) * minor_det(
+        [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i])
+        for i in range(n)) for j in range(n))
+
+
+def scaled_identity(n, c):
+    return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
+
+
+@st.composite
+def adjugate_inputs(draw):
+    """Square matrices with n = 0..5, entries past 2^64 in some draws and
+    a dependent last row in others."""
+    n = draw(st.integers(0, 5))
+    bound = draw(st.sampled_from([9, 10**6, 2**70]))
+    entries = st.one_of(st.just(0), st.integers(-bound, bound))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+class TestAdjugate:
     def test_identity(self):
-        assert la.solve_rational(la.identity(2), (7, -3)) == (7, -3)
+        assert la.adjugate(la.identity(2)) == (la.identity(2), 1)
 
     def test_columns_of_generators(self):
-        # columns (1,0) and (3,5); b = (1,1) decomposes as 2/5, 1/5
-        a = ((1, 3), (0, 5))
-        q = la.solve_rational(a, (1, 1))
-        assert q == (Fraction(2, 5), Fraction(1, 5))
+        # the columns of adj are det times the q-coordinates of e_1, e_2
+        assert la.adjugate(((1, 3), (0, 5))) == (((5, -3), (0, 1)), 5)
 
     def test_diagonal(self):
-        assert la.solve_rational(((2, 0), (0, 2)), (1, 1)) == (
-            Fraction(1, 2), Fraction(1, 2))
+        assert la.adjugate(((2, 0), (0, 2))) == (((2, 0), (0, 2)), 4)
+
+    def test_empty_and_one_by_one(self):
+        assert la.adjugate(()) == ((), 1)
+        assert la.adjugate(((-7,),)) == (((1,),), -7)
+        assert la.adjugate(((2**70,),)) == (((1,),), 2**70)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            la.solve_rational(((1, 1), (2, 2)), (1, 1))
+            la.adjugate(((1, 1), (2, 2)))
+        with pytest.raises(SingularMatrixError):
+            la.adjugate(((0,),))
 
-    @settings(max_examples=80, deadline=None)
-    @given(square_matrices(max_dim=4, max_entry=30), st.data())
-    def test_substitute_back(self, rows, data):
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            la.adjugate(((1, 2, 3), (4, 5, 6)))
+
+    def test_exactness_check(self):
+        # a wrong elimination result is caught, not returned
+        with mock.patch.object(la, "_gauss_jordan", return_value=(5, ((5, 0), (0, 1)))):
+            with pytest.raises(InternalConsistencyError):
+                la.adjugate(((1, 0), (3, 5)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(adjugate_inputs())
+    def test_products_are_det_identity(self, rows):
+        det = minor_det(rows)
         m = la.as_mat(rows)
-        if la.determinant(m) == 0:
-            return
         n = len(rows)
-        b = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
-        x = la.solve_rational(m, b)
-        for i in range(n):
-            assert sum(Fraction(m[i][j]) * x[j] for j in range(n)) == b[i]
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                la.adjugate(m)
+            assert la.determinant(m) == 0
+            return
+        adj, d = la.adjugate(m)
+        assert d == det == la.determinant(m)
+        assert la.matmul(m, adj) == la.matmul(adj, m) == scaled_identity(n, det)
+        assert adj == cofactor_adjugate(rows)
 
 
 class TestHelpers:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,60 +17,61 @@ def simplex(gens):
     return make_simplicial_cone(gens)
 
 
+def rows(points):
+    """Rows of a point array as sorted tuples of Python ints."""
+    return sorted(tuple(int(x) for x in p) for p in points)
+
+
 class TestFundamentalPoints:
     def test_unimodular(self):
-        fd = fundamental_points(simplex(((1, 0), (0, 1))))
-        assert fd.points == ((0, 0),)
+        pts = fundamental_points(simplex(((1, 0), (0, 1))))
+        assert pts.shape == (1, 2)
+        assert rows(pts) == [(0, 0)]
 
     def test_det_two(self):
-        fd = fundamental_points(simplex(((1, 0), (1, 2))))
-        assert sorted(fd.points) == [(0, 0), (1, 1)]
+        assert rows(fundamental_points(simplex(((1, 0), (1, 2))))) == [(0, 0), (1, 1)]
 
     def test_cone35(self):
-        fd = fundamental_points(simplex(((1, 0), (3, 5))))
-        assert sorted(fd.points) == [(0, 0), (1, 1), (2, 2), (2, 3), (3, 4)]
+        assert rows(fundamental_points(simplex(((1, 0), (3, 5))))) == \
+            [(0, 0), (1, 1), (2, 2), (2, 3), (3, 4)]
 
     def test_matches_grid_oracle(self):
         for gens in [((2, 1), (3, 7)), ((1, -2), (4, 1)), ((5, 3), (2, 4)),
                      ((1, 0, 0), (1, 2, 0), (1, 1, 3))]:
-            fd = fundamental_points(simplex(gens))
-            assert sorted(fd.points) == brute_fundamental_points(gens)
+            assert rows(fundamental_points(simplex(gens))) == \
+                brute_fundamental_points(gens)
 
     def test_block_streaming_consistent(self):
         s = simplex(((2, 1), (3, 17)))
         small = fundamental_points(s, block_size=3)
         big = fundamental_points(s)
-        assert small.points == big.points
+        assert np.array_equal(small, big)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 4).flatmap(
         lambda n: st.lists(
             st.lists(st.integers(-9, 9), min_size=n, max_size=n),
             min_size=n, max_size=n)))
-    def test_count_equals_determinant(self, rows):
-        det = la.determinant(la.as_mat(rows))
+    def test_count_equals_determinant(self, rows_):
+        det = la.determinant(la.as_mat(rows_))
         if det == 0:
             return
-        s = simplex(rows)
-        fd = fundamental_points(s)
-        assert len(fd.points) == abs(det)
+        s = simplex(rows_)
+        pts = rows(fundamental_points(s))
+        assert len(pts) == abs(det)
         # all q-coordinates in [0,1), exactly
-        for p in fd.points:
+        for p in pts:
             u = s.q_numerators(p)
             assert all(0 <= x < s.det for x in u)
-        assert len(set(fd.points)) == len(fd.points)
+        assert len(set(pts)) == len(pts)
 
     def test_distinct_modulo_generator_lattice(self):
-        gens = ((2, 1), (3, 7))
-        s = simplex(gens)
-        fd = fundamental_points(s)
-        inv = la.invert_rational(gens)
-        seen = set()
-        for p in fd.points:
-            # residue class of p modulo Z·g1 + Z·g2, via fractional coords
-            q = tuple(sum(p[i] * inv[i][j] for i in range(2)) % 1 for j in range(2))
-            assert q not in seen
-            seen.add(q)
+        s = simplex(((2, 1), (3, 7)))
+        # p ≡ p' modulo Z·g1 + Z·g2 iff their q-coordinates agree mod 1,
+        # i.e. their q numerators agree mod det
+        classes = {tuple(x % s.det for x in s.q_numerators(p))
+                   for p in rows(fundamental_points(s))}
+        assert len(classes) == s.det
 
 
 class TestHalfOpenShift:
@@ -125,9 +127,8 @@ class TestSeriesContribution:
         deg = (1, 0)
         c = series_contribution(s, deg)
         # brute: shift each fundamental point, histogram its degree
-        from conekit.simplex import fundamental_points as fp
         hist = {}
-        for p in fp(s).points:
+        for p in rows(fundamental_points(s)):
             d = dotv(half_open_shift(p, s), deg)
             hist[d] = hist.get(d, 0) + 1
         got = {i: x for i, x in enumerate(c.numerator) if x}
@@ -136,27 +137,38 @@ class TestSeriesContribution:
 
 class TestHbCandidates:
     def test_unimodular(self):
-        assert sorted(hb_candidates(simplex(((1, 0), (0, 1))))) == [(0, 1), (1, 0)]
+        got = hb_candidates(simplex(((1, 0), (0, 1))))
+        assert got.shape == (2, 2)
+        assert rows(got) == [(0, 1), (1, 0)]
 
     def test_det_two(self):
-        got = sorted(hb_candidates(simplex(((1, 0), (1, 2)))))
-        assert got == [(1, 0), (1, 1), (1, 2)]
+        assert rows(hb_candidates(simplex(((1, 0), (1, 2))))) == \
+            [(1, 0), (1, 1), (1, 2)]
 
     def test_cone35(self):
-        got = sorted(hb_candidates(simplex(((1, 0), (3, 5)))))
-        assert got == [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4), (3, 5)]
+        got = hb_candidates(simplex(((1, 0), (3, 5))))
+        assert rows(got) == [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4), (3, 5)]
+        # E \ {0} first, then the generators in order
+        assert rows(got[-2:]) == [(1, 0), (3, 5)]
+        assert tuple(got[-1]) == (3, 5)
 
 
 class TestBlocks:
     def test_big_int_fallback_matches(self):
-        # entries large enough to force the object-dtype path, small det
-        gens = ((1, 10**18), (1, 10**18 + 5))
-        s = simplex(gens)
         from conekit.simplex import _block_dtype
-        assert _block_dtype(s) is object
-        assert sum(len(v) for v in residue_blocks(s)) == s.det == 5
-        fd = fundamental_points(s)
-        assert len(set(fd.points)) == 5
-        for p in fd.points:
-            u = s.q_numerators(p)
-            assert all(0 <= x < s.det for x in u)
+        for gens in [
+            # entries large enough to force the object-dtype path, small det
+            ((1, 10**18), (1, 10**18 + 5)),
+            # det 1: only the zero residue, but entries past int64
+            ((1, 0), (2**64, 1)),
+        ]:
+            s = simplex(gens)
+            assert _block_dtype(s) is object
+            assert sum(len(v) for v in residue_blocks(s)) == s.det
+            pts = rows(fundamental_points(s))
+            assert len(set(pts)) == s.det
+            for p in pts:
+                u = s.q_numerators(p)
+                assert all(0 <= x < s.det for x in u)
+            assert rows(hb_candidates(s)) == sorted(
+                {p for p in pts if any(p)} | set(gens))

@@ -7,8 +7,8 @@ from conekit import linalg as la
 from conekit.cone import make_simplicial_cone
 from conekit.errors import DomainError
 from conekit.subdivide import (
-    IpOutcome, SubdivisionConfig, height_normal, recursive_subdivide,
-    solve_star_ip, stellar_subdivide,
+    IpOutcome, SubdivisionConfig, recursive_subdivide, solve_star_ip,
+    stellar_subdivide,
 )
 
 from oracles import brute_star_minimum, dotv
@@ -20,26 +20,26 @@ def simplex(gens):
 
 class TestHeightNormal:
     def test_quadrant(self):
-        assert height_normal(simplex(((1, 0), (0, 1)))) == (1, 1)
+        assert simplex(((1, 0), (0, 1))).height_normal == (1, 1)
 
     def test_cone35(self):
         s = simplex(((1, 0), (3, 5)))
-        assert height_normal(s) == (5, -2)
+        assert s.height_normal == (5, -2)
         assert s.gen_height == 5
 
     def test_unit_simplex_3d(self):
-        assert height_normal(simplex(la.identity(3))) == (1, 1, 1)
+        assert simplex(la.identity(3)).height_normal == (1, 1, 1)
 
     def test_equal_on_generators(self):
         s = simplex(((2, 1), (3, 7)))
-        n = height_normal(s)
+        n = s.height_normal
         vals = {dotv(n, g) for g in s.gens}
         assert len(vals) == 1 and vals.pop() > 0
 
     def test_sum_of_determinants_proportionality(self):
         gens = ((1, 0), (3, 5))
         s = simplex(gens)
-        n = height_normal(s)
+        n = s.height_normal
         h = s.gen_height
         for x in [(1, 1), (2, 3), (4, 4), (7, 2)]:
             total = 0
