@@ -12,7 +12,7 @@ from . import linalg as la
 from .cone import SimplicialCone, dual_description
 from .errors import DomainError, InternalConsistencyError
 from .linalg import INT64_SAFE, IntMat, IntVec
-from .simplex import SeriesContribution, hb_candidates
+from .simplex import hb_candidates
 
 # sorted candidates per dominance pass, and the boolean entries one
 # comparison slab may hold

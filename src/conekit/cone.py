@@ -137,8 +137,14 @@ def dual_description(vectors, want_triangulation: bool = False):
 
     The vectors must span the space (which makes the dual cone pointed).
     Inserting one vector at a time performs the Fourier-Motzkin step of
-    the double-description method; redundancy of candidate pairs is
-    decided by the combinatorial zero-set inclusion criterion.
+    the double-description method.  A pair of rays p, q on opposite
+    sides of the new hyperplane yields a new ray iff it is adjacent:
+    no third ray vanishes on every inserted vector that both vanish on
+    (the combinatorial test of Fukuda-Prodon 1996).  Before that scan
+    over all rays, a pair sharing fewer than s - 2 zeros is skipped: the
+    smallest face holding p and q has dimension s - rank(common zeros),
+    at least 3 then, and a pointed cone of dimension 3 or more has a
+    third extreme ray, which the scan would find.
 
     With `want_triangulation` the same incremental pass also records the
     placing triangulation of cone(vectors) as index tuples.
@@ -152,16 +158,10 @@ def dual_description(vectors, want_triangulation: bool = False):
     basis = tuple(vectors[i] for i in init)
     adj, det = la.adjugate(basis)
     sg = 1 if det > 0 else -1
-    rays: list[IntVec] = []
-    masks: list[int] = []
-    for j in range(s):
-        col = la.primitive(tuple(sg * adj[k][j] for k in range(s)))
-        m = 0
-        for pos, gi in enumerate(init):
-            if pos != j:
-                m |= 1 << gi
-        rays.append(col)
-        masks.append(m)
+    # column j of the adjugate vanishes on every basis vector but the j-th
+    rays = [la.primitive(tuple(sg * adj[k][j] for k in range(s))) for j in range(s)]
+    full = sum(1 << gi for gi in init)
+    masks = [full & ~(1 << gi) for gi in init]
 
     simplices: list[tuple[int, ...]] = [tuple(sorted(init))]
     seen = {simplices[0]}
@@ -185,7 +185,7 @@ def dual_description(vectors, want_triangulation: bool = False):
             for q in neg:
                 zq = masks[q]
                 for idx, bits in bit_cache:
-                    if bin(bits & zq).count("1") == s - 1:
+                    if (bits & zq).bit_count() == s - 1:
                         new_idx = tuple(sorted(
                             [g for g in idx if zq >> g & 1] + [i]))
                         if new_idx not in seen:
@@ -198,17 +198,16 @@ def dual_description(vectors, want_triangulation: bool = False):
             zp = masks[p]
             for q in neg:
                 zc = zp & masks[q]
-                ok = True
-                for t in range(len(rays)):
-                    if t != p and t != q and zc & ~masks[t] == 0:
-                        ok = False
-                        break
-                if not ok:
+                if zc.bit_count() < s - 2:
                     continue
-                combo = tuple(vals[p] * rq - vals[q] * rp
-                              for rp, rq in zip(rays[p], rays[q]))
-                new_rays.append(la.primitive(combo))
-                new_masks.append(zc | 1 << i)
+                for t, zt in enumerate(masks):
+                    if zc & ~zt == 0 and t != p and t != q:
+                        break
+                else:
+                    combo = tuple(vals[p] * rq - vals[q] * rp
+                                  for rp, rq in zip(rays[p], rays[q]))
+                    new_rays.append(la.primitive(combo))
+                    new_masks.append(zc | 1 << i)
         keep = [k for k, x in enumerate(vals) if x >= 0]
         rays = [rays[k] for k in keep] + new_rays
         masks = [masks[k] | (1 << i if vals[k] == 0 else 0) for k in keep] + new_masks
@@ -225,22 +224,13 @@ def support_hyperplanes(generators) -> IntMat:
 def is_pointed(obj) -> bool:
     """Whether a cone (or a raw generator matrix) contains no line."""
     if isinstance(obj, Cone):
-        if obj.rank == 0:
-            return True
-        return la.rank(obj.support_forms, obj.rank) == obj.rank
+        return obj.rank == 0 or la.rank(obj.support_forms, obj.rank) == obj.rank
     gens = la.as_mat(obj)
-    gens = tuple(g for g in gens if any(g))
-    if not gens:
-        return True
-    d = len(gens[0])
-    r = la.rank(gens, d)
-    if r == d:
-        restricted = gens
-    else:
-        basis = la.saturation_basis(gens, d)
-        restricted = _restrict(basis, gens)
-    forms, _ = dual_description(restricted)
-    return la.rank(forms, r) == r
+    try:
+        build_cone(ConeInput(len(gens[0]) if gens else 0, generators=gens))
+    except NotPointedError:
+        return False
+    return True
 
 
 def _restrict(basis: IntMat, vectors) -> IntMat:
@@ -306,6 +296,14 @@ def _rays_from_constraints(ci: ConeInput) -> IntMat:
 def build_cone(ci: ConeInput) -> Cone:
     """Both descriptions of the cone, in restricted coordinates.
 
+    The support forms come from one double description of the
+    generators.  A primitive generator p spans an extreme ray iff no
+    generator off the ray of p vanishes on every facet through p: those
+    facets cut out the smallest face holding p, and that face is spanned
+    by the generators in it, so it is the ray of p exactly when they all
+    lie on that ray.  The generators keep their input order, primitive
+    and without repeats.
+
     Raises NotPointedError when the input contains a line; an input with
     no nonzero generators yields the trivial (rank zero) cone.
     """
@@ -334,14 +332,13 @@ def build_cone(ci: ConeInput) -> Cone:
     if la.rank(forms, r) < r:
         raise NotPointedError("cone contains a nonzero linear subspace")
 
-    extreme, _ = dual_description(forms)
-    extreme_set = set(extreme)
-    seen: set[IntVec] = set()
+    prims = [la.primitive(g) for g in gens_r]
+    zeros = [sum(1 << j for j, f in enumerate(forms) if la.dot(f, p) == 0)
+             for p in prims]
     generators = []
-    for g in gens_r:
-        p = la.primitive(g)
-        if p in extreme_set and p not in seen:
-            seen.add(p)
+    for p, z in zip(prims, zeros):
+        if p not in generators and all(z & ~zk or pk == p
+                                       for pk, zk in zip(prims, zeros)):
             generators.append(p)
 
     cone = Cone(ambient_dim=d, rank=r, generators=tuple(generators),

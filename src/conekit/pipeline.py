@@ -12,7 +12,7 @@ from . import linalg as la
 from .approx import approx_candidates, best_candidate
 from .collect import (ComputationResult, StatsRecord, accumulate_series,
                       reduce_to_hilbert_basis)
-from .cone import Cone, ConeInput, ambient_support_forms, build_cone, triangulate
+from .cone import Cone, ambient_support_forms, build_cone, triangulate
 from .errors import DomainError
 from .simplex import hb_candidates, series_contribution
 from .subdivide import (HUGE_DET, SubdivisionConfig, recursive_subdivide,

@@ -122,6 +122,54 @@ def brute_support_forms(gens):
     return sorted(forms)
 
 
+def frac_rank(rows) -> int:
+    """Rank over Q by Gaussian elimination in Fractions."""
+    w = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(w[0]) if w else 0):
+        piv = next((i for i in range(rank, len(w)) if w[i][c]), None)
+        if piv is None:
+            continue
+        w[rank], w[piv] = w[piv], w[rank]
+        for i in range(rank + 1, len(w)):
+            if w[i][c]:
+                f = w[i][c] / w[rank][c]
+                w[i] = [x - f * y for x, y in zip(w[i], w[rank])]
+        rank += 1
+    return rank
+
+
+def brute_facets(gens):
+    """The irredundant forms among `brute_support_forms`: a valid form is a
+    facet iff the generators it vanishes on have rank d - 1."""
+    d = len(gens[0])
+    return [f for f in brute_support_forms(gens)
+            if frac_rank([g for g in gens if dotv(f, g) == 0]) == d - 1]
+
+
+def brute_extreme_rays(gens):
+    """Primitive extreme generators of a full-dimensional pointed cone, in
+    input order and without repeats.
+
+    The valid forms of `brute_support_forms` that vanish on a generator
+    include every facet through it, and together they cut out the
+    smallest face holding it; that face is a ray iff they have rank d - 1.
+    In dimension 1 every generator spans the one ray.
+    """
+    d = len(gens[0])
+    forms = brute_support_forms(gens) if d > 1 else []
+    out = []
+    for g in gens:
+        c = 0
+        for x in g:
+            c = _gcd(c, x)
+        p = tuple(x // c for x in g)
+        on = [f for f in forms if dotv(f, g) == 0]
+        if p not in out and frac_rank(on) == d - 1:
+            out.append(p)
+    return out
+
+
 def _gcd(a, b):
     a, b = abs(a), abs(b)
     while b:

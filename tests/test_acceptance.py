@@ -7,17 +7,14 @@ reproducible run to run.
 
 import random
 import shutil
-import sys
 import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-import pytest
-
 from conekit import linalg as la
-from conekit.approx import approx_candidates, approximate_cone, best_candidate, \
-    cross_section, minimal_cube_face_vertices
+from conekit.approx import approx_candidates, approximate_cone, cross_section, \
+    minimal_cube_face_vertices
 from conekit.cli import main
 from conekit.cone import ConeInput, build_cone, dual_description, is_pointed, \
     make_simplicial_cone, triangulate
@@ -25,9 +22,8 @@ from conekit.pipeline import RunOptions, compute
 from conekit.simplex import fundamental_points
 from conekit.subdivide import SubdivisionConfig, recursive_subdivide, solve_star_ip
 
-from oracles import (brute_degree_counts, brute_fundamental_points,
-                     brute_hilbert_basis, brute_star_minimum, dotv,
-                     oracle_cost_estimate)
+from oracles import (brute_degree_counts, brute_hilbert_basis, brute_star_minimum,
+                     dotv, oracle_cost_estimate)
 
 HB = frozenset({"hilbert_basis"})
 SERIES = frozenset({"hilbert_series"})

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conekit import linalg as la

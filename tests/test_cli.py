@@ -1,6 +1,3 @@
-from fractions import Fraction
-from pathlib import Path
-
 import pytest
 
 from conekit.cli import main, parse_input, render_report

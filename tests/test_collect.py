@@ -14,7 +14,7 @@ from conekit.collect import (
 )
 from conekit.errors import DomainError, InternalConsistencyError
 from conekit.pipeline import RunOptions, compute
-from conekit.simplex import SeriesContribution, hb_candidates, series_contribution
+from conekit.simplex import SeriesContribution, hb_candidates
 from conekit.subdivide import SubdivisionConfig
 
 from oracles import (brute_hilbert_basis, brute_support_forms, dotv,

@@ -1,17 +1,17 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conekit import linalg as la
 from conekit.cone import (
-    Cone, ConeInput, SimplicialCone, build_cone, dual_description, is_pointed,
-    make_simplicial_cone, normalize_grading, support_hyperplanes, triangulate,
-    ambient_support_forms,
+    ConeInput, build_cone, is_pointed, make_simplicial_cone, normalize_grading,
+    support_hyperplanes, triangulate, ambient_support_forms,
 )
 from conekit.errors import GradingNotPositiveError, NotPointedError
 
-from oracles import brute_support_forms, dotv, in_cone
+from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv,
+                     frac_rank, in_cone)
 
 
 QUADRANT = ((1, 0), (0, 1))
@@ -21,6 +21,27 @@ SQUARE3 = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 
 def forms_set(forms):
     return {la.primitive(f) for f in forms}
+
+
+def pointed_gens(d, min_size, max_size, entry=4):
+    """Generator lists in Z^d whose cone is pointed by construction: every
+    generator has a positive last coordinate."""
+    row = st.tuples(*[st.integers(-entry, entry)] * (d - 1), st.integers(1, entry))
+    return st.lists(row, min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def cluttered_gens(draw, d):
+    """Generators of a pointed cone in Z^d plus redundant ones (sums of two
+    generators, multiples and repeats), shuffled."""
+    gens = draw(pointed_gens(d, min_size=d, max_size=d + 3))
+    extra = []
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        k = draw(st.integers(1, 3))
+        extra.append(draw(st.sampled_from([
+            tuple(x + y for x, y in zip(a, b)), tuple(k * x for x in a)])))
+    return draw(st.permutations(gens + extra))
 
 
 class TestSupportHyperplanes:
@@ -57,6 +78,14 @@ class TestSupportHyperplanes:
         assert ours <= set(brute)
         for x in product((-3, -1, 0, 2, 5), repeat=3):
             assert in_cone(brute, x) == all(dotv(f, x) >= 0 for f in ours)
+
+    @pytest.mark.parametrize("d", [4, 5])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_irredundant_brute_force(self, d, data):
+        gens = data.draw(pointed_gens(d, min_size=d, max_size=d + 4))
+        assume(frac_rank(gens) == d)
+        assert list(support_hyperplanes(gens)) == brute_facets(gens)
 
 
 class TestBuildCone:
@@ -140,6 +169,61 @@ class TestBuildCone:
         for f in c.support_forms:
             on = [g for g in c.generators if dotv(f, g) == 0]
             assert la.rank(on, 3) == c.rank - 1
+
+
+class TestExtremeRays:
+    """build_cone keeps the extreme generators, primitive, in input order
+    and without repeats; `brute_extreme_rays` decides extremality from the
+    rank of the valid forms through each generator."""
+
+    def test_redundant_and_repeated(self):
+        gens = ((0, 3), (1, 1), (2, 0), (0, 1), (1, 0), (0, 2))
+        c = build_cone(ConeInput(2, generators=gens))
+        assert c.generators == ((0, 1), (1, 0)) == tuple(brute_extreme_rays(gens))
+
+    def test_square_with_interior_generator(self):
+        gens = ((1, 1, 2),) + SQUARE3 + ((0, 0, 2),)
+        c = build_cone(ConeInput(3, generators=gens))
+        assert c.generators == SQUARE3 == tuple(brute_extreme_rays(gens))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(cluttered_gens))
+    def test_full_dimensional(self, gens):
+        d = len(gens[0])
+        assume(frac_rank(gens) == d)
+        c = build_cone(ConeInput(d, generators=gens))
+        assert list(c.generators) == brute_extreme_rays(gens)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+        cluttered_gens(k),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * (k + 2)), min_size=k, max_size=k))))
+    def test_low_rank_through_lattice_basis(self, data):
+        # a rank-k cone embedded into Z^(k+2) by an injective integer map
+        gens, embed = data
+        k = len(gens[0])
+        assume(frac_rank(gens) == k and frac_rank(embed) == k)
+
+        def lift(v):
+            return tuple(dotv(v, col) for col in zip(*embed))
+
+        c = build_cone(ConeInput(k + 2, generators=[lift(g) for g in gens]))
+        assert c.rank == k
+        assert [c.to_ambient(g) for g in c.generators] == \
+            [la.primitive(lift(p)) for p in brute_extreme_rays(gens)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda d: pointed_gens(d, d, d + 3)))
+    def test_inequality_input(self, ineqs):
+        # cone(ineqs) is pointed and spans, so its dual {x : ineqs·x >= 0}
+        # is full-dimensional and pointed, and the valid forms of
+        # cone(ineqs) generate it
+        d = len(ineqs[0])
+        assume(frac_rank(ineqs) == d)
+        c = build_cone(ConeInput(d, inequalities=ineqs))
+        rays = brute_extreme_rays(brute_support_forms(ineqs))
+        assert c.rank == d
+        assert sorted(c.generators) == sorted(rays)
 
 
 class TestIsPointed:

@@ -227,9 +227,8 @@ class TestHelpers:
 
 def _int_solve(basis, target):
     """Solve c·basis = target over Q and check integrality (test helper)."""
-    from oracles import frac_inverse
+    from oracles import frac_inverse, frac_rank
     # append completing rows if basis is not square (only rank<=dim cases here)
-    import itertools
     rows = [list(b) for b in basis]
     dim = len(target)
     if len(rows) < dim:
@@ -237,7 +236,7 @@ def _int_solve(basis, target):
             unit = [0] * dim
             unit[e] = 1
             cand = rows + [unit]
-            if minor_rank(cand) > minor_rank(rows):
+            if frac_rank(cand) > frac_rank(rows):
                 rows.append(unit)
             if len(rows) == dim:
                 break
@@ -250,24 +249,3 @@ def _int_solve(basis, target):
         if j >= len(basis) and c != 0:
             return None
     return coeffs[:len(basis)]
-
-
-def minor_rank(rows):
-    from fractions import Fraction
-    w = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(w[0]) if w else 0
-    col = 0
-    while rank < len(w) and col < ncols:
-        piv = next((i for i in range(rank, len(w)) if w[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        w[rank], w[piv] = w[piv], w[rank]
-        for i in range(len(w)):
-            if i != rank and w[i][col]:
-                f = w[i][col] / w[rank][col]
-                w[i] = [x - f * y for x, y in zip(w[i], w[rank])]
-        rank += 1
-        col += 1
-    return rank

@@ -7,8 +7,7 @@ from conekit import linalg as la
 from conekit.cone import make_simplicial_cone
 from conekit.errors import DomainError
 from conekit.subdivide import (
-    IpOutcome, SubdivisionConfig, recursive_subdivide, solve_star_ip,
-    stellar_subdivide,
+    SubdivisionConfig, recursive_subdivide, solve_star_ip, stellar_subdivide,
 )
 
 from oracles import brute_star_minimum, dotv
