@@ -140,14 +140,14 @@ def write_stats_csv(result, path: str) -> None:
         fh.write(",".join(v for _, v in items) + "\n")
 
 
-def run(options: RunOptions, cone_input: ConeInput, goals) -> str:
+def run(options: RunOptions, cone_input: ConeInput, input_path: str,
+        stats_csv_path: str | None = None) -> str:
     """Compute, write <input>.out (and optional CSV), return the report."""
     result = compute(cone_input, options)
-    report = render_report(result, goals)
-    out_path = Path(options.input_path).with_suffix(".out")
-    out_path.write_text(report, encoding="utf-8")
-    if options.stats_csv_path:
-        write_stats_csv(result, options.stats_csv_path)
+    report = render_report(result, options.goals)
+    Path(input_path).with_suffix(".out").write_text(report, encoding="utf-8")
+    if stats_csv_path:
+        write_stats_csv(result, stats_csv_path)
     return report
 
 
@@ -195,10 +195,8 @@ def main(argv=None) -> int:
             strategy=args.strategy.replace("-", "_"),
             time_limit_scale=args.time_limit_scale,
         )
-        options = RunOptions(goals=goals, subdivision=cfg, threads=args.threads,
-                             stats_csv_path=args.stats_csv,
-                             input_path=args.input)
-        report = run(options, cone_input, goals)
+        options = RunOptions(goals=goals, subdivision=cfg, threads=args.threads)
+        report = run(options, cone_input, args.input, args.stats_csv)
     except InputParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ import numpy as np
 from . import linalg as la
 from .cone import SimplicialCone, dual_description
 from .errors import DomainError, InternalConsistencyError
-from .linalg import INT64_SAFE, IntMat, IntVec
+from .linalg import IntMat, IntVec
 from .simplex import hb_candidates
 
 # sorted candidates per dominance pass, and the boolean entries one
@@ -141,14 +141,12 @@ class ComputationResult:
 
 
 def as_rows(rows) -> np.ndarray:
-    """Integer rows as an int64 array when every entry fits, else object."""
+    """Integer rows as an int64 array when every entry is below
+    INT64_SAFE in magnitude, else object."""
     out = np.array([tuple(r) for r in rows], dtype=object)
-    if out.size:
-        try:
-            return out.astype(np.int64)
-        except OverflowError:
-            pass
-    return out
+    if not out.size:
+        return out
+    return out.astype(la.int_dtype(max(abs(int(x)) for x in out.flat)))
 
 
 def support_values(cands: np.ndarray, forms: IntMat) -> np.ndarray:
@@ -161,9 +159,8 @@ def support_values(cands: np.ndarray, forms: IntMat) -> np.ndarray:
     bound = (int(np.abs(cands).max(initial=0)) *
              max((abs(x) for f in forms for x in f), default=0) *
              cands.shape[1] * len(forms))
-    if cands.dtype != object and bound < INT64_SAFE:
-        return cands @ np.array(forms, dtype=np.int64).T
-    return cands.astype(object) @ np.array(forms, dtype=object).T
+    dtype = object if cands.dtype == object else la.int_dtype(bound)
+    return cands.astype(dtype, copy=False) @ np.array(forms, dtype=dtype).T
 
 
 def _dominated(vals, aux, red_vals, red_aux) -> np.ndarray:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .errors import DimensionError, InternalConsistencyError, SingularMatrixError
 
 IntVec = tuple[int, ...]
@@ -16,6 +18,12 @@ IntMat = tuple[IntVec, ...]
 
 # magnitude bound below which int64 arithmetic is trusted (one bit spare)
 INT64_SAFE = 1 << 62
+
+
+def int_dtype(bound: int) -> object:
+    """Array dtype for integers of magnitude at most `bound`: exact int64
+    below INT64_SAFE, Python ints (object) otherwise."""
+    return np.int64 if bound < INT64_SAFE else object
 
 
 def as_vec(entries) -> IntVec:
@@ -172,15 +180,6 @@ def adjugate(m: IntMat) -> tuple[IntMat, int]:
     return adj, det
 
 
-def unimodular_inverse(m: IntMat) -> IntMat:
-    adj, d = adjugate(m)
-    if abs(d) != 1:
-        raise SingularMatrixError("matrix is not unimodular")
-    if d == 1:
-        return adj
-    return tuple(tuple(-x for x in row) for row in adj)
-
-
 @dataclass(frozen=True)
 class SnfResult:
     """Smith normal form u·m·v = diag(d) with u, v unimodular."""
@@ -296,13 +295,15 @@ def integer_kernel(rows, dim: int) -> IntMat:
 
 
 def saturation_basis(rows, dim: int) -> IntMat:
-    """Basis of span_Q(rows) ∩ Z^dim (a primitive sublattice)."""
+    """Basis of span_Q(rows) ∩ Z^dim (a primitive sublattice): the first
+    rank rows of v^-1 for u·rows·v = diag(d), read off as (u·rows)_i / d_i."""
     rows = as_mat(rows)
     if not rows:
         return ()
     if len(rows[0]) != dim:
         raise DimensionError("rows have wrong arity")
     snf = smith_normal_form(rows)
-    rk = sum(1 for x in snf.d if x)
-    vinv = unimodular_inverse(snf.v)
-    return vinv[:rk]
+    w = matmul(snf.u[:sum(1 for x in snf.d if x)], rows)
+    if any(x % m for m, row in zip(snf.d, w) for x in row):
+        raise InternalConsistencyError("saturation row is not divisible by d_i")
+    return tuple(tuple(x // m for x in row) for m, row in zip(snf.d, w))

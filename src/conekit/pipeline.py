@@ -26,8 +26,6 @@ class RunOptions:
     goals: frozenset = GOALS
     subdivision: SubdivisionConfig = field(default_factory=SubdivisionConfig)
     threads: int = 1
-    stats_csv_path: str | None = None
-    input_path: str | None = None
 
     def __post_init__(self):
         goals = frozenset(self.goals)

@@ -13,13 +13,14 @@ exact, and Python big-int (object dtype) arrays otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
 from . import linalg as la
 from .cone import SimplicialCone
 from .errors import DomainError, GradingNotPositiveError, InternalConsistencyError
-from .linalg import INT64_SAFE, IntVec
+from .linalg import IntVec
 
 DEFAULT_BLOCK = 1 << 20
 
@@ -37,17 +38,20 @@ class SeriesContribution:
 
 
 def _residue_axes(s: SimplicialCone):
-    """Mixed-radix axes (range, residue-increment row) of the SNF sweep."""
+    """Mixed-radix axes (range, residue-increment row) of the SNF sweep.
+
+    With u·gens·v = diag(d), row i of v^-1 is (u·gens)_i / d_i, so its
+    q numerators, (v^-1)_i · facet_formsᵀ, are (det/d_i)·u_i.
+    """
     snf = la.smith_normal_form(s.gens)
-    w = la.unimodular_inverse(snf.v)
-    # row-vector convention: q numerators of x are x · mstar
-    mstar = la.transpose(s.facet_forms)
-    t = la.matmul(w, mstar)
     det = s.det
-    axes = []
-    for i, m in enumerate(snf.d):
-        if m > 1:
-            axes.append((m, tuple(x % det for x in t[i])))
+    if prod(snf.d) != det:
+        raise InternalConsistencyError("SNF diagonal product differs from det")
+    axes = [(m, tuple(det // m * x % det for x in ui))
+            for m, ui in zip(snf.d, snf.u) if m > 1]
+    # each row must be the q-numerator vector of a lattice point
+    if any(x % det for _, t in axes for x in la.vec_mat(t, s.gens)):
+        raise InternalConsistencyError("residue axis is not a lattice point")
     return axes
 
 
@@ -55,11 +59,8 @@ def _block_dtype(s: SimplicialCone) -> object:
     # bounds the residue arithmetic, the generator entries and the
     # products v · gens of points_from_block
     det = s.det
-    r = s.dim
     max_a = max((abs(x) for g in s.gens for x in g), default=1)
-    if det * det + det < INT64_SAFE and r * det * max_a < INT64_SAFE:
-        return np.int64
-    return object
+    return la.int_dtype(max(det * det + det, s.dim * det * max_a))
 
 
 def residue_blocks(s: SimplicialCone, block_size: int = DEFAULT_BLOCK):

@@ -85,6 +85,32 @@ def brute_fundamental_points(gens):
     return sorted(pts)
 
 
+def inverse_rows(v, k):
+    """The first k rows of the inverse of a unimodular matrix v, by
+    Fraction Gauss-Jordan; asserts that they are integral."""
+    inv = frac_inverse([list(r) for r in v])[:k]
+    assert all(x.denominator == 1 for row in inv for x in row)
+    return tuple(tuple(int(x) for x in row) for row in inv)
+
+
+def explicit_residue_axes(gens, d, v):
+    """Residue axes of the simplex on gens from an SNF u·gens·v = diag(d),
+    built with explicit inverses: row i of v^-1 times det·gens^-1 (the
+    transposed facet-form matrix) gives the q numerators of the i-th
+    residue generator, reduced mod det; axes with d_i = 1 are dropped."""
+    n = len(gens)
+    det = abs(minor_det([list(g) for g in gens]))
+    ginv = frac_inverse([list(g) for g in gens])
+    w = inverse_rows(v, n)
+    axes = []
+    for m, wi in zip(d, w):
+        if m > 1:
+            t = [sum(wi[k] * ginv[k][j] for k in range(n)) * det for j in range(n)]
+            assert all(x.denominator == 1 for x in t)
+            axes.append((m, tuple(int(x) % det for x in t)))
+    return axes
+
+
 def cross_normal(rows):
     """Generalized cross product: integer normal of d-1 independent rows."""
     d = len(rows[0])

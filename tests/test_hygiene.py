@@ -1,4 +1,6 @@
-"""Source hygiene: every name a package module imports is used or exported."""
+"""Source hygiene: every name a package module imports is used or
+exported, and every module-level function or class is referenced or
+exported."""
 
 import ast
 from pathlib import Path
@@ -8,12 +10,20 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conekit"
 
 
+def exported_names(tree) -> set[str]:
+    """The strings listed in the module's `__all__` assignments."""
+    return {e.value
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for e in ast.walk(node.value)
+            if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by import statements that the module never reads and
     does not list in `__all__`."""
     tree = ast.parse(source)
     imported = {}
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -21,10 +31,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported |= {e.value for e in ast.walk(node.value)
-                         if isinstance(e, ast.Constant) and isinstance(e.value, str)}
+    exported = exported_names(tree)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used and name not in exported)
@@ -42,3 +49,41 @@ def test_scan_flags_unused_and_respects_all():
               "__all__ = ['e']\n"
               "x = np.zeros(d)\n")
     assert unused_imports(source) == ["b (line 3)", "os (line 2)"]
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes, as "module:name", that no
+    module reads (as a name or an attribute) outside the definition
+    itself and no `__all__` lists."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    exported = set().union(*map(exported_names, trees.values()))
+    # names read by each top-level statement of every module
+    reads = [(top, {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(top)
+                    if isinstance(n, (ast.Name, ast.Attribute))})
+             for tree in trees.values() for top in tree.body]
+    return sorted(
+        f"{mod}:{node.name}"
+        for mod, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and not any(node.name in names for top, names in reads if top is not node))
+
+
+def test_no_dead_definitions():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_definitions(sources) == []
+
+
+def test_dead_scan_flags_unreferenced_definitions():
+    sources = {
+        "a": ("def used(): pass\n"
+              "def only_recursive(n): return only_recursive(n - 1)\n"
+              "class Exported: pass\n"
+              "class Dead: pass\n"
+              "__all__ = ['Exported']\n"),
+        "b": ("from . import a\n"
+              "def caller(): return a.used()\n"
+              "caller()\n"),
+    }
+    assert dead_definitions(sources) == ["a:Dead", "a:only_recursive"]

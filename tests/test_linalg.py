@@ -1,13 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conekit.errors import DimensionError, InternalConsistencyError, SingularMatrixError
 from conekit import linalg as la
 
-from oracles import minor_det
+from oracles import inverse_rows, minor_det
 
 
 def square_matrices(max_dim=5, max_entry=1000):
@@ -220,6 +222,27 @@ class TestHelpers:
             sol = _int_solve(basis, r)
             assert sol is not None
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda dim: st.lists(
+            st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)),
+                     min_size=dim, max_size=dim),
+            min_size=1, max_size=4)))
+    def test_saturation_is_leading_rows_of_v_inverse(self, rows):
+        dim = len(rows[0])
+        snf = la.smith_normal_form(rows)
+        rk = sum(1 for x in snf.d if x)
+        assert la.saturation_basis(rows, dim) == inverse_rows(snf.v, rk)
+
+    def test_saturation_inexact_division_rejected(self):
+        # diag(2, 4) has d = (2, 4) and u = I; with u's rows swapped the
+        # second row (2, 0) is not divisible by 4
+        true_snf = la.smith_normal_form
+        with mock.patch.object(la, "smith_normal_form",
+                               lambda m: replace(true_snf(m), u=true_snf(m).u[::-1])):
+            with pytest.raises(InternalConsistencyError):
+                la.saturation_basis(((2, 0), (0, 4)), 2)
+
     def test_independent_rows(self):
         idx = la.independent_rows(((1, 0), (2, 0), (0, 1)), 2)
         assert idx == [0, 2]
@@ -249,3 +272,10 @@ def _int_solve(basis, target):
         if j >= len(basis) and c != 0:
             return None
     return coeffs[:len(basis)]
+
+
+class TestIntDtype:
+    def test_boundary(self):
+        assert la.int_dtype(0) is np.int64
+        assert la.int_dtype(2**62 - 1) is np.int64
+        assert la.int_dtype(2**62) is object

@@ -1,16 +1,19 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conekit import linalg as la
 from conekit.cone import make_simplicial_cone
-from conekit.errors import DomainError
+from conekit.errors import DomainError, InternalConsistencyError
 from conekit.simplex import (
-    fundamental_points, half_open_shift, hb_candidates, residue_blocks,
-    series_contribution,
+    _residue_axes, fundamental_points, half_open_shift, hb_candidates,
+    residue_blocks, series_contribution,
 )
 
-from oracles import brute_fundamental_points, dotv
+from oracles import brute_fundamental_points, dotv, explicit_residue_axes, minor_det
 
 
 def simplex(gens):
@@ -81,7 +84,6 @@ class TestHalfOpenShift:
         assert half_open_shift((0, 0), s) == (0, 0)
 
     def test_shift_on_excluded_facet(self):
-        from dataclasses import replace
         base = simplex(((1, 0), (1, 2)))
         s = replace(base, excluded_facets=frozenset({0}))
         assert half_open_shift((0, 0), s) == (1, 0)
@@ -121,7 +123,6 @@ class TestSeriesContribution:
             assert sum(c.numerator) == s.det
 
     def test_half_open_counts_match_shift(self):
-        from dataclasses import replace
         base = simplex(((1, 0), (3, 5)))
         s = replace(base, excluded_facets=frozenset({1}))
         deg = (1, 0)
@@ -172,3 +173,50 @@ class TestBlocks:
                 assert all(0 <= x < s.det for x in u)
             assert rows(hb_candidates(s)) == sorted(
                 {p for p in pts if any(p)} | set(gens))
+
+
+def patched_snf(**fields):
+    """Patch smith_normal_form so that its result has the given fields
+    replaced by functions of the true result."""
+    true_snf = la.smith_normal_form
+
+    def fake(m):
+        snf = true_snf(m)
+        return replace(snf, **{k: f(snf) for k, f in fields.items()})
+    return mock.patch.object(la, "smith_normal_form", fake)
+
+
+class TestResidueAxes:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)),
+                     min_size=n, max_size=n),
+            min_size=n, max_size=n)))
+    def test_matches_explicit_inverse(self, gens):
+        assume(minor_det(gens) != 0)
+        s = simplex(gens)
+        snf = la.smith_normal_form(s.gens)
+        assert _residue_axes(s) == explicit_residue_axes(gens, snf.d, snf.v)
+
+    def test_wrong_diagonal_rejected(self):
+        # d = (1, 5); dropping the 5 leaves no axis row to check
+        s = simplex(((1, 0), (3, 5)))
+        with patched_snf(d=lambda snf: snf.d[:-1] + (1,)):
+            with pytest.raises(InternalConsistencyError):
+                _residue_axes(s)
+
+    def test_row_off_the_lattice_rejected(self):
+        # adding e_0 to the axis row of u adds gens[0]/det to its point
+        s = simplex(((1, 0), (3, 5)))
+        with patched_snf(u=lambda snf: (snf.u[0], (snf.u[1][0] + 1, snf.u[1][1]))):
+            with pytest.raises(InternalConsistencyError):
+                _residue_axes(s)
+
+    def test_negated_row_is_another_valid_transform(self):
+        # diag(1, -1)·u is unimodular too: the axis generates the same
+        # classes, so the same points come out in another order
+        s = simplex(((2, 1), (3, 17)))
+        with patched_snf(u=lambda snf: (snf.u[0], tuple(-x for x in snf.u[1]))):
+            negated = rows(fundamental_points(s))
+        assert negated == rows(fundamental_points(s))
