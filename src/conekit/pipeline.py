@@ -15,8 +15,8 @@ from .collect import (ComputationResult, StatsRecord, accumulate_series,
 from .cone import Cone, ambient_support_forms, build_cone, triangulate
 from .errors import DomainError
 from .simplex import hb_candidates, series_contribution
-from .subdivide import (HUGE_DET, SubdivisionConfig, recursive_subdivide,
-                        solve_star_ip)
+from .subdivide import (APPROX_LEVEL_CAP, HUGE_DET, SubdivisionConfig,
+                        recursive_subdivide, solve_star_ip)
 
 GOALS = frozenset({"hilbert_basis", "hilbert_series", "support_hyperplanes"})
 
@@ -45,12 +45,12 @@ def make_finder(cfg: SubdivisionConfig, stats: StatsRecord):
     at all (the approximation searches the same feasible set), so only a
     LimitReached falls through to the approximation.  When a simplex is
     still huge and a level found nothing, the level is escalated up to
-    the configured cap.
+    APPROX_LEVEL_CAP.
     """
 
-    def approx_stage(s, start_level):
-        top = cfg.approx_level_cap if s.det > HUGE_DET else start_level
-        for level in range(start_level, top + 1):
+    def approx_stage(s):
+        top = APPROX_LEVEL_CAP if s.det > HUGE_DET else 1
+        for level in range(1, top + 1):
             cands = approx_candidates(s, level)
             if cands:
                 stats.approx_levels_used = max(stats.approx_levels_used, level)
@@ -66,10 +66,10 @@ def make_finder(cfg: SubdivisionConfig, stats: StatsRecord):
             if outcome.status == "infeasible":
                 return None
             if cfg.strategy == "ip_then_approx" or s.det > HUGE_DET:
-                return approx_stage(s, 1)
+                return approx_stage(s)
             return None
         if cfg.strategy == "approx":
-            return approx_stage(s, 1)
+            return approx_stage(s)
         return None
 
     return find

@@ -4,13 +4,14 @@ A simplicial cone whose determinant exceeds the volume bound is handed
 to a finder for a lattice point of minimal height inside it; stellar
 subdivision at that point replaces the simplex by strictly smaller
 pieces and the process repeats.  The height-minimization problem is
-solved by an internal exact branch-and-bound over the ambient integer
+solved exactly by depth-first interval search over the ambient integer
 coordinates.  Every feasible point lies in the fundamental domain, so
-the adjugate inequalities 0 <= adj·x < det bound the search; the
-default mode sweeps the height levels v = 1, 2, ... as equality-
-constrained feasibility problems (points at height v lie in the tiny
-box around (v/h)·conv(generators), and all levels below the optimum are
-empty), which makes optimality proofs cheap.
+the adjugate inequalities 0 <= adj·x < det bound the search.  A slab of
+heights [a, b] has a tight box around (b/h)·conv(generators), and one
+search either exhibits a point in it or proves it empty.  The levels
+v = 1..8 are scanned as slabs [v, v] first; above them, a cheap probe
+point (or one search of the whole range) gives an upper bound, and
+bisection over height slabs closes the gap to the minimum.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .linalg import IntVec
 STRATEGIES = ("none", "ip", "approx", "ip_then_approx")
 
 HUGE_DET = 10**9  # above this, a failed finder escalates the approximation level
+APPROX_LEVEL_CAP = 3  # the highest level it escalates to
 
 
 @dataclass(frozen=True)
@@ -36,13 +38,10 @@ class SubdivisionConfig:
     strategy: str = "ip_then_approx"
     time_limit_scale: Fraction = Fraction(1)  # per-simplex limit: scale·(log10 det)^2 s
     node_limit: int | None = None
-    approx_level_cap: int = 3
 
     def __post_init__(self):
         if self.volume_bound < 1:
             raise DomainError("volume_bound must be at least 1")
-        if self.approx_level_cap < 1:
-            raise DomainError("approx_level_cap must be at least 1")
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}")
 
@@ -62,37 +61,61 @@ class _Limit(Exception):
     pass
 
 
-class _Found(Exception):
-    pass
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-class _Search:
-    """Depth-first interval branch-and-bound over integer coordinates."""
+def _propagate(rows, lo, hi) -> bool:
+    """Tighten the box [lo, hi] in place to cl <= coeffs·x <= cu for every
+    row (coeffs, cl, cu), until no bound moves; False if a row fails."""
+    changed = True
+    while changed:
+        changed = False
+        for coeffs, cl, cu in rows:
+            mn = mx = 0
+            for c, l, h in zip(coeffs, lo, hi):
+                if c > 0:
+                    mn += c * l
+                    mx += c * h
+                elif c < 0:
+                    mn += c * h
+                    mx += c * l
+            if mn > cu or mx < cl:
+                return False
+            for j, c in enumerate(coeffs):
+                if c == 0:
+                    continue
+                if c > 0:
+                    tmin, tmax = c * lo[j], c * hi[j]
+                else:
+                    tmin, tmax = c * hi[j], c * lo[j]
+                up = cu - (mn - tmin)   # c*x_j <= up
+                dn = cl - (mx - tmax)   # c*x_j >= dn
+                if c > 0:
+                    nh = up // c
+                    nl = _ceil_div(dn, c)
+                else:
+                    nh = dn // c
+                    nl = _ceil_div(up, c)
+                if nh < hi[j]:
+                    hi[j] = nh
+                    changed = True
+                if nl > lo[j]:
+                    lo[j] = nl
+                    changed = True
+                if lo[j] > hi[j]:
+                    return False
+    return True
 
-    def __init__(self, objective, obj_cap, deadline, node_limit):
-        self.rows = []
-        self.objective = objective
-        self.obj_cap = obj_cap
+
+class _Search:
+    """Depth-first interval search for integer points, under one node and
+    time budget shared by all of its calls."""
+
+    def __init__(self, deadline, node_limit):
         self.deadline = deadline
         self.node_limit = node_limit
-        self.first_feasible = False
         self.nodes = 0
-        self.best_val = None
-        self.best_pt = None
-
-    def offer(self, x):
-        val = la.dot(self.objective, x)
-        if val < 1 or val > self.obj_cap or not any(x):
-            return
-        if self.best_val is None or val < self.best_val:
-            self.best_val = val
-            self.best_pt = tuple(x)
-            if self.first_feasible:
-                raise _Found
 
     def _tick(self):
         self.nodes += 1
@@ -102,76 +125,31 @@ class _Search:
                 and time.monotonic() > self.deadline:
             raise _Limit
 
-    def _propagate(self, lo, hi):
-        changed = True
-        while changed:
-            changed = False
-            cap = self.obj_cap if self.best_val is None else \
-                min(self.obj_cap, self.best_val - 1)
-            for coeffs, cl, cu in [*self.rows, (self.objective, 1, cap)]:
-                mn = mx = 0
-                for c, l, h in zip(coeffs, lo, hi):
-                    if c > 0:
-                        mn += c * l
-                        mx += c * h
-                    elif c < 0:
-                        mn += c * h
-                        mx += c * l
-                if mn > cu or mx < cl:
-                    return False
-                for j, c in enumerate(coeffs):
-                    if c == 0:
-                        continue
-                    if c > 0:
-                        tmin, tmax = c * lo[j], c * hi[j]
-                    else:
-                        tmin, tmax = c * hi[j], c * lo[j]
-                    up = cu - (mn - tmin)   # c*x_j <= up
-                    dn = cl - (mx - tmax)   # c*x_j >= dn
-                    if c > 0:
-                        nh = up // c
-                        nl = _ceil_div(dn, c)
-                    else:
-                        nh = dn // c
-                        nl = _ceil_div(up, c)
-                    if nh < hi[j]:
-                        hi[j] = nh
-                        changed = True
-                    if nl > lo[j]:
-                        lo[j] = nl
-                        changed = True
-                    if lo[j] > hi[j]:
-                        return False
-        return True
-
-    def run(self, lo, hi):
+    def find(self, rows, lo, hi, order):
+        """The first integer point of the box [lo, hi] that satisfies every
+        row, or None.  Branching tries low values of order·x first."""
         self._tick()
         lo, hi = list(lo), list(hi)
-        if not self._propagate(lo, hi):
-            return
+        if not _propagate(rows, lo, hi):
+            return None
         free = [j for j in range(len(lo)) if lo[j] < hi[j]]
         if not free:
-            self.offer(lo)
-            return
+            return tuple(lo)
         j = min(free, key=lambda k: (hi[k] - lo[k], k))
-        asc = self.objective[j] >= 0
         if hi[j] - lo[j] <= 4:
-            values = range(lo[j], hi[j] + 1)
-            if not asc:
-                values = reversed(values)
-            for v in values:
-                nlo, nhi = list(lo), list(hi)
-                nlo[j] = nhi[j] = v
-                self.run(nlo, nhi)
+            parts = [(v, v) for v in range(lo[j], hi[j] + 1)]
         else:
             mid = (lo[j] + hi[j]) // 2
-            halves = [(lo[j], mid), (mid + 1, hi[j])]
-            if not asc:
-                halves.reverse()
-            for a, b in halves:
-                nlo, nhi = list(lo), list(hi)
-                nlo[j], nhi[j] = a, b
-                self.run(nlo, nhi)
+            parts = [(lo[j], mid), (mid + 1, hi[j])]
+        if order[j] < 0:
+            parts.reverse()
+        for a, b in parts:
+            nlo, nhi = list(lo), list(hi)
+            nlo[j], nhi[j] = a, b
+            point = self.find(rows, nlo, nhi, order)
+            if point is not None:
+                return point
+        return None
 
 
 def _deadline(cfg: SubdivisionConfig, det: int):
@@ -202,73 +180,6 @@ def _probe_incumbent(s: SimplicialCone):
     return best
 
 
-class _SlabSolver:
-    """Localizes the minimal height by bisection over height slabs.
-
-    A point at height v lies in (v/h)·conv(generators); a slab [a, b] of
-    heights therefore has tight coordinate boxes and fundamental-domain
-    rows u_i <= det·b/h.  Empty slabs are pruned by one feasibility
-    search each, so the minimum is found in O(log h) slab queries, each
-    of which only has to exhibit one point or prove none exists.
-    """
-
-    def __init__(self, s: SimplicialCone, search: _Search, pos_coord):
-        self.s = s
-        self.search = search
-        self.pos_coord = pos_coord
-        r = s.dim
-        self.gmin = [min(g[j] for g in s.gens) for j in range(r)]
-        self.gmax = [max(g[j] for g in s.gens) for j in range(r)]
-        search.first_feasible = True
-
-    def slab_feasible(self, a: int, b: int):
-        """Some nonzero lattice point with height in [a, b], or None."""
-        s = self.s
-        height = s.gen_height
-        r = s.dim
-        lo, hi = [], []
-        for j in range(r):
-            lo.append(_ceil_div(min(a * self.gmin[j], b * self.gmin[j]), height))
-            hi.append(max(a * self.gmax[j], b * self.gmax[j]) // height)
-        if self.pos_coord is not None:
-            lo[self.pos_coord] = max(lo[self.pos_coord], 1)
-        if any(x > y for x, y in zip(lo, hi)):
-            return None
-        cap = (s.det * b) // height
-        self.search.rows = [(f, 0, cap) for f in s.facet_forms] + \
-            [(s.height_normal, a, b)]
-        self.search.obj_cap = b
-        self.search.best_val = None
-        self.search.best_pt = None
-        try:
-            self.search.run(lo, hi)
-        except _Found:
-            return self.search.best_pt
-        return None
-
-    def minimize(self, a: int, b: int, known=None):
-        """Exact minimal-height point in [a, b]; `known` is a feasible
-        point in the slab if one was already exhibited."""
-        normal = self.s.height_normal
-        if known is None:
-            known = self.slab_feasible(a, b)
-            if known is None:
-                return None
-        w = la.dot(normal, known)
-        while w > a:
-            mid = (a + w - 1) // 2
-            p = self.slab_feasible(a, mid)
-            if p is not None:
-                b, known, w = mid, p, la.dot(normal, p)
-                continue
-            q = self.slab_feasible(mid + 1, w - 1)
-            if q is not None:
-                a, known, w = mid + 1, q, la.dot(normal, q)
-                continue
-            return known
-        return known
-
-
 def solve_star_ip(s: SimplicialCone,
                   cfg: SubdivisionConfig = SubdivisionConfig()) -> IpOutcome:
     """Exact minimum of N·x over nonzero lattice points of S below N·gen.
@@ -278,7 +189,7 @@ def solve_star_ip(s: SimplicialCone,
     the adjugate rows and the slab boxes bound the search.  The x != 0
     condition is subsumed by the height bound N·x >= 1; a coordinate on
     which all generators are positive additionally gets a lower bound of
-    1.  A time or node limit yields LimitReached, never a silently
+    1.  A time or node limit yields the status "limit", never a silently
     suboptimal answer.
     """
     det = s.det
@@ -291,8 +202,27 @@ def solve_star_ip(s: SimplicialCone,
     r = s.dim
     pos_coord = next((j for j in range(r) if all(g[j] > 0 for g in s.gens)),
                      None)
-    search = _Search(normal, height - 1, _deadline(cfg, det), cfg.node_limit)
-    solver = _SlabSolver(s, search, pos_coord)
+    gmin = [min(g[j] for g in s.gens) for j in range(r)]
+    gmax = [max(g[j] for g in s.gens) for j in range(r)]
+    search = _Search(_deadline(cfg, det), cfg.node_limit)
+
+    def slab(a: int, b: int):
+        """Some nonzero lattice point with height in [a, b], or None.
+
+        A point at height v lies in (v/h)·conv(generators), so the slab
+        has a tight coordinate box and fundamental-domain rows
+        u_i <= det·b/h.
+        """
+        lo = [_ceil_div(min(a * m, b * m), height) for m in gmin]
+        hi = [max(a * m, b * m) // height for m in gmax]
+        if pos_coord is not None:
+            lo[pos_coord] = max(lo[pos_coord], 1)
+        if any(x > y for x, y in zip(lo, hi)):
+            return None
+        cap = (det * b) // height
+        rows = [(f, 0, cap) for f in s.facet_forms] + [(normal, a, b)]
+        return search.find(rows, lo, hi, normal)
+
     try:
         # the lowest levels have the tightest boxes and, for big
         # determinants, almost always contain the optimum: scan them
@@ -300,15 +230,24 @@ def solve_star_ip(s: SimplicialCone,
         point = None
         prefix = min(height - 1, 8)
         for v in range(1, prefix + 1):
-            point = solver.slab_feasible(v, v)
+            point = slab(v, v)
             if point is not None:
                 break
         if point is None and height - 1 > prefix:
+            # the minimum lies in [a, w], w the height of a known point;
+            # each step lowers w or proves [a, mid] empty
+            a = prefix + 1
             probe = _probe_incumbent(s)
-            if probe is not None:
-                point = solver.minimize(prefix + 1, probe[0], known=probe[1])
-            else:
-                point = solver.minimize(prefix + 1, height - 1)
+            point = probe[1] if probe is not None else slab(a, height - 1)
+            while point is not None and (w := la.dot(normal, point)) > a:
+                mid = (a + w - 1) // 2
+                lower = slab(a, mid)
+                if lower is None:
+                    lower = slab(mid + 1, w - 1)
+                    if lower is None:
+                        break
+                    a = mid + 1
+                point = lower
     except _Limit:
         return IpOutcome("limit")
     if point is None:
@@ -326,6 +265,8 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     The pieces inherit the anchor of the enclosing triangulation, so
     their half-open exclusions keep the refined union disjoint.  The
     total determinant satisfies sum det(T_i) = det(S)·(N·xhat)/(N·gen).
+    A point inside a non-primitive ray gives one piece: that generator
+    shortened to xhat.
     """
     xhat = la.as_vec(xhat)
     u = s.q_numerators(xhat)
@@ -334,8 +275,9 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     support = [i for i, x in enumerate(u) if x > 0]
     if not support:
         raise DomainError("subdivision point is zero")
-    if len(support) == 1:
-        raise DomainError("subdivision point lies on a ray of the simplex")
+    if len(support) == 1 and u[support[0]] >= s.det:
+        raise DomainError("subdivision point lies on a ray of the simplex, "
+                          "at or beyond its generator")
     pieces = []
     for i in support:
         gens = s.gens[:i] + (xhat,) + s.gens[i + 1:]
@@ -366,16 +308,7 @@ def recursive_subdivide(s: SimplicialCone, cfg: SubdivisionConfig, finder,
             continue
         if la.dot(cur.height_normal, xhat) >= cur.gen_height:
             raise DomainError("finder returned a point at generator height")
-        u = cur.q_numerators(xhat)
-        support = [i for i, x in enumerate(u) if x > 0]
-        if len(support) == 1:
-            # point inside a non-primitive ray: shorten that generator
-            # (same cone, strictly smaller determinant, same exclusions)
-            i = support[0]
-            gens = cur.gens[:i] + (la.as_vec(xhat),) + cur.gens[i + 1:]
-            pieces = (make_simplicial_cone(gens, anchor=cur.anchor),)
-        else:
-            pieces = stellar_subdivide(cur, xhat)
+        pieces = stellar_subdivide(cur, xhat)
         if on_step is not None:
             on_step(cur, xhat, pieces)
         stack.extend(reversed(pieces))

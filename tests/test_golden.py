@@ -1,0 +1,35 @@
+"""Fixture reports, byte for byte.
+
+Every fixture runs under every strategy, and `subdiv.in` once more with
+a volume bound that makes the IP and the approximation subdivide.
+`--time-limit-scale 0` turns the wall-clock IP limit off, so the whole
+`.out`, `stats:` lines included, depends on the input alone.  A change
+that is meant to alter a report shows up as a diff of its file under
+fixtures/golden/.
+"""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+from conekit.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+GOLDEN = FIXTURES / "golden"
+STRATEGIES = ("none", "ip", "approx", "ip-then-approx")
+
+CASES = [(p.stem, strategy, "", []) for p in sorted(FIXTURES.glob("*.in"))
+         for strategy in STRATEGIES] + \
+        [("subdiv", strategy, ".bound100", ["--volume-bound", "100"])
+         for strategy in STRATEGIES[1:]]
+
+
+@pytest.mark.parametrize("name, strategy, tag, flags", CASES)
+def test_report_matches_golden(tmp_path, name, strategy, tag, flags):
+    work = tmp_path / f"{name}.{strategy}{tag}.in"
+    shutil.copy(FIXTURES / f"{name}.in", work)
+    assert main([str(work), "--strategy", strategy,
+                 "--time-limit-scale", "0", *flags]) == 0
+    expected = (GOLDEN / f"{name}.{strategy}{tag}.out").read_bytes()
+    assert work.with_suffix(".out").read_bytes() == expected

@@ -1,4 +1,7 @@
+import random
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from conekit import linalg as la
 from conekit.cone import make_simplicial_cone
 from conekit.errors import DomainError
+from conekit.simplex import fundamental_points
 from conekit.subdivide import (
-    SubdivisionConfig, recursive_subdivide, solve_star_ip, stellar_subdivide,
+    IpOutcome, SubdivisionConfig, recursive_subdivide, solve_star_ip,
+    stellar_subdivide,
 )
 
 from oracles import brute_star_minimum, dotv
@@ -105,6 +110,77 @@ class TestSolveStarIp:
             assert out.is_optimal and out.value == ref[0]
 
 
+# (generators, the smallest node_limit at which the IP is optimal, the
+# optimal point, its height).  The node budget is shared by the scan of
+# levels 1-8, the bisection from the probe's point and every slab, so
+# one node fewer gives "limit".
+NODE_BUDGETS = [
+    (((2, 1), (3, 70)), 3, (1, 23), 46),
+    (((-8, -3, -6), (17, -16, 17), (9, 17, 11)), 104, (-1, 2, 0), 613),
+    # a stellar piece of a series-ip cone: det 500,172, generator height 250,086
+    (((29, -7, 7, -25, 6), (-26, 37, 22, -34, 11), (3, 3, 1, -4, -1),
+      (-24, 25, 39, -37, 7), (-2, 27, 6, 10, -31)), 2191, (-3, 5, 5, -6, 1),
+     51286),
+]
+
+
+@pytest.mark.parametrize("gens, nodes, point, value", NODE_BUDGETS)
+def test_node_budget(gens, nodes, point, value):
+    s = simplex(gens)
+
+    def solve(node_limit):
+        return solve_star_ip(s, SubdivisionConfig(
+            node_limit=node_limit, time_limit_scale=Fraction(0)))
+
+    assert solve(nodes - 1).status == "limit"
+    assert solve(nodes) == solve(None) == IpOutcome("optimal", point, value)
+
+
+def height_ten_simplex(rng, d, entry, det_lo, det_hi):
+    """Cone over a lattice (d-1)-simplex at coordinate sum 10."""
+    while True:
+        rows = []
+        for _ in range(d):
+            v = [rng.randint(-entry, entry) for _ in range(d - 1)]
+            rows.append(tuple(v + [10 - sum(v)]))
+        if all(gcd(*r) == 1 for r in rows) and \
+                det_lo <= abs(la.determinant(la.as_mat(rows))) <= det_hi:
+            return simplex(rows)
+
+
+def min_height_by_enumeration(s):
+    """Minimal height of a nonzero fundamental-domain point below the
+    generators, or None."""
+    heights = [dotv(s.height_normal, p) for p in fundamental_points(s).tolist()]
+    heights = [h for h in heights if 0 < h < s.gen_height]
+    return min(heights, default=None)
+
+
+@pytest.mark.parametrize("d, entry, det_lo, det_hi",
+                         [(4, 20, 5 * 10**4, 10**5), (5, 12, 2 * 10**4, 6 * 10**4)])
+def test_star_ip_on_stellar_pieces(d, entry, det_lo, det_hi):
+    """The IP's optimum is the enumerated minimum on a height-10 simplex
+    and on its pieces one and two stellar steps down, whose generator
+    heights reach the thousands."""
+    rng = random.Random(d)
+    cfg = SubdivisionConfig(time_limit_scale=Fraction(0))
+    checked = 0
+    for _ in range(3):
+        pieces = [height_ten_simplex(rng, d, entry, det_lo, det_hi)]
+        for depth in range(3):
+            deeper = []
+            for s in pieces:
+                out = solve_star_ip(s, cfg)
+                assert out.value == min_height_by_enumeration(s)
+                assert out.status == ("infeasible" if out.value is None else "optimal")
+                if depth > 0 and s.gen_height > 100:
+                    checked += 1
+                if out.is_optimal and depth < 2:
+                    deeper.extend(stellar_subdivide(s, out.point))
+            pieces = deeper
+    assert checked >= 15
+
+
 class TestStellarSubdivide:
     def test_cone35(self):
         s = simplex(((1, 0), (3, 5)))
@@ -138,6 +214,12 @@ class TestStellarSubdivide:
     def test_ray_point_rejected(self):
         with pytest.raises(DomainError):
             stellar_subdivide(simplex(((1, 0), (3, 5))), (2, 0))
+        with pytest.raises(DomainError):
+            stellar_subdivide(simplex(((1, 0), (3, 5))), (1, 0))
+
+    def test_point_inside_ray_shortens_generator(self):
+        pieces = stellar_subdivide(simplex(((2, 0), (1, 3))), (1, 0))
+        assert [(p.gens, p.det) for p in pieces] == [(((1, 0), (1, 3)), 3)]
 
     def test_half_open_cover_preserved(self):
         s = simplex(((2, 1), (3, 7)))
