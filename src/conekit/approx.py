@@ -6,40 +6,31 @@ degree-`level` cross-section we take the vertices of the minimal face of
 the staircase (braid-arrangement) triangulation of its surrounding unit
 cube.  The overcone is cheap to evaluate; its fundamental-domain points
 falling inside the original simplex and strictly below generator height
-are reduced and returned as subdivision candidates.
+are returned as subdivision candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
 import numpy as np
 
 from . import linalg as la
-from .collect import as_rows, reduce_to_hilbert_basis, support_values
+from .collect import as_rows, support_values
 from .cone import SimplicialCone, dual_description, make_simplicial_cone
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
 from .simplex import hb_candidates
 
 
-@dataclass(frozen=True)
-class CrossSection:
-    """Rational vertices of the simplex sliced at a given height level."""
-
-    vertices: tuple[tuple[Fraction, ...], ...]
-    height_form: IntVec
-    level: int
-
-
-def cross_section(s: SimplicialCone, level: int = 1) -> CrossSection:
+def cross_section(s: SimplicialCone,
+                  level: int = 1) -> tuple[tuple[Fraction, ...], ...]:
+    """Rational vertices of the simplex sliced at height `level`."""
     if level < 1:
         raise DomainError("approximation level must be positive")
     h = s.gen_height
-    verts = tuple(tuple(Fraction(level * x, h) for x in g) for g in s.gens)
-    return CrossSection(vertices=verts, height_form=s.height_normal, level=level)
+    return tuple(tuple(Fraction(level * x, h) for x in g) for g in s.gens)
 
 
 def minimal_cube_face_vertices(v) -> tuple[IntVec, ...]:
@@ -76,51 +67,56 @@ def approximate_cone(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     """Generators of an overcone: the cube-face vertices of all
     cross-section vertices, in order of first appearance.
 
-    Containment of the simplex is guaranteed (each vertex is a convex
-    combination of its cube-face vertices) and verified exactly.
+    Each vertex is a convex combination of its cube-face vertices, so
+    the overcone contains the simplex; approx_candidates verifies that
+    exactly.
     """
-    cs = cross_section(s, level)
     gens: list[IntVec] = []
     seen = set()
-    for v in cs.vertices:
+    for v in cross_section(s, level):
         for w in minimal_cube_face_vertices(v):
             if any(w) and w not in seen:
                 seen.add(w)
                 gens.append(w)
-    forms, _ = dual_description(gens)
-    for g in s.gens:
-        if any(la.dot(f, g) < 0 for f in forms):
-            raise InternalConsistencyError("approximation is not an overcone")
     return tuple(gens)
 
 
 def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
-    """Reduced subdivision candidates found through the overcone.
+    """Subdivision candidates found through the overcone, sorted.
 
     Evaluates the overcone's placing triangulation (without further
-    subdivision), keeps candidates inside the simplex and strictly below
-    generator height, and reduces them.  Empty output means the
-    approximation found nothing at this level; it is also the result
-    when an overcone simplex is at least as big as the simplex itself,
-    in which case approximating cannot pay off.
+    subdivision) and returns its distinct points that lie in the simplex
+    strictly below generator height.  A unimodular overcone simplex adds
+    only its generators, which are overcone generators already.  Empty
+    output means the approximation found nothing at this level; it is
+    also the result when an overcone simplex is at least as big as the
+    simplex itself, in which case approximating cannot pay off.
 
     The facet forms sum to (det/h)·N for the height normal N and the
-    generator height h, so N·x < h is the sum of x's facet values below
-    det.  Zero and repeated rows are left to the reduction, which drops
-    them.
+    generator height h, so N·x < h says that x's aux degree, the sum of
+    its facet values, is below det; aux > 0 excludes the zero vector.
+    The candidates are not reduced to their minimal elements: only the
+    lowest one is used, and it is minimal anyway.  A candidate y that
+    reduces x has facet values dominated by x's and aux(y) < aux(x), so
+    N·y < N·x.  best_candidate therefore picks the same point from both
+    sets, and they are empty together.
     """
     over = approximate_cone(s, level)
-    _, tri = dual_description(over, want_triangulation=True)
+    forms, tri = dual_description(over, want_triangulation=True)
+    if any(la.dot(f, g) < 0 for f in forms for g in s.gens):
+        raise InternalConsistencyError("approximation is not an overcone")
     blocks = [as_rows(over)]
     for idx in tri:
         sub = make_simplicial_cone(tuple(over[i] for i in idx))
         if sub.det >= max(2, s.det):
             return ()
-        blocks.append(hb_candidates(sub))
+        if sub.det > 1:
+            blocks.append(hb_candidates(sub))
     cands = np.vstack(blocks)
     vals = support_values(cands, s.facet_forms)
-    keep = np.all(vals >= 0, axis=1) & (vals.sum(axis=1) < s.det)
-    return reduce_to_hilbert_basis(cands[keep], s.facet_forms)
+    aux = vals.sum(axis=1)
+    keep = np.all(vals >= 0, axis=1) & (aux > 0) & (aux < s.det)
+    return tuple(sorted({tuple(int(x) for x in row) for row in cands[keep]}))
 
 
 def best_candidate(s: SimplicialCone, cands) -> IntVec | None:

@@ -143,9 +143,12 @@ def write_stats_csv(result, path: str) -> None:
 def run(options: RunOptions, cone_input: ConeInput, input_path: str,
         stats_csv_path: str | None = None) -> str:
     """Compute, write <input>.out (and optional CSV), return the report."""
+    out_path = Path(input_path).with_suffix(".out")
+    if out_path.resolve() == Path(input_path).resolve():
+        raise InputParseError(f"the report {out_path} would overwrite the input")
     result = compute(cone_input, options)
     report = render_report(result, options.goals)
-    Path(input_path).with_suffix(".out").write_text(report, encoding="utf-8")
+    out_path.write_text(report, encoding="utf-8")
     if stats_csv_path:
         write_stats_csv(result, stats_csv_path)
     return report
@@ -190,12 +193,13 @@ def main(argv=None) -> int:
             goals = frozenset({"hilbert_basis", "support_hyperplanes"})
             if cone_input.grading is not None:
                 goals |= {"hilbert_series"}
-        cfg = SubdivisionConfig(
-            volume_bound=args.volume_bound,
-            strategy=args.strategy.replace("-", "_"),
-            time_limit_scale=args.time_limit_scale,
-        )
-        options = RunOptions(goals=goals, subdivision=cfg, threads=args.threads)
+        try:  # a bad option value is a usage error, not a domain error
+            cfg = SubdivisionConfig(volume_bound=args.volume_bound,
+                                    strategy=args.strategy.replace("-", "_"),
+                                    time_limit_scale=args.time_limit_scale)
+            options = RunOptions(goals=goals, subdivision=cfg, threads=args.threads)
+        except DomainError as exc:
+            raise InputParseError(str(exc)) from None
         report = run(options, cone_input, args.input, args.stats_csv)
     except InputParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -205,9 +205,9 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
 
     Normaliz also skips reducers of more than half the aux degree of x.
     That is sound only for a candidate set that contains the Hilbert
-    basis.  approx_candidates passes a filtered subset (overcone points
-    inside the simplex, below generator height), where x - y need not
-    be a candidate, so the cut would change its subdivision points.
+    basis, and every caller's does: the pipeline passes the candidates
+    of all leaves of a triangulation, bottom_volume those of the whole
+    simplex.
     """
     cands = candidates if isinstance(candidates, np.ndarray) else as_rows(candidates)
     if cands.dtype == object:

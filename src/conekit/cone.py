@@ -94,12 +94,11 @@ class SimplicialCone:
         """det times the barycentric generator coordinates of x."""
         return tuple(la.dot(f, x) for f in self.facet_forms)
 
-    def contains(self, x, strict_excluded: bool = True) -> bool:
+    def contains(self, x) -> bool:
+        """Whether x lies in the half-open simplex."""
         for i, f in enumerate(self.facet_forms):
             v = la.dot(f, x)
-            if v < 0:
-                return False
-            if v == 0 and strict_excluded and i in self.excluded_facets:
+            if v < 0 or (v == 0 and i in self.excluded_facets):
                 return False
         return True
 

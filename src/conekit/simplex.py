@@ -63,8 +63,9 @@ def _block_dtype(s: SimplicialCone) -> object:
     return la.int_dtype(max(det * det + det, s.dim * det * max_a))
 
 
-def residue_blocks(s: SimplicialCone, block_size: int = DEFAULT_BLOCK):
-    """Yield (n × r) arrays of q-coordinate numerators, lexicographic order.
+def residue_blocks(s: SimplicialCone):
+    """Yield arrays of at most DEFAULT_BLOCK rows of q-coordinate
+    numerators, in lexicographic order.
 
     Each row v encodes one fundamental-domain point e = (v · gens) / det
     with q-coordinates v/det in [0,1)^r.
@@ -80,10 +81,9 @@ def residue_blocks(s: SimplicialCone, block_size: int = DEFAULT_BLOCK):
         tail *= m
     radix.reverse()
     rows = [np.array(row, dtype=dtype) for _, row in axes]
-    block_size = max(1, block_size)
     start = 0
     while start < det:
-        stop = min(det, start + block_size)
+        stop = min(det, start + DEFAULT_BLOCK)
         idx = np.arange(start, stop, dtype=np.int64)
         if dtype is object:
             idx = idx.astype(object)
@@ -102,10 +102,9 @@ def points_from_block(s: SimplicialCone, v: np.ndarray) -> np.ndarray:
     return v.dot(gens) // s.det
 
 
-def fundamental_points(s: SimplicialCone,
-                       block_size: int = DEFAULT_BLOCK) -> np.ndarray:
+def fundamental_points(s: SimplicialCone) -> np.ndarray:
     """All |det| points of the fundamental domain, one per row."""
-    pts = np.vstack([points_from_block(s, v) for v in residue_blocks(s, block_size)])
+    pts = np.vstack([points_from_block(s, v) for v in residue_blocks(s)])
     if len(pts) != s.det:
         raise InternalConsistencyError(
             f"enumerated {len(pts)} points for determinant {s.det}")
@@ -137,8 +136,7 @@ def generator_degrees(s: SimplicialCone, deg: IntVec) -> tuple[int, ...]:
     return degs
 
 
-def series_contribution(s: SimplicialCone, deg: IntVec,
-                        block_size: int = DEFAULT_BLOCK) -> SeriesContribution:
+def series_contribution(s: SimplicialCone, deg: IntVec) -> SeriesContribution:
     """Graded count of the half-open simplex's fundamental domain.
 
     numerator[k] = #{p in E : deg(shift(p)) = k}; together with the
@@ -150,7 +148,7 @@ def series_contribution(s: SimplicialCone, deg: IntVec,
     top = sum(degs)
     counts = np.zeros(top, dtype=np.int64)
     w = np.array([la.dot(g, deg) for g in s.gens], dtype=np.int64)
-    for v in residue_blocks(s, block_size):
+    for v in residue_blocks(s):
         dv = v.dot(w if v.dtype == np.int64 else w.astype(object)) // det
         for i in s.excluded_facets:
             dv = dv + degs[i] * (v[:, i] == 0)
@@ -165,11 +163,10 @@ def series_contribution(s: SimplicialCone, deg: IntVec,
                               denom_degrees=tuple(sorted(degs)))
 
 
-def hb_candidates(s: SimplicialCone,
-                  block_size: int = DEFAULT_BLOCK) -> np.ndarray:
+def hb_candidates(s: SimplicialCone) -> np.ndarray:
     """Hilbert-basis candidates of the simplex, one per row: E \\ {0}
     followed by the generators."""
     blocks = [points_from_block(s, v[np.any(v != 0, axis=1)])
-              for v in residue_blocks(s, block_size)]
+              for v in residue_blocks(s)]
     blocks.append(np.array(s.gens, dtype=blocks[0].dtype))
     return np.vstack(blocks)

@@ -299,7 +299,7 @@ def test_criterion_7_cube_face_vertex_cardinality():
         entry = 30 if d == 2 else 10
         gens = random_simplex(rng, d, entry, det_hi=2000)
         s = make_simplicial_cone(gens)
-        for v in cross_section(s, 1).vertices:
+        for v in cross_section(s, 1):
             if all(x.denominator == 1 for x in v):
                 continue
             sampled += 1

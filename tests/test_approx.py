@@ -1,17 +1,24 @@
+import random
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conekit import linalg as la
+from conekit import approx, linalg as la
 from conekit.approx import (
     approx_candidates, approximate_cone, best_candidate, cross_section,
     minimal_cube_face_vertices,
 )
-from conekit.collect import reduce_to_hilbert_basis
+from conekit.collect import StatsRecord, reduce_to_hilbert_basis
 from conekit.cone import dual_description, make_simplicial_cone
+from conekit.errors import InternalConsistencyError
 from conekit.simplex import hb_candidates
-from conekit.subdivide import SubdivisionConfig, recursive_subdivide
+from conekit.pipeline import make_finder
+from conekit.subdivide import (APPROX_LEVEL_CAP, HUGE_DET, SubdivisionConfig,
+                               recursive_subdivide, solve_star_ip)
 
 from oracles import dotv, filter_approx_candidates
 
@@ -92,10 +99,9 @@ class TestApproximateCone:
     def test_cross_section_heights(self):
         s = simplex(((2, 1), (3, 7)))
         for level in (1, 2, 3):
-            cs = cross_section(s, level)
-            for v in cs.vertices:
+            for v in cross_section(s, level):
                 assert sum(Fraction(n) * x for n, x in
-                           zip(cs.height_form, v)) == level
+                           zip(s.height_normal, v)) == level
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
@@ -145,7 +151,8 @@ class TestApproxCandidates:
 
 
 def tuple_approx_candidates(s, level):
-    """approx_candidates with the candidates filtered as tuples."""
+    """approx_candidates with the candidates filtered as tuples, every
+    overcone simplex evaluated (unimodular ones too)."""
     over = approximate_cone(s, level)
     _, tri = dual_description(over, want_triangulation=True)
     cands = list(over)
@@ -156,7 +163,7 @@ def tuple_approx_candidates(s, level):
         cands.extend(tuple(int(a) for a in x) for x in hb_candidates(sub))
     survivors = filter_approx_candidates(cands, s.facet_forms, s.height_normal,
                                          s.gen_height)
-    return reduce_to_hilbert_basis(survivors, s.facet_forms)
+    return tuple(sorted(survivors))
 
 
 class TestApproxFilterProperty:
@@ -173,6 +180,30 @@ class TestApproxFilterProperty:
         s = simplex([[scale * x for x in r] for r in rows])
         assert approx_candidates(s, level) == tuple_approx_candidates(s, level)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.lists(
+               st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+               min_size=d, max_size=d)),
+           st.sampled_from([1, 2, 3]),
+           st.sampled_from([1, 1, 2**40 + 1]))
+    def test_best_candidate_is_minimal(self, rows, level, scale):
+        # the lowest candidate survives reduction, so reducing first
+        # would pick the same point
+        assume(la.determinant(la.as_mat(rows)) != 0)
+        s = simplex([[scale * x for x in r] for r in rows])
+        cands = approx_candidates(s, level)
+        reduced = reduce_to_hilbert_basis(cands, s.facet_forms)
+        assert bool(cands) == bool(reduced)
+        assert best_candidate(s, cands) == best_candidate(s, reduced)
+
+    def test_not_an_overcone_raises(self):
+        # cone((1,0),(1,1)) misses the generator (3,7)
+        s = simplex(((2, 1), (3, 7)))
+        with mock.patch.object(approx, "minimal_cube_face_vertices",
+                               lambda v: ((1, 0), (1, 1))):
+            with pytest.raises(InternalConsistencyError, match="overcone"):
+                approx_candidates(s)
+
 
 def approx_finder(cfg):
     def find(s):
@@ -188,8 +219,6 @@ class TestApproxDrivenSubdivision:
         assert sum(p.det for p in leaves) < s.det
 
     def test_matches_ip_pipeline_results(self):
-        from conekit.subdivide import solve_star_ip
-
         s = simplex(((2, 1), (3, 70)))
         cfg = SubdivisionConfig(volume_bound=10, strategy="approx")
 
@@ -204,3 +233,52 @@ class TestApproxDrivenSubdivision:
             basis[name] = set(reduce_to_hilbert_basis(cands, s.facet_forms))
         direct = set(reduce_to_hilbert_basis(hb_candidates(s), s.facet_forms))
         assert basis["approx"] == basis["ip"] == direct
+
+
+def segment_cones(rng, count, det_lo, det_hi):
+    """d = 2 cones over lattice segments at height h in [1000, 3000] with
+    det = h·k in (det_lo, det_hi].  The overcone pieces of levels 1-3
+    stay near det·(level/h)^2, below 10^6, so evaluating them is cheap."""
+    out = []
+    while len(out) < count:
+        h = rng.randint(1000, 3000)
+        a = rng.randint(-10**7, 10**7)
+        k = rng.randint(det_lo // h + 1, det_hi // h)
+        if gcd(a, h) == 1 and gcd(a + k, h) == 1:
+            out.append(simplex(((a, h - a), (a + k, h - a - k))))
+    return out
+
+
+def first_level_point(s):
+    """(level, point) of the first approximation level with candidates."""
+    for level in range(1, APPROX_LEVEL_CAP + 1):
+        cands = approx_candidates(s, level)
+        if cands:
+            return level, best_candidate(s, cands)
+    return 0, None
+
+
+class TestHugeDetFinder:
+    CFG = SubdivisionConfig(strategy="ip", node_limit=0)
+
+    def test_ip_limit_escalates_approximation(self):
+        levels = []
+        for s in segment_cones(random.Random(4), 40, HUGE_DET, 10 * HUGE_DET):
+            assert s.det > HUGE_DET
+            assert solve_star_ip(s, self.CFG).status == "limit"
+            stats = StatsRecord()
+            level, point = first_level_point(s)
+            assert make_finder(self.CFG, stats)(s) == point
+            assert stats.approx_levels_used == level
+            assert stats.ips_solved == 1
+            levels.append(level)
+        assert max(levels) >= 2
+
+    def test_ip_limit_below_huge_det_gives_nothing(self):
+        for s in segment_cones(random.Random(5), 10, HUGE_DET // 10, HUGE_DET):
+            assert s.det <= HUGE_DET
+            assert solve_star_ip(s, self.CFG).status == "limit"
+            assert first_level_point(s)[1] is not None
+            stats = StatsRecord()
+            assert make_finder(self.CFG, stats)(s) is None
+            assert stats.approx_levels_used == 0

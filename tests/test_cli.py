@@ -223,6 +223,25 @@ class TestMain:
     def test_usage_error_exit_code(self):
         assert main(["--nope"]) == 1
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--threads", "0", "threads must be at least 1"),
+        ("--threads", "-3", "threads must be at least 1"),
+        ("--volume-bound", "0", "volume_bound must be at least 1"),
+    ])
+    def test_bad_option_value_exit_code(self, tmp_path, capsys, option, value,
+                                        message):
+        p = write_input(tmp_path, "q.in", "amb_space 2\ncone 2\n1 0\n0 1\n")
+        assert main([str(p), option, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "q.out").exists()
+
+    def test_input_named_out_is_kept(self, tmp_path, capsys):
+        text = "amb_space 2\ncone 2\n1 0\n3 5\n"
+        p = write_input(tmp_path, "q.out", text)
+        assert main([str(p)]) == 1
+        assert "would overwrite the input" in capsys.readouterr().err
+        assert p.read_text(encoding="utf-8") == text
+
     def test_threads_identical_output(self, tmp_path):
         text = "amb_space 3\ncone 4\n0 0 1\n1 0 1\n0 1 1\n1 1 1\ngrading\n0 0 1\n"
         p1 = write_input(tmp_path, "a.in", text)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conekit import linalg as la
+from conekit import linalg as la, simplex as simplex_module
 from conekit.cone import make_simplicial_cone
 from conekit.errors import DomainError, InternalConsistencyError
 from conekit.simplex import (
@@ -45,10 +45,18 @@ class TestFundamentalPoints:
                 brute_fundamental_points(gens)
 
     def test_block_streaming_consistent(self):
-        s = simplex(((2, 1), (3, 17)))
-        small = fundamental_points(s, block_size=3)
-        big = fundamental_points(s)
-        assert np.array_equal(small, big)
+        # one residue axis, then two; a block of 3 splits both sweeps
+        for gens, deg in [(((2, 1), (3, 17)), (1, 0)),
+                          (((2, 0, 1), (0, 2, 1), (0, 0, 4)), (0, 0, 1))]:
+            s = simplex(gens)
+            big = fundamental_points(s), series_contribution(s, deg), hb_candidates(s)
+            with mock.patch.object(simplex_module, "DEFAULT_BLOCK", 3):
+                small = (fundamental_points(s), series_contribution(s, deg),
+                         hb_candidates(s))
+                assert len(list(residue_blocks(s))) == -(-s.det // 3)
+            assert np.array_equal(small[0], big[0])
+            assert small[1] == big[1]
+            assert np.array_equal(small[2], big[2])
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 4).flatmap(
