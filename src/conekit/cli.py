@@ -144,8 +144,14 @@ def run(options: RunOptions, cone_input: ConeInput, input_path: str,
         stats_csv_path: str | None = None) -> str:
     """Compute, write <input>.out (and optional CSV), return the report."""
     out_path = Path(input_path).with_suffix(".out")
-    if out_path.resolve() == Path(input_path).resolve():
-        raise InputParseError(f"the report {out_path} would overwrite the input")
+    claimed = {Path(input_path).resolve(): "the input"}
+    for path, what in ((out_path, "the report"), (stats_csv_path, "the stats CSV")):
+        if not path:
+            continue
+        key = Path(path).resolve()
+        if key in claimed:
+            raise InputParseError(f"{what} {path} would overwrite {claimed[key]}")
+        claimed[key] = what
     result = compute(cone_input, options)
     report = render_report(result, options.goals)
     out_path.write_text(report, encoding="utf-8")

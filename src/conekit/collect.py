@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 
 import numpy as np
 
@@ -21,26 +22,9 @@ _SLAB = 1 << 20
 
 
 # ---------------------------------------------------------------------------
-# dense integer polynomials, constant term first
-
-
-def _poly_trim(p):
-    n = len(p)
-    while n and p[n - 1] == 0:
-        n -= 1
-    return p[:n]
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
+# dense integer polynomials, constant term first.  Every denominator on
+# the series path is a product of binomials 1 - t^d, so multiplying and
+# dividing by one binomial at a time is all the arithmetic it needs.
 
 
 def _poly_add_into(acc, p):
@@ -50,44 +34,23 @@ def _poly_add_into(acc, p):
         acc[i] += x
 
 
-def _one_minus_power(k: int):
-    out = [0] * (k + 1)
-    out[0] = 1
-    out[k] = -1
+def _times(p, d: int):
+    """p · (1 - t^d)."""
+    out = list(p) + [0] * d
+    for i, x in enumerate(p):
+        out[i + d] -= x
     return out
 
 
-def _binomial_expansion(e: int, r: int):
-    """(1 - t^e)^r as a coefficient list."""
-    out = [0] * (e * r + 1)
-    for j in range(r + 1):
-        out[j * e] = (-1) ** j * comb(r, j)
-    return out
-
-
-def _poly_divexact(num, den):
-    """Quotient of num/den; den has constant term ±1; raises if inexact."""
-    num = list(num)
-    den = _poly_trim(list(den))
-    q_len = len(num) - len(den) + 1
-    if q_len <= 0:
-        if not _poly_trim(num):
-            return []
+def _over(p, d: int):
+    """p / (1 - t^d); raises if the division is inexact."""
+    q = list(p)
+    for k in range(d, len(q)):
+        q[k] += q[k - d]
+    n = max(0, len(q) - d)
+    if any(q[n:]):
         raise InternalConsistencyError("polynomial division is inexact")
-    lead = den[0]
-    quot = [0] * q_len
-    for k in range(q_len):
-        c = num[k]
-        if c % lead:
-            raise InternalConsistencyError("polynomial division is inexact")
-        c //= lead
-        quot[k] = c
-        if c:
-            for j in range(1, len(den)):
-                num[k + j] -= c * den[j]
-    if any(num[q_len:]):
-        raise InternalConsistencyError("polynomial division is inexact")
-    return _poly_trim(quot)
+    return q[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -238,51 +201,40 @@ def accumulate_series(contribs, extreme_degrees, rank: int) -> HilbertSeries:
     introduces denominators whose degrees need not divide e, so the sum
     is taken over a max-multiplicity common denominator first and the
     final conversion divides exactly (anything else signals a bug in the
-    triangulation or the half-open shift).
+    triangulation or the half-open shift).  It divides by one binomial
+    of the common denominator at a time, which is exact exactly when
+    the whole division is.  The empty sum is 0 for rank > 0.
     """
     extreme_degrees = [int(x) for x in extreme_degrees]
     if any(x <= 0 for x in extreme_degrees):
         raise DomainError("extreme generator degrees must be positive")
     e = lcm(*extreme_degrees) if extreme_degrees else 1
-    if rank == 0 or not contribs:
+    if rank == 0:
         return HilbertSeries(numerator=(1,), e=e, r=rank)
 
     groups: dict[tuple[int, ...], list[int]] = {}
     for c in contribs:
-        key = tuple(sorted(c.denom_degrees))
-        acc = groups.setdefault(key, [])
-        _poly_add_into(acc, list(c.numerator))
-
-    common: dict[int, int] = {}
+        _poly_add_into(groups.setdefault(tuple(sorted(c.denom_degrees)), []),
+                       c.numerator)
+    common = Counter()
     for key in groups:
-        seen: dict[int, int] = {}
-        for d in key:
-            seen[d] = seen.get(d, 0) + 1
-        for d, m in seen.items():
-            common[d] = max(common.get(d, 0), m)
+        common |= Counter(key)
 
     numer: list[int] = []
     for key, num in groups.items():
-        missing: dict[int, int] = dict(common)
-        for d in key:
-            missing[d] -= 1
-        factor = [1]
-        for d, m in sorted(missing.items()):
-            for _ in range(m):
-                factor = _poly_mul(factor, _one_minus_power(d))
-        _poly_add_into(numer, _poly_mul(num, factor))
-
-    denom = [1]
-    for d, m in sorted(common.items()):
-        for _ in range(m):
-            denom = _poly_mul(denom, _one_minus_power(d))
-
-    big = _poly_mul(_poly_trim(numer), _binomial_expansion(e, rank))
-    r_poly = _poly_divexact(big, denom)
-    if len(r_poly) > e * rank:
+        for d in (common - Counter(key)).elements():
+            num = _times(num, d)
+        _poly_add_into(numer, num)
+    for _ in range(rank):
+        numer = _times(numer, e)
+    for d in common.elements():
+        numer = _over(numer, d)
+    while numer and numer[-1] == 0:
+        numer.pop()
+    if len(numer) > e * rank:
         raise InternalConsistencyError(
             "Hilbert series does not have negative degree")
-    return HilbertSeries(numerator=tuple(r_poly) or (0,), e=e, r=rank)
+    return HilbertSeries(numerator=tuple(numer) or (0,), e=e, r=rank)
 
 
 def bottom_volume(s: SimplicialCone, guard: int = 10**6) -> int:

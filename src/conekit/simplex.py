@@ -129,13 +129,6 @@ def half_open_shift(p: IntVec, s: SimplicialCone) -> IntVec:
     return tuple(out)
 
 
-def generator_degrees(s: SimplicialCone, deg: IntVec) -> tuple[int, ...]:
-    degs = tuple(la.dot(g, deg) for g in s.gens)
-    if any(x <= 0 for x in degs):
-        raise GradingNotPositiveError("grading is not positive on a generator")
-    return degs
-
-
 def series_contribution(s: SimplicialCone, deg: IntVec) -> SeriesContribution:
     """Graded count of the half-open simplex's fundamental domain.
 
@@ -143,11 +136,13 @@ def series_contribution(s: SimplicialCone, deg: IntVec) -> SeriesContribution:
     denominator product of (1 - t^deg(gen)) this is the Hilbert series
     of the half-open simplicial cone.
     """
-    degs = generator_degrees(s, deg)
+    degs = tuple(la.dot(g, deg) for g in s.gens)
+    if any(x <= 0 for x in degs):
+        raise GradingNotPositiveError("grading is not positive on a generator")
     det = s.det
     top = sum(degs)
     counts = np.zeros(top, dtype=np.int64)
-    w = np.array([la.dot(g, deg) for g in s.gens], dtype=np.int64)
+    w = np.array(degs, dtype=np.int64)
     for v in residue_blocks(s):
         dv = v.dot(w if v.dtype == np.int64 else w.astype(object)) // det
         for i in s.excluded_facets:

@@ -242,6 +242,16 @@ class TestMain:
         assert "would overwrite the input" in capsys.readouterr().err
         assert p.read_text(encoding="utf-8") == text
 
+    @pytest.mark.parametrize("csv_name, owner", [
+        ("c.in", "the input"), ("c.out", "the report")])
+    def test_stats_csv_never_overwrites(self, tmp_path, capsys, csv_name, owner):
+        text = "amb_space 2\ncone 2\n1 0\n3 5\n"
+        p = write_input(tmp_path, "c.in", text)
+        assert main([str(p), "--stats-csv", str(tmp_path / csv_name)]) == 1
+        assert f"would overwrite {owner}" in capsys.readouterr().err
+        assert p.read_text(encoding="utf-8") == text
+        assert [f.name for f in tmp_path.iterdir()] == ["c.in"]
+
     def test_threads_identical_output(self, tmp_path):
         text = "amb_space 3\ncone 4\n0 0 1\n1 0 1\n0 1 1\n1 1 1\ngrading\n0 0 1\n"
         p1 = write_input(tmp_path, "a.in", text)

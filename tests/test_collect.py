@@ -270,6 +270,75 @@ class TestAccumulateSeries:
         assert (h.numerator, h.r) == ((1,), 0)
         assert h.expand(3) == [1, 0, 0, 0]
 
+    def test_empty_sum_is_zero(self):
+        h = accumulate_series([], [1, 1], 2)
+        assert (h.numerator, h.e, h.r) == ((0,), 1, 2)
+        assert h.expand(4) == [0] * 5
+
+    def test_degree_repeated_across_groups(self):
+        # 1/(1-t)^2 = 1/((1-t)(1-t^2)) + (t + t^2)/(1-t^2)^2: the common
+        # denominator holds 1 - t^2 twice
+        contribs = [
+            SeriesContribution((1,), (1, 2)),
+            SeriesContribution((0, 1, 1), (2, 2)),
+        ]
+        h = accumulate_series(contribs, [1, 1], 2)
+        assert (h.numerator, h.e, h.r) == ((1,), 1, 2)
+        h = accumulate_series(contribs, [2, 2], 2)
+        assert (h.numerator, h.e, h.r) == ((1, 2, 1), 2, 2)
+
+    def test_factor_longer_than_numerator(self):
+        # the numerator times 1 - t has at most four terms, and 1 - t^5
+        # has six: the division is exact only when the numerator is zero
+        cancel = [SeriesContribution((1,), (5,)), SeriesContribution((-1,), (5,))]
+        h = accumulate_series(cancel, [1], 1)
+        assert (h.numerator, h.e, h.r) == ((0,), 1, 1)
+        for contribs in ([SeriesContribution((1,), (5,))],
+                         # the top terms cancel and leave trailing zeros
+                         [SeriesContribution((1, 0, 1), (5,)),
+                          SeriesContribution((0, 0, -1), (5,))]):
+            with pytest.raises(InternalConsistencyError,
+                               match="polynomial division is inexact"):
+                accumulate_series(contribs, [1], 1)
+
+    def test_inexact_sum_across_groups_rejected(self):
+        # 1/((1-t)(1-t^2)) + 1/(1-t^2)^2 = (2 + t)/((1-t)^2 (1+t)^2)
+        contribs = [
+            SeriesContribution((1,), (1, 2)),
+            SeriesContribution((1,), (2, 2)),
+        ]
+        with pytest.raises(InternalConsistencyError,
+                           match="polynomial division is inexact"):
+            accumulate_series(contribs, [1, 1], 2)
+
+
+@st.composite
+def graded_cones(draw):
+    """A pointed cone in Z^d, d = 2..4, with a grading positive on every
+    generator: each generator's last coordinate is at least 1, and the
+    grading's last coordinate outweighs the others."""
+    d = draw(st.integers(2, 4))
+    entry = {2: 6, 3: 3, 4: 2}[d]
+    row = st.tuples(*[st.integers(-entry, entry)] * (d - 1), st.integers(1, entry))
+    gens = draw(st.lists(row, min_size=d, max_size=d + 2))
+    head = draw(st.lists(st.integers(-1, 1), min_size=d - 1, max_size=d - 1))
+    last = 1 + entry * sum(abs(x) for x in head) + draw(st.integers(0, 1))
+    return ConeInput(d, generators=tuple(gens), grading=tuple(head) + (last,))
+
+
+class TestSubdividedSeries:
+    @settings(max_examples=100, deadline=None)
+    @given(graded_cones(), st.sampled_from([1, 2, 5]))
+    def test_ip_leaves_give_the_undivided_series(self, ci, bound):
+        # stellar points get degrees that need not divide e
+        series = frozenset({"hilbert_series"})
+        none = compute(ci, RunOptions(
+            goals=series, subdivision=SubdivisionConfig(strategy="none")))
+        ip = compute(ci, RunOptions(goals=series, subdivision=SubdivisionConfig(
+            strategy="ip", volume_bound=bound, node_limit=200,
+            time_limit_scale=None)))
+        assert ip.series == none.series
+
 
 class TestBottomVolume:
     def test_unimodular(self):
