@@ -160,6 +160,13 @@ def run(options: RunOptions, cone_input: ConeInput, input_path: str,
     return report
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # argparse catches only the first
+        raise argparse.ArgumentTypeError(f"invalid fraction value: {text!r}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputParseError(message)
@@ -171,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="ip-then-approx",
                    choices=["none", "ip", "approx", "ip-then-approx"])
     p.add_argument("--volume-bound", type=int, default=10**6)
-    p.add_argument("--time-limit-scale", type=Fraction, default=Fraction(1))
+    p.add_argument("--time-limit-scale", type=_fraction, default=Fraction(1))
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--stats-csv", default=None)
     p.add_argument("--goal", default="all", choices=["hb", "series", "all"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from . import linalg as la
-from .errors import DimensionError, DomainError, NotPointedError, GradingNotPositiveError
+from .errors import DimensionError, NotPointedError, GradingNotPositiveError
 from .linalg import IntMat, IntVec
 
 
@@ -223,29 +223,13 @@ def support_hyperplanes(generators) -> IntMat:
 def is_pointed(obj) -> bool:
     """Whether a cone (or a raw generator matrix) contains no line."""
     if isinstance(obj, Cone):
-        return obj.rank == 0 or la.rank(obj.support_forms, obj.rank) == obj.rank
+        return len(la.independent_rows(obj.support_forms, obj.rank)) == obj.rank
     gens = la.as_mat(obj)
     try:
         build_cone(ConeInput(len(gens[0]) if gens else 0, generators=gens))
     except NotPointedError:
         return False
     return True
-
-
-def _restrict(basis: IntMat, vectors) -> IntMat:
-    """Coordinates of the vectors in the lattice basis (each must lie in it).
-
-    The coordinates x of v solve G·x = B·v for the Gram matrix G = B·Bᵀ,
-    so x = adj(G)·B·v / det(G) with an exact division.
-    """
-    adj, det = la.adjugate(la.matmul(basis, la.transpose(basis)))
-    out = []
-    for v in vectors:
-        num = la.mat_vec(adj, la.mat_vec(basis, v))
-        if any(x % det for x in num):
-            raise DomainError("vector is not in the lattice spanned by the basis")
-        out.append(tuple(x // det for x in num))
-    return tuple(out)
 
 
 def ambient_support_forms(cone: Cone) -> IntMat:
@@ -270,23 +254,20 @@ def _rays_from_constraints(ci: ConeInput) -> IntMat:
     ineqs = list(ci.inequalities or ())
     eqs = list(ci.equations or ())
     if ci.generators is not None:
-        # intersecting with a generator cone: turn it into constraints
+        # intersecting with a generator cone: turn it into constraints.  The
+        # raw generators' kernel is the extreme rays' kernel up to a unimodular
+        # change of basis; the double description is equivariant under it, so
+        # the rays, their order and their primitivity are the same.
         gen_cone = build_cone(ConeInput(ambient_dim=d, generators=ci.generators))
         ineqs.extend(ambient_support_forms(gen_cone))
-        if gen_cone.rank < d:
-            ambient_gens = tuple(gen_cone.to_ambient(g) for g in gen_cone.generators)
-            eqs.extend(la.integer_kernel(ambient_gens, d) if ambient_gens
-                       else la.identity(d))
-    if eqs:
-        kbasis = la.integer_kernel(eqs, d)
-    else:
-        kbasis = la.identity(d)
+        eqs.extend(la.sublattice(ci.generators, d)[2])
+    kbasis = la.sublattice(eqs, d)[2]
     s = len(kbasis)
     if s == 0:
         return ()
     ineq_r = tuple(tuple(la.dot(k, lam) for k in kbasis) for lam in ineqs)
     ineq_r = tuple(row for row in ineq_r if any(row))
-    if la.rank(ineq_r, s) < s:
+    if len(la.independent_rows(ineq_r, s)) < s:
         raise NotPointedError("constraints admit a nonzero linear subspace")
     rays_r, _ = dual_description(ineq_r)
     return tuple(la.vec_mat(r, kbasis) for r in rays_r)
@@ -319,16 +300,14 @@ def build_cone(ci: ConeInput) -> Cone:
             cone = replace(cone, grading=())
         return cone
 
-    r = la.rank(gens_amb, d)
+    r = len(la.independent_rows(gens_amb, d))
     if r == d:
-        basis = la.identity(d)
-        gens_r = gens_amb
+        basis, gens_r = la.identity(d), gens_amb
     else:
-        basis = la.saturation_basis(gens_amb, d)
-        gens_r = _restrict(basis, gens_amb)
+        basis, gens_r, _ = la.sublattice(gens_amb, d)
 
     forms, _ = dual_description(gens_r)
-    if la.rank(forms, r) < r:
+    if len(la.independent_rows(forms, r)) < r:
         raise NotPointedError("cone contains a nonzero linear subspace")
 
     prims = [la.primitive(g) for g in gens_r]

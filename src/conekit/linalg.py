@@ -118,52 +118,21 @@ def determinant(m: IntMat) -> int:
     return 0 if out is None else out[0]
 
 
-class Echelon:
-    """Incremental exact row echelon; tracks a maximal independent subset."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def try_add(self, v) -> bool:
-        """Return True (and absorb v) iff v is independent of the rows so far."""
-        w = [int(x) for x in v]
-        for row, p in zip(self.rows, self.pivots):
+def independent_rows(rows, ncols: int) -> list[int]:
+    """Indices of the greedy (first-come) maximal independent subset: a
+    row is kept iff it does not reduce to zero, fraction-free, against
+    the primitive rows kept so far (each zero on the earlier pivots)."""
+    kept: list[tuple[int, IntVec]] = []
+    out = []
+    for i, r in enumerate(rows):
+        w = [int(x) for x in r]
+        for p, row in kept:
             if w[p]:
                 wp, rp = w[p], row[p]
                 w = [wi * rp - ri * wp for wi, ri in zip(w, row)]
-        for p in range(self.ncols):
-            if w[p]:
-                g = content(w)
-                if g > 1:
-                    w = [x // g for x in w]
-                self.rows.append(w)
-                self.pivots.append(p)
-                return True
-        return False
-
-
-def rank(rows, ncols: int | None = None) -> int:
-    rows = as_mat(rows)
-    if not rows:
-        return 0
-    ech = Echelon(ncols or len(rows[0]))
-    for r in rows:
-        ech.try_add(r)
-    return ech.rank
-
-
-def independent_rows(rows, ncols: int) -> list[int]:
-    """Indices of the greedy (first-come) maximal independent subset."""
-    ech = Echelon(ncols)
-    out = []
-    for i, r in enumerate(rows):
-        if ech.try_add(r):
+        p = next((j for j in range(ncols) if w[j]), None)
+        if p is not None:
+            kept.append((p, primitive(w)))
             out.append(i)
     return out
 
@@ -281,29 +250,28 @@ def smith_normal_form(m: IntMat) -> SnfResult:
     return SnfResult(d=d, u=as_mat(u), v=as_mat(v))
 
 
-def integer_kernel(rows, dim: int) -> IntMat:
-    """Basis of the saturated lattice {x in Z^dim : row·x = 0 for all rows}."""
+def sublattice(rows, dim: int) -> tuple[IntMat, IntMat, IntMat]:
+    """(basis, coords, kernel) of the rows from one Smith normal form.
+
+    With u·rows·v = diag(d) of rank k, `basis` is the first k rows of
+    v^-1, read off as (u·rows)_i / d_i: a basis of span_Q(rows) ∩ Z^dim.
+    `coords` is the first k columns of rows·v; the others vanish, so
+    coords·basis = rows.  `kernel` is the last dim - k columns of v: a
+    basis of the saturated lattice {x in Z^dim : row·x = 0 for all rows}.
+    """
     rows = as_mat(rows)
     if not rows:
-        return identity(dim)
-    if len(rows[0]) != dim:
-        raise DimensionError("constraint rows have wrong arity")
-    snf = smith_normal_form(rows)
-    rk = sum(1 for x in snf.d if x)
-    vt = transpose(snf.v)
-    return vt[rk:]
-
-
-def saturation_basis(rows, dim: int) -> IntMat:
-    """Basis of span_Q(rows) ∩ Z^dim (a primitive sublattice): the first
-    rank rows of v^-1 for u·rows·v = diag(d), read off as (u·rows)_i / d_i."""
-    rows = as_mat(rows)
-    if not rows:
-        return ()
+        return (), (), identity(dim)
     if len(rows[0]) != dim:
         raise DimensionError("rows have wrong arity")
     snf = smith_normal_form(rows)
-    w = matmul(snf.u[:sum(1 for x in snf.d if x)], rows)
+    k = sum(1 for x in snf.d if x)
+    w = matmul(snf.u[:k], rows)
     if any(x % m for m, row in zip(snf.d, w) for x in row):
         raise InternalConsistencyError("saturation row is not divisible by d_i")
-    return tuple(tuple(x // m for x in row) for m, row in zip(snf.d, w))
+    basis = tuple(tuple(x // m for x in row) for m, row in zip(snf.d, w))
+    vt = transpose(snf.v)
+    coords = tuple(tuple(dot(row, c) for c in vt[:k]) for row in rows)
+    if k and matmul(coords, basis) != rows:  # at rank 0 the rows are zero
+        raise InternalConsistencyError("restricted coordinates do not give the rows")
+    return basis, coords, vt[k:]

@@ -44,6 +44,9 @@ class SubdivisionConfig:
             raise DomainError("volume_bound must be at least 1")
         if self.strategy not in STRATEGIES:
             raise DomainError(f"unknown strategy {self.strategy!r}")
+        for name in ("time_limit_scale", "node_limit"):
+            if (getattr(self, name) or 0) < 0:
+                raise DomainError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ class _Search:
 
 
 def _deadline(cfg: SubdivisionConfig, det: int):
-    if cfg.time_limit_scale is None or cfg.time_limit_scale <= 0:
+    if not cfg.time_limit_scale:
         return None
     budget = float(cfg.time_limit_scale) * math.log10(det) ** 2
     return time.monotonic() + budget

@@ -93,6 +93,22 @@ def inverse_rows(v, k):
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 
+def gram_restrict(basis, vectors):
+    """Coordinates x of each vector v in an independent lattice basis B,
+    by the Gram solve G·x = B·v with G = B·Bᵀ in Fractions; asserts that
+    they are integral."""
+    gram = [[dotv(bi, bj) for bj in basis] for bi in basis]
+    ginv = frac_inverse(gram)
+    out = []
+    for v in vectors:
+        bv = [dotv(b, v) for b in basis]
+        x = [sum(Fraction(c) * row[j] for c, row in zip(bv, ginv))
+             for j in range(len(basis))]
+        assert all(c.denominator == 1 for c in x)
+        out.append(tuple(int(c) for c in x))
+    return tuple(out)
+
+
 def explicit_residue_axes(gens, d, v):
     """Residue axes of the simplex on gens from an SNF u·gens·v = diag(d),
     built with explicit inverses: row i of v^-1 times det·gens^-1 (the

@@ -23,7 +23,7 @@ from conekit.simplex import fundamental_points
 from conekit.subdivide import SubdivisionConfig, recursive_subdivide, solve_star_ip
 
 from oracles import (brute_degree_counts, brute_hilbert_basis, brute_star_minimum,
-                     dotv, oracle_cost_estimate)
+                     dotv, frac_rank, oracle_cost_estimate)
 
 HB = frozenset({"hilbert_basis"})
 SERIES = frozenset({"hilbert_series"})
@@ -42,7 +42,7 @@ def random_pointed_cone(rng, d, n_gens, entry, max_simplex_det=1000,
         gens = tuple(tuple(rng.randint(-entry, entry) for _ in range(d))
                      for _ in range(n_gens))
         gens = tuple(g for g in gens if any(g))
-        if len(gens) < 2 or la.rank(gens, d) < d or not is_pointed(gens):
+        if len(gens) < 2 or frac_rank(gens) < d or not is_pointed(gens):
             continue
         cone = build_cone(ConeInput(d, generators=gens))
         if any(s.det > max_simplex_det for s in triangulate(cone)):

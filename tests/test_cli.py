@@ -227,6 +227,11 @@ class TestMain:
         ("--threads", "0", "threads must be at least 1"),
         ("--threads", "-3", "threads must be at least 1"),
         ("--volume-bound", "0", "volume_bound must be at least 1"),
+        ("--time-limit-scale", "-1", "time_limit_scale must be nonnegative"),
+        ("--time-limit-scale", "1/0",
+         "argument --time-limit-scale: invalid fraction value: '1/0'"),
+        ("--time-limit-scale", "x",
+         "argument --time-limit-scale: invalid fraction value: 'x'"),
     ])
     def test_bad_option_value_exit_code(self, tmp_path, capsys, option, value,
                                         message):

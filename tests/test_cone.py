@@ -61,7 +61,7 @@ class TestSupportHyperplanes:
         forms = support_hyperplanes(SQUARE3)
         for f in forms:
             on = [g for g in SQUARE3 if dotv(f, g) == 0]
-            assert la.rank(on, 3) == 2
+            assert frac_rank(on) == 2
             assert all(dotv(f, g) >= 0 for g in SQUARE3)
 
     @settings(max_examples=60, deadline=None)
@@ -69,7 +69,7 @@ class TestSupportHyperplanes:
                     min_size=3, max_size=6))
     def test_matches_brute_force_3d(self, gens):
         gens = tuple(g for g in gens if any(g))
-        if la.rank(gens, 3) < 3 or not is_pointed(gens):
+        if frac_rank(gens) < 3 or not is_pointed(gens):
             return
         ours = forms_set(support_hyperplanes(gens))
         brute = brute_support_forms(gens)
@@ -155,7 +155,7 @@ class TestBuildCone:
                     min_size=3, max_size=5))
     def test_dual_round_trip_3d(self, gens):
         gens = tuple(g for g in gens if any(g))
-        if la.rank(gens, 3) < 3 or not is_pointed(gens):
+        if frac_rank(gens) < 3 or not is_pointed(gens):
             return
         c1 = build_cone(ConeInput(3, generators=gens))
         c2 = build_cone(ConeInput(3, inequalities=c1.support_forms))
@@ -168,7 +168,7 @@ class TestBuildCone:
             assert all(dotv(f, g) >= 0 for f in c.support_forms)
         for f in c.support_forms:
             on = [g for g in c.generators if dotv(f, g) == 0]
-            assert la.rank(on, 3) == c.rank - 1
+            assert frac_rank(on) == c.rank - 1
 
 
 class TestExtremeRays:
@@ -305,7 +305,7 @@ class TestTriangulate:
                     min_size=2, max_size=6))
     def test_half_open_cover_2d(self, gens):
         gens = tuple(g for g in gens if any(g))
-        if la.rank(gens, 2) < 2 or not is_pointed(gens):
+        if frac_rank(gens) < 2 or not is_pointed(gens):
             return
         c = build_cone(ConeInput(2, generators=gens))
         tri = triangulate(c)
@@ -318,7 +318,7 @@ class TestTriangulate:
                     min_size=3, max_size=6))
     def test_half_open_cover_3d(self, gens):
         gens = tuple(g for g in gens if any(g))
-        if la.rank(gens, 3) < 3 or not is_pointed(gens):
+        if frac_rank(gens) < 3 or not is_pointed(gens):
             return
         c = build_cone(ConeInput(3, generators=gens))
         tri = triangulate(c)

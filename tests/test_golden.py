@@ -5,7 +5,9 @@ a volume bound that makes the IP and the approximation subdivide.
 `--time-limit-scale 0` turns the wall-clock IP limit off, so the whole
 `.out`, `stats:` lines included, depends on the input alone.  A change
 that is meant to alter a report shows up as a diff of its file under
-fixtures/golden/.
+fixtures/golden/.  The fixtures under fixtures/sublattice/ have cones in
+a proper sublattice of Z^d reached from generators: rank-deficient
+generators, and generators cut by constraints.
 """
 
 import shutil
@@ -17,6 +19,7 @@ from conekit.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
+SUBLATTICE = FIXTURES / "sublattice"
 STRATEGIES = ("none", "ip", "approx", "ip-then-approx")
 
 CASES = [(p.stem, strategy, "", []) for p in sorted(FIXTURES.glob("*.in"))
@@ -25,11 +28,24 @@ CASES = [(p.stem, strategy, "", []) for p in sorted(FIXTURES.glob("*.in"))
          for strategy in STRATEGIES[1:]]
 
 
-@pytest.mark.parametrize("name, strategy, tag, flags", CASES)
-def test_report_matches_golden(tmp_path, name, strategy, tag, flags):
-    work = tmp_path / f"{name}.{strategy}{tag}.in"
-    shutil.copy(FIXTURES / f"{name}.in", work)
+def check_report(tmp_path, source, stem, strategy, flags=()):
+    """Run the CLI on a copy of `source` and compare with golden/<stem>.out."""
+    work = tmp_path / f"{stem}.in"
+    shutil.copy(source, work)
     assert main([str(work), "--strategy", strategy,
                  "--time-limit-scale", "0", *flags]) == 0
-    expected = (GOLDEN / f"{name}.{strategy}{tag}.out").read_bytes()
+    expected = (GOLDEN / f"{stem}.out").read_bytes()
     assert work.with_suffix(".out").read_bytes() == expected
+
+
+@pytest.mark.parametrize("name, strategy, tag, flags", CASES)
+def test_report_matches_golden(tmp_path, name, strategy, tag, flags):
+    check_report(tmp_path, FIXTURES / f"{name}.in", f"{name}.{strategy}{tag}",
+                 strategy, flags)
+
+
+@pytest.mark.parametrize("name, strategy", [
+    (p.stem, strategy) for p in sorted(SUBLATTICE.glob("*.in"))
+    for strategy in STRATEGIES])
+def test_sublattice_report_matches_golden(tmp_path, name, strategy):
+    check_report(tmp_path, SUBLATTICE / f"{name}.in", f"{name}.{strategy}", strategy)

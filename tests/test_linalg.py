@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conekit.errors import DimensionError, InternalConsistencyError, SingularMatrixError
 from conekit import linalg as la
 
-from oracles import inverse_rows, minor_det
+from oracles import frac_rank, gram_restrict, inverse_rows, minor_det
 
 
 def square_matrices(max_dim=5, max_entry=1000):
@@ -196,24 +196,25 @@ class TestHelpers:
 
     def test_integer_kernel(self):
         # kernel of x - y = 0 inside Z^2
-        ker = la.integer_kernel(((1, -1),), 2)
+        _, _, ker = la.sublattice(((1, -1),), 2)
         assert len(ker) == 1
         assert abs(ker[0][0]) == 1 and ker[0][0] == ker[0][1]
 
     def test_integer_kernel_trivial(self):
-        assert la.integer_kernel((), 3) == la.identity(3)
+        assert la.sublattice((), 3) == ((), (), la.identity(3))
 
     def test_saturation_basis(self):
         # span of (2,2) saturates to the lattice generated by (1,1)
-        basis = la.saturation_basis(((2, 2),), 2)
+        basis, coords, _ = la.sublattice(((2, 2),), 2)
         assert len(basis) == 1
         assert tuple(map(abs, basis[0])) == (1, 1)
+        assert coords == ((2 * basis[0][0],),)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.integers(-20, 20), min_size=3, max_size=3),
                     min_size=1, max_size=3))
     def test_saturation_contains_rows(self, rows):
-        basis = la.saturation_basis(rows, 3)
+        basis = la.sublattice(rows, 3)[0]
         if not basis:
             assert all(all(x == 0 for x in r) for r in rows)
             return
@@ -232,7 +233,7 @@ class TestHelpers:
         dim = len(rows[0])
         snf = la.smith_normal_form(rows)
         rk = sum(1 for x in snf.d if x)
-        assert la.saturation_basis(rows, dim) == inverse_rows(snf.v, rk)
+        assert la.sublattice(rows, dim)[0] == inverse_rows(snf.v, rk)
 
     def test_saturation_inexact_division_rejected(self):
         # diag(2, 4) has d = (2, 4) and u = I; with u's rows swapped the
@@ -241,11 +242,77 @@ class TestHelpers:
         with mock.patch.object(la, "smith_normal_form",
                                lambda m: replace(true_snf(m), u=true_snf(m).u[::-1])):
             with pytest.raises(InternalConsistencyError):
-                la.saturation_basis(((2, 0), (0, 4)), 2)
+                la.sublattice(((2, 0), (0, 4)), 2)
 
     def test_independent_rows(self):
         idx = la.independent_rows(((1, 0), (2, 0), (0, 1)), 2)
         assert idx == [0, 2]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.one_of(st.integers(-2, 2), st.sampled_from([2**70, -2**70])),
+                 min_size=n, max_size=n), max_size=8))))
+    def test_independent_rows_greedy_and_maximal(self, case):
+        # a row is kept iff it raises the rank of the rows kept before it
+        n, rows = case
+        kept = la.independent_rows(rows, n)
+        so_far = []
+        for i, r in enumerate(rows):
+            raises = frac_rank(so_far + [r]) > frac_rank(so_far)
+            assert raises == (i in kept)
+            if raises:
+                so_far.append(r)
+
+
+@st.composite
+def rank_deficient_rows(draw):
+    """(rows, dim): up to dim - 1 base rows in Z^dim, entries past 2^64 in
+    some draws, plus integer combinations of them, shuffled."""
+    dim = draw(st.integers(2, 6))
+    bound = draw(st.sampled_from([9, 2**70]))
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    base = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                         min_size=1, max_size=dim - 1))
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(base),
+                                    max_size=len(base)), max_size=3))
+    rows = base + [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(dim)]
+                   for cs in combos]
+    return draw(st.permutations(rows)), dim
+
+
+class TestSublattice:
+    @settings(max_examples=80, deadline=None)
+    @given(rank_deficient_rows())
+    def test_coords_match_gram_solve(self, case):
+        rows, dim = case
+        basis, coords, _ = la.sublattice(rows, dim)
+        assert len(basis) == frac_rank(rows) < dim
+        assert coords == gram_restrict(basis, rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rank_deficient_rows())
+    def test_kernel_annihilates_rows(self, case):
+        rows, dim = case
+        _, _, kernel = la.sublattice(rows, dim)
+        assert len(kernel) == dim - frac_rank(rows)
+        assert all(la.dot(k, r) == 0 for k in kernel for r in rows)
+
+    def test_rank_zero(self):
+        assert la.sublattice(((0, 0, 0),), 3) == ((), ((),), la.identity(3))
+
+    def test_coordinate_check(self):
+        # negating the first column of v negates the first coordinate of
+        # every row but leaves the basis, read off u, as it is
+        true_snf = la.smith_normal_form
+
+        def flipped(m):
+            snf = true_snf(m)
+            return replace(snf, v=tuple((-r[0],) + r[1:] for r in snf.v))
+
+        with mock.patch.object(la, "smith_normal_form", flipped):
+            with pytest.raises(InternalConsistencyError,
+                               match="restricted coordinates"):
+                la.sublattice(((2, 2, 0), (1, 1, 0)), 3)
 
 
 def _int_solve(basis, target):

@@ -55,6 +55,14 @@ class TestHeightNormal:
                 assert total * h == dotv(n, x) * s.det
 
 
+class TestConfig:
+    @pytest.mark.parametrize("name, value", [
+        ("time_limit_scale", Fraction(-1, 10**9)), ("node_limit", -1)])
+    def test_negative_budget_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be nonnegative"):
+            SubdivisionConfig(**{name: value})
+
+
 class TestSolveStarIp:
     def test_unimodular_infeasible(self):
         assert solve_star_ip(simplex(((1, 0), (0, 1)))).status == "infeasible"
