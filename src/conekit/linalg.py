@@ -149,6 +149,72 @@ def adjugate(m: IntMat) -> tuple[IntMat, int]:
     return adj, det
 
 
+def lll_reduce(basis) -> tuple[IntMat, IntMat]:
+    """(reduced, h): an LLL-reduced basis (δ = 3/4) of the lattice spanned
+    by the independent rows of `basis`, with reduced = h·basis and h
+    unimodular.
+
+    Integral LLL (Cohen, Alg. 2.6.7): d[i] is the Gram determinant of
+    the first i rows and lam[k][j] = d[j+1]·μ_kj, both integers, updated
+    incrementally by size reduction and swaps, so no rational is formed.
+    """
+    b = [list(r) for r in as_mat(basis)]
+    n = len(b)
+    h = [list(r) for r in identity(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def reduce(k, j):  # make |μ_kj| <= 1/2
+        lk, lj, dj = lam[k], lam[j], d[j + 1]
+        if 2 * abs(lk[j]) <= dj:
+            return
+        q = (2 * lk[j] + dj) // (2 * dj)
+        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+        h[k] = [x - q * y for x, y in zip(h[k], h[j])]
+        lk[j] -= q * dj
+        for i in range(j):
+            lk[i] -= q * lj[i]
+
+    k, kmax = 1, 0
+    if n:
+        d[1] = dot(b[0], b[0])
+        if not d[1]:
+            raise SingularMatrixError("lll_reduce of dependent rows")
+    while k < n:
+        if k > kmax:  # Gram-Schmidt data of the new row k
+            kmax = k
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif not u:
+                    raise SingularMatrixError("lll_reduce of dependent rows")
+                else:
+                    d[k + 1] = u
+        reduce(k, k - 1)
+        m = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * m * m:
+            # swap rows k-1 and k; d[k] and the lam of columns k-1, k change
+            b[k - 1], b[k] = b[k], b[k - 1]
+            h[k - 1], h[k] = h[k], h[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            new = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (new * t + m * lam[i][k]) // d[k + 1]
+            d[k] = new
+            k = max(1, k - 1)
+            continue
+        for j in range(k - 2, -1, -1):
+            reduce(k, j)
+        k += 1
+    return tuple(map(tuple, b)), tuple(map(tuple, h))
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """Smith normal form u·m·v = diag(d) with u, v unimodular."""

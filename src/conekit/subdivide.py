@@ -4,14 +4,16 @@ A simplicial cone whose determinant exceeds the volume bound is handed
 to a finder for a lattice point of minimal height inside it; stellar
 subdivision at that point replaces the simplex by strictly smaller
 pieces and the process repeats.  The height-minimization problem is
-solved exactly by depth-first interval search over the ambient integer
-coordinates.  Every feasible point lies in the fundamental domain, so
-the adjugate inequalities 0 <= adj·x < det bound the search.  A slab of
-heights [a, b] has a tight box around (b/h)·conv(generators), and one
+solved exactly by depth-first interval search over LLL-reduced integer
+coordinates y, x = U·y, in which the columns of the facet-form matrix
+F·U are a reduced basis (Aardal, Hurkens and Lenstra 2000).  Every
+feasible point lies in the fundamental domain, so the adjugate
+inequalities 0 <= F·U·y < det bound the search.  A slab of heights
+[a, b] has a tight box around (b/h)·conv(U^-1·generators), and one
 search either exhibits a point in it or proves it empty.  The levels
-v = 1..8 are scanned as slabs [v, v] first; above them, a cheap probe
-point (or one search of the whole range) gives an upper bound, and
-bisection over height slabs closes the gap to the minimum.
+v = 1..8 are scanned as slabs [v, v] first; above them, one search of
+the whole range gives an upper bound, and bisection over height slabs
+closes the gap to the minimum.
 """
 
 from __future__ import annotations
@@ -162,27 +164,6 @@ def _deadline(cfg: SubdivisionConfig, det: int):
     return time.monotonic() + budget
 
 
-def _probe_incumbent(s: SimplicialCone):
-    """Fundamental-domain image of cheap centroids: a fast upper bound."""
-    r = s.dim
-    det = s.det
-    height = s.gen_height
-    normal = s.height_normal
-    best = None
-    acc = [0] * r
-    for count, g in enumerate(s.gens, start=1):
-        acc = [a + x for a, x in zip(acc, g)]
-        p = tuple(a // count for a in acc)
-        u = [x % det for x in s.q_numerators(p)]
-        e = tuple(sum(u[i] * s.gens[i][j] for i in range(r)) // det
-                  for j in range(r))
-        if any(e):
-            val = la.dot(normal, e)
-            if 1 <= val < height and (best is None or val < best[0]):
-                best = (val, e)
-    return best
-
-
 def solve_star_ip(s: SimplicialCone,
                   cfg: SubdivisionConfig = SubdivisionConfig()) -> IpOutcome:
     """Exact minimum of N·x over nonzero lattice points of S below N·gen.
@@ -190,9 +171,9 @@ def solve_star_ip(s: SimplicialCone,
     Feasible points have all generator coordinates in [0,1) (a
     coordinate q_i >= 1 would put x - gen_i in S at negative height), so
     the adjugate rows and the slab boxes bound the search.  The x != 0
-    condition is subsumed by the height bound N·x >= 1; a coordinate on
-    which all generators are positive additionally gets a lower bound of
-    1.  A time or node limit yields the status "limit", never a silently
+    condition is subsumed by the height bound N·x >= 1; a coordinate of y
+    on which all generators are positive additionally gets a lower bound
+    of 1.  A time or node limit yields the status "limit", never a silently
     suboptimal answer.
     """
     det = s.det
@@ -202,18 +183,24 @@ def solve_star_ip(s: SimplicialCone,
     if height <= 1:
         return IpOutcome("infeasible")
     normal = s.height_normal
+    # search in y = U^-1·x, with the columns of F·U LLL-reduced
+    transform = la.transpose(la.lll_reduce(la.transpose(s.facet_forms))[1])
+    adj, unit = la.adjugate(transform)  # det U = ±1, so U^-1 = unit·adj
+    ygens = [tuple(unit * x for x in la.mat_vec(adj, g)) for g in s.gens]
+    forms = la.matmul(s.facet_forms, transform)
+    order = la.vec_mat(normal, transform)
     r = s.dim
-    pos_coord = next((j for j in range(r) if all(g[j] > 0 for g in s.gens)),
+    pos_coord = next((j for j in range(r) if all(g[j] > 0 for g in ygens)),
                      None)
-    gmin = [min(g[j] for g in s.gens) for j in range(r)]
-    gmax = [max(g[j] for g in s.gens) for j in range(r)]
+    gmin = [min(g[j] for g in ygens) for j in range(r)]
+    gmax = [max(g[j] for g in ygens) for j in range(r)]
     search = _Search(_deadline(cfg, det), cfg.node_limit)
 
     def slab(a: int, b: int):
-        """Some nonzero lattice point with height in [a, b], or None.
+        """Some nonzero lattice point x with height in [a, b], or None.
 
         A point at height v lies in (v/h)·conv(generators), so the slab
-        has a tight coordinate box and fundamental-domain rows
+        has a tight box in y and fundamental-domain rows
         u_i <= det·b/h.
         """
         lo = [_ceil_div(min(a * m, b * m), height) for m in gmin]
@@ -223,8 +210,9 @@ def solve_star_ip(s: SimplicialCone,
         if any(x > y for x, y in zip(lo, hi)):
             return None
         cap = (det * b) // height
-        rows = [(f, 0, cap) for f in s.facet_forms] + [(normal, a, b)]
-        return search.find(rows, lo, hi, normal)
+        rows = [(f, 0, cap) for f in forms] + [(order, a, b)]
+        y = search.find(rows, lo, hi, order)
+        return None if y is None else la.mat_vec(transform, y)
 
     try:
         # the lowest levels have the tightest boxes and, for big
@@ -240,8 +228,7 @@ def solve_star_ip(s: SimplicialCone,
             # the minimum lies in [a, w], w the height of a known point;
             # each step lowers w or proves [a, mid] empty
             a = prefix + 1
-            probe = _probe_incumbent(s)
-            point = probe[1] if probe is not None else slab(a, height - 1)
+            point = slab(a, height - 1)
             while point is not None and (w := la.dot(normal, point)) > a:
                 mid = (a + w - 1) // 2
                 lower = slab(a, mid)

@@ -109,6 +109,23 @@ def gram_restrict(basis, vectors):
     return tuple(out)
 
 
+def gram_schmidt(rows):
+    """(μ, squared lengths) of the Gram-Schmidt orthogonalisation of
+    independent rows, in Fractions: b*_k = b_k - Σ_{j<k} μ_kj·b*_j."""
+    ortho, mu, norms = [], [], []
+    for b in rows:
+        w = [Fraction(x) for x in b]
+        coeffs = []
+        for o, n in zip(ortho, norms):
+            c = sum(Fraction(x) * y for x, y in zip(b, o)) / n
+            w = [x - c * y for x, y in zip(w, o)]
+            coeffs.append(c)
+        ortho.append(w)
+        mu.append(coeffs)
+        norms.append(sum(x * x for x in w))
+    return mu, norms
+
+
 def explicit_residue_axes(gens, d, v):
     """Residue axes of the simplex on gens from an SNF u·gens·v = diag(d),
     built with explicit inverses: row i of v^-1 times det·gens^-1 (the

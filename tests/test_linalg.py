@@ -4,12 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conekit.errors import DimensionError, InternalConsistencyError, SingularMatrixError
 from conekit import linalg as la
 
-from oracles import frac_rank, gram_restrict, inverse_rows, minor_det
+from oracles import frac_rank, gram_restrict, gram_schmidt, inverse_rows, minor_det
 
 
 def square_matrices(max_dim=5, max_entry=1000):
@@ -313,6 +313,41 @@ class TestSublattice:
             with pytest.raises(InternalConsistencyError,
                                match="restricted coordinates"):
                 la.sublattice(((2, 2, 0), (1, 1, 0)), 3)
+
+
+@st.composite
+def nonsingular_bases(draw):
+    n = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([10, 10**6, 2**70]))
+    rows = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    assume(minor_det(rows) != 0)
+    return rows
+
+
+class TestLll:
+    @settings(max_examples=150, deadline=None)
+    @given(nonsingular_bases())
+    def test_reduced_basis(self, rows):
+        reduced, h = la.lll_reduce(rows)
+        assert la.matmul(h, rows) == reduced
+        assert abs(minor_det(h)) == 1
+        mu, norms = gram_schmidt(reduced)
+        assert all(abs(c) <= Fraction(1, 2) for row in mu for c in row)
+        assert all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+                   for k in range(1, len(rows)))
+        assert la.lll_reduce(reduced) == (reduced, la.identity(len(rows)))
+
+    def test_one_row(self):
+        assert la.lll_reduce(((-7,),)) == (((-7,),), ((1,),))
+
+    def test_reduced_basis_unchanged(self):
+        rows = ((1, 0, 0), (0, 2, 1), (0, -1, 3))
+        assert la.lll_reduce(rows) == (rows, la.identity(3))
+
+    def test_dependent_rows_rejected(self):
+        with pytest.raises(SingularMatrixError):
+            la.lll_reduce(((1, 2), (2, 4)))
 
 
 def _int_solve(basis, target):

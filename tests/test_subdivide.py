@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -120,14 +121,14 @@ class TestSolveStarIp:
 
 # (generators, the smallest node_limit at which the IP is optimal, the
 # optimal point, its height).  The node budget is shared by the scan of
-# levels 1-8, the bisection from the probe's point and every slab, so
-# one node fewer gives "limit".
+# levels 1-8, the search of the whole range above them and every slab
+# of the bisection, so one node fewer gives "limit".
 NODE_BUDGETS = [
-    (((2, 1), (3, 70)), 3, (1, 23), 46),
-    (((-8, -3, -6), (17, -16, 17), (9, 17, 11)), 104, (-1, 2, 0), 613),
+    (((2, 1), (3, 70)), 5, (1, 23), 46),
+    (((-8, -3, -6), (17, -16, 17), (9, 17, 11)), 34, (-1, 2, 0), 613),
     # a stellar piece of a series-ip cone: det 500,172, generator height 250,086
     (((29, -7, 7, -25, 6), (-26, 37, 22, -34, 11), (3, 3, 1, -4, -1),
-      (-24, 25, 39, -37, 7), (-2, 27, 6, 10, -31)), 2191, (-3, 5, 5, -6, 1),
+      (-24, 25, 39, -37, 7), (-2, 27, 6, 10, -31)), 39, (-3, 5, 5, -6, 1),
      51286),
 ]
 
@@ -159,9 +160,10 @@ def height_ten_simplex(rng, d, entry, det_lo, det_hi):
 def min_height_by_enumeration(s):
     """Minimal height of a nonzero fundamental-domain point below the
     generators, or None."""
-    heights = [dotv(s.height_normal, p) for p in fundamental_points(s).tolist()]
-    heights = [h for h in heights if 0 < h < s.gen_height]
-    return min(heights, default=None)
+    pts = fundamental_points(s)
+    heights = pts.dot(np.array(s.height_normal, dtype=pts.dtype))
+    heights = heights[(heights > 0) & (heights < s.gen_height)]
+    return int(heights.min()) if len(heights) else None
 
 
 @pytest.mark.parametrize("d, entry, det_lo, det_hi",
@@ -187,6 +189,19 @@ def test_star_ip_on_stellar_pieces(d, entry, det_lo, det_hi):
                     deeper.extend(stellar_subdivide(s, out.point))
             pieces = deeper
     assert checked >= 15
+
+
+def test_star_ip_within_node_budget():
+    """Three height-10 simplices whose ambient-coordinate search runs past
+    500 nodes: in reduced coordinates each IP is optimal within them, at
+    the enumerated minimum."""
+    rng = random.Random(8)
+    cfg = SubdivisionConfig(node_limit=500, time_limit_scale=Fraction(0))
+    for _ in range(3):
+        s = height_ten_simplex(rng, 5, 40, 2 * 10**5, 6 * 10**5)
+        out = solve_star_ip(s, cfg)
+        assert out.is_optimal
+        assert out.value == min_height_by_enumeration(s)
 
 
 class TestStellarSubdivide:
