@@ -4,13 +4,12 @@
     python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
 
 For every workload of the change's BENCHMARK.json and every seed
-(101-110 by default), `conebench/run.py --trace 0` runs once in each
-checkout; which checkout goes first alternates from seed to seed.  The
-file holds, per workload and end-to-end metric, both sides' per-seed
-values, their median and quartiles, and the number of pairs the change
-won.  Then seed 1 runs once per checkout with `--trace 1`, and its
+101-110, `conebench/run.py --trace 0` runs once in each checkout for
+the benchmark's `run_seconds`; which checkout goes first alternates
+from seed to seed.  The file holds, per workload and end-to-end metric,
+both sides' per-seed values, their median and quartiles, and the number
+of pairs the change won.  Then seed 1 runs once per checkout with `--trace 1`, and its
 per-layer metrics (the stage split among them) are stored as they are.
-`--seeds` and `--seconds` shorten a trial run.
 
 A parent checkout is made with `git archive <rev> | tar -x -C DIR`.
 """
@@ -27,6 +26,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+SEEDS = list(range(101, 111))
 TRACE_SEED = 1
 
 
@@ -85,21 +85,16 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(101, 111)))
-    ap.add_argument("--seconds", type=float,
-                    help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = ap.parse_args(argv)
-    if len(args.seeds) < 2:
-        ap.error("--seeds needs at least two seeds for quartiles")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     record = {
         "machine": {"cpus": os.cpu_count(), "processor": platform.processor(),
                     "python": platform.python_version()},
-        "seeds": args.seeds,
+        "seeds": SEEDS,
         "seconds": seconds,
-        "workloads": compare(spec, trees, args.seeds, seconds),
+        "workloads": compare(spec, trees, SEEDS, seconds),
         "trace_seed": TRACE_SEED,
         "trace": {w["name"]: {side: traced(trees[side], w["name"], seconds)
                               for side in SIDES}

@@ -151,8 +151,9 @@ def adjugate(m: IntMat) -> tuple[IntMat, int]:
 
 def lll_reduce(basis) -> tuple[IntMat, IntMat]:
     """(reduced, h): an LLL-reduced basis (δ = 3/4) of the lattice spanned
-    by the independent rows of `basis`, with reduced = h·basis and h
-    unimodular.
+    by the rows of `basis`, with reduced = h·basis and h unimodular.  The
+    rows must be linearly independent; dependent rows raise
+    SingularMatrixError.
 
     Integral LLL (Cohen, Alg. 2.6.7): d[i] is the Gram determinant of
     the first i rows and lam[k][j] = d[j+1]·μ_kj, both integers, updated
