@@ -6,7 +6,8 @@ degree-`level` cross-section we take the vertices of the minimal face of
 the staircase (braid-arrangement) triangulation of its surrounding unit
 cube.  The overcone is cheap to evaluate; its fundamental-domain points
 falling inside the original simplex and strictly below generator height
-are returned as subdivision candidates.
+are returned as subdivision candidates, all of which recursive_subdivide
+hands down its stellar tree.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from math import floor
 import numpy as np
 
 from . import linalg as la
-from .collect import as_rows, support_values
+from .collect import as_rows
 from .cone import SimplicialCone, dual_description, make_simplicial_cone
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
-from .simplex import hb_candidates
+from .simplex import POINT_BUDGET, hb_candidates
+from .subdivide import points_below
 
 
 def cross_section(s: SimplicialCone,
@@ -84,44 +86,37 @@ def approximate_cone(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
 def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     """Subdivision candidates found through the overcone, sorted.
 
-    Evaluates the overcone's placing triangulation (without further
-    subdivision) and returns its distinct points that lie in the simplex
-    strictly below generator height.  A unimodular overcone simplex adds
-    only its generators, which are overcone generators already.  Empty
-    output means the approximation found nothing at this level; it is
-    also the result when an overcone simplex is at least as big as the
-    simplex itself, in which case approximating cannot pay off.
+    Builds every simplex of the overcone's placing triangulation (without
+    further subdivision), then evaluates those of det > 1 and returns
+    their distinct points that points_below keeps: the points in the
+    simplex strictly below generator height.  A unimodular overcone
+    simplex adds only its generators, which are overcone generators
+    already.  Empty output means the approximation found nothing at this
+    level; it is also the result when an overcone simplex is at least as
+    big as the simplex itself, in which case approximating cannot pay
+    off, and when the simplices to evaluate hold more than POINT_BUDGET
+    points together, which keeps the enumeration's memory bounded.
 
-    The facet forms sum to (det/h)·N for the height normal N and the
-    generator height h, so N·x < h says that x's aux degree, the sum of
-    its facet values, is below det; aux > 0 excludes the zero vector.
-    The candidates are not reduced to their minimal elements: only the
-    lowest one is used, and it is minimal anyway.  A candidate y that
-    reduces x has facet values dominated by x's and aux(y) < aux(x), so
-    N·y < N·x.  best_candidate therefore picks the same point from both
-    sets, and they are empty together.
+    Every candidate goes into recursive_subdivide's pool, so they are
+    not reduced to their minimal elements.  Stellar subdivision at any
+    lattice point of the simplex below generator height lowers the total
+    determinant to det·(N·x)/h, so an unreduced point is as valid a
+    subdivision point as a minimal one.  The lowest candidate, where the
+    simplex is cut, is minimal anyway: a candidate y that reduces x has
+    facet values dominated by x's and aux(y) < aux(x), so N·y < N·x.
     """
     over = approximate_cone(s, level)
     forms, tri = dual_description(over, want_triangulation=True)
     if any(la.dot(f, g) < 0 for f in forms for g in s.gens):
         raise InternalConsistencyError("approximation is not an overcone")
-    blocks = [as_rows(over)]
+    big = []
     for idx in tri:
         sub = make_simplicial_cone(tuple(over[i] for i in idx))
         if sub.det >= max(2, s.det):
             return ()
         if sub.det > 1:
-            blocks.append(hb_candidates(sub))
-    cands = np.vstack(blocks)
-    vals = support_values(cands, s.facet_forms)
-    aux = vals.sum(axis=1)
-    keep = np.all(vals >= 0, axis=1) & (aux > 0) & (aux < s.det)
-    return tuple(sorted({tuple(int(x) for x in row) for row in cands[keep]}))
-
-
-def best_candidate(s: SimplicialCone, cands) -> IntVec | None:
-    """Deterministic pick: lowest height, ties broken lexicographically."""
-    if not cands:
-        return None
-    normal = s.height_normal
-    return min(cands, key=lambda x: (la.dot(normal, x), x))
+            big.append(sub)
+    if sum(sub.det for sub in big) > POINT_BUDGET:
+        return ()
+    cands = np.vstack([as_rows(over)] + [hb_candidates(sub) for sub in big])
+    return tuple(sorted({la.as_vec(row) for row in points_below(s, cands)}))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .approx import approx_candidates, best_candidate
+from .approx import approx_candidates
 from .collect import (ComputationResult, StatsRecord, accumulate_series,
                       reduce_to_hilbert_basis)
 from .cone import Cone, ambient_support_forms, build_cone, triangulate
@@ -41,11 +41,14 @@ class RunOptions:
 def make_finder(cfg: SubdivisionConfig, stats: StatsRecord):
     """Compose the subdivision-point finder for the configured strategy.
 
-    The integer program is exact: Infeasible proves no candidate exists
-    at all (the approximation searches the same feasible set), so only a
-    LimitReached falls through to the approximation.  When a simplex is
-    still huge and a level found nothing, the level is escalated up to
-    APPROX_LEVEL_CAP.
+    The finder returns a tuple of candidate points: the IP's optimum
+    alone, or every candidate of the first approximation level that
+    found any; recursive_subdivide picks among them and hands the rest
+    down to the pieces.  The integer program is exact: Infeasible proves
+    no candidate exists at all (the approximation searches the same
+    feasible set), so only a LimitReached falls through to the
+    approximation.  When a simplex is still huge and a level found
+    nothing, the level is escalated up to APPROX_LEVEL_CAP.
     """
 
     def approx_stage(s):
@@ -54,23 +57,23 @@ def make_finder(cfg: SubdivisionConfig, stats: StatsRecord):
             cands = approx_candidates(s, level)
             if cands:
                 stats.approx_levels_used = max(stats.approx_levels_used, level)
-                return best_candidate(s, cands)
-        return None
+                return cands
+        return ()
 
     def find(s):
         if cfg.strategy in ("ip", "ip_then_approx"):
             outcome = solve_star_ip(s, cfg)
             stats.ips_solved += 1
             if outcome.is_optimal:
-                return outcome.point
+                return (outcome.point,)
             if outcome.status == "infeasible":
-                return None
+                return ()
             if cfg.strategy == "ip_then_approx" or s.det > HUGE_DET:
                 return approx_stage(s)
-            return None
+            return ()
         if cfg.strategy == "approx":
             return approx_stage(s)
-        return None
+        return ()
 
     return find
 

@@ -23,6 +23,7 @@ from .errors import DomainError, GradingNotPositiveError, InternalConsistencyErr
 from .linalg import IntVec
 
 DEFAULT_BLOCK = 1 << 20
+POINT_BUDGET = 1 << 22  # most points one overcone evaluation may enumerate
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,25 @@
-"""Subdivision of large simplicial cones driven by integer programming.
+"""Subdivision of large simplicial cones at candidate points.
 
-A simplicial cone whose determinant exceeds the volume bound is handed
-to a finder for a lattice point of minimal height inside it; stellar
-subdivision at that point replaces the simplex by strictly smaller
-pieces and the process repeats.  The height-minimization problem is
-solved exactly by depth-first interval search over LLL-reduced integer
-coordinates y, x = U·y, in which the columns of the facet-form matrix
-F·U are a reduced basis (Aardal, Hurkens and Lenstra 2000).  Every
-feasible point lies in the fundamental domain, so the adjugate
-inequalities 0 <= F·U·y < det bound the search.  A slab of heights
-[a, b] has a tight box around (b/h)·conv(U^-1·generators), and one
-search either exhibits a point in it or proves it empty.  The levels
-v = 1..8 are scanned as slabs [v, v] first; above them, one search of
-the whole range gives an upper bound, and bisection over height slabs
-closes the gap to the minimum.
+A simplicial cone whose determinant exceeds the volume bound is cut by
+stellar subdivision at a lattice point of the cone strictly below its
+generator height; the pieces have a strictly smaller total determinant
+and the process repeats.  A finder supplies candidate points: the exact
+integer program below returns the one point of minimal height, the
+overcone approximation every point it found.  A simplex is cut at its
+lowest candidate (best_candidate), and its pieces inherit the rest:
+each keeps those inside it below its own generator height and calls
+the finder only when none are left.
+
+The height-minimization problem is solved exactly by depth-first
+interval search over LLL-reduced integer coordinates y, x = U·y, in
+which the columns of the facet-form matrix F·U are a reduced basis
+(Aardal, Hurkens and Lenstra 2000).  Every feasible point lies in the
+fundamental domain, so the adjugate inequalities 0 <= F·U·y < det bound
+the search.  A slab of heights [a, b] has a tight box around
+(b/h)·conv(U^-1·generators), and one search either exhibits a point in
+it or proves it empty.  The levels v = 1..8 are scanned as slabs [v, v]
+first; above them, one search of the whole range gives an upper bound,
+and bisection over height slabs closes the gap to the minimum.
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import linalg as la
+from .collect import as_rows, support_values
 from .cone import SimplicialCone, make_simplicial_cone
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
@@ -277,22 +286,52 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     return tuple(pieces)
 
 
+def points_below(s: SimplicialCone, rows: np.ndarray) -> np.ndarray:
+    """The rows that are nonzero lattice points of S strictly below its
+    generator height: every facet value is >= 0 and the aux degree, their
+    sum, lies in (0, det).  The facet forms sum to (det/h)·N for the
+    height normal N and the generator height h, so aux < det says N·x < h.
+    """
+    vals = support_values(rows, s.facet_forms)
+    aux = vals.sum(axis=1)
+    return rows[np.all(vals >= 0, axis=1) & (aux > 0) & (aux < s.det)]
+
+
+def best_candidate(s: SimplicialCone, cands) -> IntVec | None:
+    """Deterministic pick: lowest height, ties broken lexicographically."""
+    if not len(cands):
+        return None
+    normal = s.height_normal
+    return min((la.as_vec(x) for x in cands), key=lambda x: (la.dot(normal, x), x))
+
+
 def recursive_subdivide(s: SimplicialCone, cfg: SubdivisionConfig, finder,
                         on_step=None) -> tuple[SimplicialCone, ...]:
     """Refine until every piece is at or below the volume bound.
 
-    `finder(simplex) -> point | None`; a None terminates refinement of
-    that branch (the large simplex is evaluated as is).  `on_step`
-    receives (simplex, point, pieces) after every stellar subdivision.
+    `finder(simplex)` returns a tuple of candidate points, possibly
+    empty.  Every simplex above the bound carries a pool: its parent's
+    pool, cut down by points_below to the points inside it below its
+    generator height.  Only an empty pool is refilled by the finder.
+    The simplex is cut at best_candidate of its pool and the pieces
+    inherit that pool; a pool still empty terminates the branch (the
+    large simplex is evaluated as is).  An IP's pool is its one point,
+    a generator of every piece it makes, so each piece calls the finder
+    again.  `on_step` receives (simplex, point, pieces) after every
+    stellar subdivision.
     """
-    stack = [s]
+    stack = [(s, ())]
     leaves = []
     while stack:
-        cur = stack.pop()
+        cur, pool = stack.pop()
         if cur.det <= cfg.volume_bound:
             leaves.append(cur)
             continue
-        xhat = finder(cur)
+        if len(pool):
+            pool = points_below(cur, pool)
+        if not len(pool):
+            pool = as_rows(finder(cur))
+        xhat = best_candidate(cur, pool)
         if xhat is None:
             leaves.append(cur)
             continue
@@ -301,5 +340,5 @@ def recursive_subdivide(s: SimplicialCone, cfg: SubdivisionConfig, finder,
         pieces = stellar_subdivide(cur, xhat)
         if on_step is not None:
             on_step(cur, xhat, pieces)
-        stack.extend(reversed(pieces))
+        stack.extend((p, pool) for p in reversed(pieces))
     return tuple(leaves)

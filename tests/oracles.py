@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive (expansion by minors, grid
 enumeration, reduction by elimination) and shares no code with the
-package internals beyond tuples of ints.
+package internals beyond tuples of ints.  The one exception is
+stellar_tree, which checks recursive_subdivide's loop and so reuses the
+package's single stellar step.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+
+from conekit.subdivide import stellar_subdivide
 
 
 def minor_det(m) -> int:
@@ -460,3 +464,22 @@ def filter_approx_candidates(cands, facet_forms, normal, height):
             continue
         survivors.append(x)
     return survivors
+
+
+def stellar_tree(s, cfg, find_point):
+    """Leaves of the one-point stellar loop, depth first: a simplex above
+    cfg.volume_bound is cut at find_point(simplex), or kept when that is
+    None.  No point is handed down to the pieces."""
+    stack = [s]
+    leaves = []
+    while stack:
+        cur = stack.pop()
+        if cur.det <= cfg.volume_bound:
+            leaves.append(cur)
+            continue
+        xhat = find_point(cur)
+        if xhat is None:
+            leaves.append(cur)
+            continue
+        stack.extend(reversed(stellar_subdivide(cur, xhat)))
+    return tuple(leaves)

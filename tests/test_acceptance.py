@@ -23,7 +23,7 @@ from conekit.simplex import fundamental_points
 from conekit.subdivide import SubdivisionConfig, recursive_subdivide, solve_star_ip
 
 from oracles import (brute_degree_counts, brute_hilbert_basis, brute_star_minimum,
-                     dotv, frac_rank, oracle_cost_estimate)
+                     dotv, frac_rank, oracle_cost_estimate, stellar_tree)
 
 HB = frozenset({"hilbert_basis"})
 SERIES = frozenset({"hilbert_series"})
@@ -150,7 +150,7 @@ def test_criterion_3_hilbert_series_against_counts():
 def ip_finder(cfg):
     def find(s):
         out = solve_star_ip(s, cfg)
-        return out.point if out.is_optimal else None
+        return (out.point,) if out.is_optimal else ()
     return find
 
 
@@ -211,6 +211,25 @@ def test_criterion_4_and_6_subdivision_soundness_and_stellar_identity():
     report(6, steps > 0,
            f"stellar determinant identity held exactly at all {steps} "
            f"subdivision steps")
+
+
+def test_ip_subdivision_matches_one_point_loop():
+    """An IP's pool is its one point, a generator of every piece it makes,
+    so handing pools down changes nothing on the IP path: the same leaves
+    as the one-point loop, in the same order."""
+    split = 0
+    for gens in _subdivision_cases(random.Random(104), 24):
+        s = make_simplicial_cone(gens)
+        for bound in (2, 10, 100):
+            cfg = SubdivisionConfig(volume_bound=bound, strategy="ip",
+                                    time_limit_scale=Fraction(0))
+            find = ip_finder(cfg)
+            pooled = recursive_subdivide(s, cfg, find)
+            oracle = stellar_tree(s, cfg, lambda t: next(iter(find(t)), None))
+            assert [(p.gens, p.det, p.anchor) for p in pooled] == \
+                [(p.gens, p.det, p.anchor) for p in oracle], (gens, bound)
+            split += len(pooled) > 1
+    assert split == 72  # every case is cut at every bound
 
 
 def test_criterion_5_ip_optimality():

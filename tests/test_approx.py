@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -9,16 +12,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conekit import approx, linalg as la
 from conekit.approx import (
-    approx_candidates, approximate_cone, best_candidate, cross_section,
+    approx_candidates, approximate_cone, cross_section,
     minimal_cube_face_vertices,
 )
 from conekit.collect import StatsRecord, reduce_to_hilbert_basis
 from conekit.cone import dual_description, make_simplicial_cone
 from conekit.errors import InternalConsistencyError
-from conekit.simplex import hb_candidates
+from conekit.simplex import POINT_BUDGET, hb_candidates
 from conekit.pipeline import make_finder
 from conekit.subdivide import (APPROX_LEVEL_CAP, HUGE_DET, SubdivisionConfig,
-                               recursive_subdivide, solve_star_ip)
+                               best_candidate, recursive_subdivide, solve_star_ip)
 
 from oracles import dotv, filter_approx_candidates
 
@@ -207,7 +210,7 @@ class TestApproxFilterProperty:
 
 def approx_finder(cfg):
     def find(s):
-        return best_candidate(s, approx_candidates(s, 1))
+        return approx_candidates(s, 1)
     return find
 
 
@@ -224,7 +227,7 @@ class TestApproxDrivenSubdivision:
 
         def ip_find(t):
             out = solve_star_ip(t, cfg)
-            return out.point if out.is_optimal else None
+            return (out.point,) if out.is_optimal else ()
 
         basis = {}
         for name, finder in [("approx", approx_finder(cfg)), ("ip", ip_find)]:
@@ -235,27 +238,39 @@ class TestApproxDrivenSubdivision:
         assert basis["approx"] == basis["ip"] == direct
 
 
+def overcone_points(s, level):
+    """Total det of the overcone simplices approx_candidates evaluates."""
+    over = approximate_cone(s, level)
+    _, tri = dual_description(over, want_triangulation=True)
+    dets = [simplex(tuple(over[i] for i in idx)).det for idx in tri]
+    return sum(d for d in dets if d > 1)
+
+
 def segment_cones(rng, count, det_lo, det_hi):
     """d = 2 cones over lattice segments at height h in [1000, 3000] with
     det = h·k in (det_lo, det_hi].  The overcone pieces of levels 1-3
-    stay near det·(level/h)^2, below 10^6, so evaluating them is cheap."""
+    stay near det·(level/h)^2, so evaluating them is cheap; each cone is
+    checked to fit POINT_BUDGET at every level."""
     out = []
     while len(out) < count:
         h = rng.randint(1000, 3000)
         a = rng.randint(-10**7, 10**7)
         k = rng.randint(det_lo // h + 1, det_hi // h)
         if gcd(a, h) == 1 and gcd(a + k, h) == 1:
-            out.append(simplex(((a, h - a), (a + k, h - a - k))))
+            s = simplex(((a, h - a), (a + k, h - a - k)))
+            assert all(overcone_points(s, level) <= POINT_BUDGET
+                       for level in range(1, APPROX_LEVEL_CAP + 1))
+            out.append(s)
     return out
 
 
-def first_level_point(s):
-    """(level, point) of the first approximation level with candidates."""
+def first_level_candidates(s):
+    """(level, candidates) of the first approximation level with any."""
     for level in range(1, APPROX_LEVEL_CAP + 1):
         cands = approx_candidates(s, level)
         if cands:
-            return level, best_candidate(s, cands)
-    return 0, None
+            return level, cands
+    return 0, ()
 
 
 class TestHugeDetFinder:
@@ -267,8 +282,8 @@ class TestHugeDetFinder:
             assert s.det > HUGE_DET
             assert solve_star_ip(s, self.CFG).status == "limit"
             stats = StatsRecord()
-            level, point = first_level_point(s)
-            assert make_finder(self.CFG, stats)(s) == point
+            level, cands = first_level_candidates(s)
+            assert make_finder(self.CFG, stats)(s) == cands
             assert stats.approx_levels_used == level
             assert stats.ips_solved == 1
             levels.append(level)
@@ -278,7 +293,43 @@ class TestHugeDetFinder:
         for s in segment_cones(random.Random(5), 10, HUGE_DET // 10, HUGE_DET):
             assert s.det <= HUGE_DET
             assert solve_star_ip(s, self.CFG).status == "limit"
-            assert first_level_point(s)[1] is not None
+            assert first_level_candidates(s)[1]
             stats = StatsRecord()
-            assert make_finder(self.CFG, stats)(s) is None
+            assert make_finder(self.CFG, stats)(s) == ()
             assert stats.approx_levels_used == 0
+
+
+# d = 2 cones over segments at generator heights 3 and 11, det 8.5·10^9
+# and 3.6·10^9: each has a level-1 overcone simplex far above POINT_BUDGET
+# (det 1,888,888,884 and 29,752,065), whose enumeration would need
+# gigabytes
+OVER_BUDGET = (((-5, 8), (2833333328, -2833333325)),
+               ((-5, 16), (327272722, -327272711)))
+
+GUARD_CHILD = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from conekit.approx import approx_candidates
+from conekit.cone import make_simplicial_cone
+for gens in {gens!r}:
+    print(approx_candidates(make_simplicial_cone(gens), 1))
+"""
+
+
+class TestApproxMemoryGuard:
+    def test_cones_exceed_budget(self):
+        for gens in OVER_BUDGET:
+            s = simplex(gens)
+            assert s.det > HUGE_DET
+            assert overcone_points(s, 1) > POINT_BUDGET
+
+    def test_over_budget_returns_empty_within_one_gib(self):
+        # a child process under its own 1 GiB address-space limit: the
+        # unguarded enumeration raises MemoryError there instead of
+        # exhausting the machine
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", GUARD_CHILD.format(gens=OVER_BUDGET)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["()", "()"]
