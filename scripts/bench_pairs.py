@@ -7,8 +7,11 @@ For every workload of the change's BENCHMARK.json and every seed
 101-110, `conebench/run.py --trace 0` runs once in each checkout for
 the benchmark's `run_seconds`; which checkout goes first alternates
 from seed to seed.  The file holds, per workload and end-to-end metric,
-both sides' per-seed values, their median and quartiles, and the number
-of pairs the change won.  Then seed 1 runs once per checkout with `--trace 1`, and its
+both sides' per-seed values, their median and quartiles, the number
+of pairs the change won, and the verdict: `gain` (at least nine tenths
+of the pairs won and a median gap wider than the parent's quartile
+spread) and `regressed` (the median worse by more than the metric's
+bound).  Then seed 1 runs once per checkout with `--trace 1`, and its
 per-layer metrics (the stage split among them) are stored as they are.
 
 A parent checkout is made with `git archive <rev> | tar -x -C DIR`.
@@ -52,6 +55,18 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(metric: dict, parent: dict, change: dict, wins: int) -> dict:
+    """`gain`: the change won at least nine tenths of the pairs and its
+    median beats the parent's by more than the parent's quartile spread.
+    `regressed`: its median is worse than the parent's by more than the
+    metric's BENCHMARK.json bound, a fraction of the parent's median."""
+    sign = 1 if metric["better"] == "lower" else -1
+    gap = sign * (parent["median"] - change["median"])  # > 0: change better
+    pairs = len(parent["runs"])
+    return {"gain": 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"],
+            "regressed": -gap > metric["bound"] * abs(parent["median"])}
+
+
 def compare(spec: dict, trees: dict, seeds: list[int], seconds: float) -> dict:
     out = {}
     for w in spec["workloads"]:
@@ -68,9 +83,10 @@ def compare(spec: dict, trees: dict, seeds: list[int], seconds: float) -> dict:
                     for side in SIDES}
             sign = 1 if m["better"] == "lower" else -1
             wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
+            stats = {side: summary(vals[side]) for side in SIDES}
             metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
-                                  "change_wins": wins,
-                                  **{side: summary(vals[side]) for side in SIDES}}
+                                  "change_wins": wins, **stats,
+                                  **verdict(m, stats["parent"], stats["change"], wins)}
         out[name] = {
             "metrics": metrics,
             "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 import numpy as np
 
@@ -42,7 +43,9 @@ def identity(n: int) -> IntMat:
 
 
 def dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise DimensionError(f"dot of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def mat_vec(m, v) -> IntVec:
@@ -51,7 +54,9 @@ def mat_vec(m, v) -> IntVec:
 
 def vec_mat(v, m) -> IntVec:
     # row vector times matrix
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+    if len(v) != len(m):
+        raise DimensionError(f"vector of length {len(v)} times {len(m)} rows")
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def matmul(a, b) -> IntMat:
@@ -214,6 +219,59 @@ def lll_reduce(basis) -> tuple[IntMat, IntMat]:
             reduce(k, j)
         k += 1
     return tuple(map(tuple, b)), tuple(map(tuple, h))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a·x + b·y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def hermite_mod(rows, det: int) -> IntMat:
+    """Upper-triangular basis, modulo det, of the lattice L spanned by
+    `rows` and det·Z^n (Domich-Kannan-Trotter 1987).
+
+    Row i is zero left of column i and has the pivot t_i in column i,
+    a divisor of det in (0, det]; its other entries lie in [0, det).  A
+    row with t_i = det is det·e_i.  The t_i multiply to the index of L
+    in Z^n, and the rows with t_i < det, taken with coefficients in
+    [0, det/t_i), reach every class of L / det·Z^n exactly once.
+
+    Column i folds the pool of rows, all zero left of it, into one row a
+    by extended-gcd steps on pairs of rows, which keep the pool's span
+    and leave the other row zero in column i.  With u·a_i ≡ g (mod det)
+    and g = gcd(a_i, det), the basis row is u·a; -(det/g)·a, zero in
+    column i modulo det, goes back into the pool, so the pool still
+    spans L modulo det.  All entries stay in [0, det).
+    """
+    n = len(rows[0]) if rows else 0
+    pool = [[x % det for x in row] for row in rows]
+    out = []
+    for i in range(n):
+        a, rest = None, []
+        for b in pool:
+            if b[i] and a is None:
+                a = b
+                continue
+            if b[i]:
+                g, u, v = _xgcd(a[i], b[i])
+                x, y = a[i] // g, b[i] // g
+                a, b = ([(u * p + v * q) % det for p, q in zip(a, b)],
+                        [(x * q - y * p) % det for p, q in zip(a, b)])
+            rest.append(b)
+        if a is None:
+            out.append(tuple(det if j == i else 0 for j in range(n)))
+        else:
+            g, u, _ = _xgcd(a[i], det)
+            out.append(tuple(u * p % det for p in a))
+            rest.append([-(det // g) * p % det for p in a])
+        pool = rest
+    return tuple(out)
 
 
 @dataclass(frozen=True)

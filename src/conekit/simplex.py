@@ -1,10 +1,10 @@
 """Evaluation of a single simplicial cone.
 
 The fundamental domain E (all lattice points with generator coordinates
-in [0,1)) is enumerated through the Smith normal form of the generator
-matrix: residue-class representatives of Z^r modulo the generator
-lattice sweep a diagonal box, and division with remainder maps each one
-into E.  Everything is streamed in fixed-size blocks so that simplices
+in [0,1)) is enumerated through its q numerators: they are the classes
+of the lattice facet_forms·Z^r modulo det·Z^r, and an upper-triangular
+Hermite form of that lattice modulo det sweeps each class once in mixed
+radix.  Everything is streamed in fixed-size blocks so that simplices
 with determinants near the subdivision bound never materialize E at
 once.  Blocks use int64 arithmetic when a pre-computed bound proves it
 exact, and Python big-int (object dtype) arrays otherwise.
@@ -39,26 +39,33 @@ class SeriesContribution:
 
 
 def _residue_axes(s: SimplicialCone):
-    """Mixed-radix axes (range, residue-increment row) of the SNF sweep.
+    """Mixed-radix axes (range, residue-increment row) of the residue sweep.
 
-    With u·gens·v = diag(d), row i of v^-1 is (u·gens)_i / d_i, so its
-    q numerators, (v^-1)_i · facet_formsᵀ, are (det/d_i)·u_i.
+    The q numerators of the lattice points are the lattice
+    L = facet_forms·Z^r, which contains det·Z^r; its classes modulo
+    det·Z^r are the points of E.  Row i of the Hermite form of L modulo
+    det, with pivot t_i, is an axis of range det/t_i; rows with t_i = det
+    add nothing.
     """
-    snf = la.smith_normal_form(s.gens)
     det = s.det
-    if prod(snf.d) != det:
-        raise InternalConsistencyError("SNF diagonal product differs from det")
-    axes = [(m, tuple(det // m * x % det for x in ui))
-            for m, ui in zip(snf.d, snf.u) if m > 1]
+    h = la.hermite_mod(la.transpose(s.facet_forms), det)
+    axes = [(det // row[i], row, i) for i, row in enumerate(h) if row[i] < det]
+    if prod(m for m, _, _ in axes) != det:
+        raise InternalConsistencyError("residue ranges do not multiply to det")
+    # triangular rows with pivot·range = det make the mixed radix
+    # injective; entries below det keep digits·rows below det²
+    if any(any(row[:i]) or row[i] * m != det or not 0 <= min(row) <= max(row) < det
+           for m, row, i in axes):
+        raise InternalConsistencyError("residue axis is not triangular modulo det")
     # each row must be the q-numerator vector of a lattice point
-    if any(x % det for _, t in axes for x in la.vec_mat(t, s.gens)):
+    if any(x % det for _, t, _ in axes for x in la.vec_mat(t, s.gens)):
         raise InternalConsistencyError("residue axis is not a lattice point")
-    return axes
+    return [(m, row) for m, row, _ in axes]
 
 
 def _block_dtype(s: SimplicialCone) -> object:
-    # bounds the residue arithmetic, the generator entries and the
-    # products v · gens of points_from_block
+    # bounds the residue sums digits·rows (at most Σ(m-1)(det-1) < det²),
+    # the generator entries and the products v · gens of points_from_block
     det = s.det
     max_a = max((abs(x) for g in s.gens for x in g), default=1)
     return la.int_dtype(max(det * det + det, s.dim * det * max_a))
@@ -66,35 +73,24 @@ def _block_dtype(s: SimplicialCone) -> object:
 
 def residue_blocks(s: SimplicialCone):
     """Yield arrays of at most DEFAULT_BLOCK rows of q-coordinate
-    numerators, in lexicographic order.
+    numerators, in the mixed-radix order of the residue axes.
 
     Each row v encodes one fundamental-domain point e = (v · gens) / det
-    with q-coordinates v/det in [0,1)^r.
+    with q-coordinates v/det in [0,1)^r.  A block is its digit array
+    times the axis rows, reduced modulo det once.
     """
     det = s.det
-    r = s.dim
     dtype = _block_dtype(s)
     axes = _residue_axes(s)
-    radix = []
-    tail = 1
-    for m, _ in reversed(axes):
-        radix.append(tail)
-        tail *= m
-    radix.reverse()
-    rows = [np.array(row, dtype=dtype) for _, row in axes]
-    start = 0
-    while start < det:
-        stop = min(det, start + DEFAULT_BLOCK)
-        idx = np.arange(start, stop, dtype=np.int64)
-        if dtype is object:
-            idx = idx.astype(object)
-        v = np.zeros((stop - start, r), dtype=dtype)
-        for (m, _), p, row in zip(axes, radix, rows):
-            c = (idx // p) % m
-            v += c[:, None] * row[None, :]
-            v %= det
-        yield v
-        start = stop
+    if not axes:  # det 1: the origin alone
+        yield np.zeros((1, s.dim), dtype=dtype)
+        return
+    shape = tuple(m for m, _ in axes)
+    rows = np.array([row for _, row in axes], dtype=dtype)
+    for start in range(0, det, DEFAULT_BLOCK):
+        idx = np.arange(start, min(det, start + DEFAULT_BLOCK), dtype=np.int64)
+        digits = np.array(np.unravel_index(idx, shape), dtype=dtype)
+        yield digits.T @ rows % det
 
 
 def points_from_block(s: SimplicialCone, v: np.ndarray) -> np.ndarray:

@@ -130,22 +130,33 @@ def gram_schmidt(rows):
     return mu, norms
 
 
-def explicit_residue_axes(gens, d, v):
-    """Residue axes of the simplex on gens from an SNF u·gens·v = diag(d),
-    built with explicit inverses: row i of v^-1 times det·gens^-1 (the
-    transposed facet-form matrix) gives the q numerators of the i-th
-    residue generator, reduced mod det; axes with d_i = 1 are dropped."""
+def residue_classes(gens):
+    """q-numerator vectors of the fundamental domain, by group closure.
+
+    The q numerators of lattice points are the integer combinations of
+    the rows of det·gens^-1 (an explicit Fraction inverse); modulo det
+    they form a group of order det, built here by breadth-first closure
+    from 0.  Sorted, with entries in [0, det).
+    """
     n = len(gens)
     det = abs(minor_det([list(g) for g in gens]))
-    ginv = frac_inverse([list(g) for g in gens])
-    w = inverse_rows(v, n)
-    axes = []
-    for m, wi in zip(d, w):
-        if m > 1:
-            t = [sum(wi[k] * ginv[k][j] for k in range(n)) * det for j in range(n)]
-            assert all(x.denominator == 1 for x in t)
-            axes.append((m, tuple(int(x) % det for x in t)))
-    return axes
+    inv = frac_inverse([list(g) for g in gens])
+    steps = [[x * det for x in row] for row in inv]
+    assert all(x.denominator == 1 for row in steps for x in row)
+    steps = [tuple(int(x) % det for x in row) for row in steps]
+    seen = {(0,) * n}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for st in steps:
+                w = tuple((a + b) % det for a, b in zip(v, st))
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    assert len(seen) == det
+    return sorted(seen)
 
 
 def cross_normal(rows):

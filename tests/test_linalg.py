@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd, prod
 from unittest import mock
 
 import numpy as np
@@ -184,7 +185,46 @@ class TestAdjugate:
         assert adj == cofactor_adjugate(rows)
 
 
+class TestHermiteMod:
+    def test_examples(self):
+        assert la.hermite_mod(((5, 0), (-3, 1)), 5) == ((1, 3), (0, 5))
+        assert la.hermite_mod(((8, 0, -2), (0, 8, -2), (0, 0, 4)), 16) == \
+            ((8, 0, 14), (0, 8, 14), (0, 0, 4))
+        # det 1, or zero rows: the basis of det·Z^n
+        assert la.hermite_mod(((3, 4),), 1) == ((1, 0), (0, 1))
+        assert la.hermite_mod(((0, 0),), 6) == ((6, 0), (0, 6))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)),
+                          min_size=n, max_size=n), min_size=1, max_size=6),
+        st.integers(1, 10**6))))
+    def test_triangular_basis_of_the_lattice(self, case):
+        rows, det = case
+        n = len(rows[0])
+        h = la.hermite_mod(rows, det)
+        assert len(h) == n
+        for i, row in enumerate(h):
+            assert not any(row[:i]) and det % row[i] == 0
+            assert all(0 <= x < det for j, x in enumerate(row) if j != i)
+        # the pivots multiply to the index of L = rows + det·Z^n, which
+        # the Smith invariants give independently: prod gcd(d_i, det)
+        d = la.smith_normal_form(rows).d
+        index = prod(gcd(x, det) for x in d + (0,) * (n - len(d)))
+        assert prod(row[i] for i, row in enumerate(h)) == index
+        # every row is in L: adding it to the rows leaves the index unchanged
+        more = la.smith_normal_form(la.as_mat(rows) + h).d
+        assert prod(gcd(x, det) for x in more + (0,) * (n - len(more))) == index
+
+
 class TestHelpers:
+    def test_vec_mat_lengths(self):
+        assert la.vec_mat((1, 2, 3), ((1, 2), (3, 4), (5, 6))) == (22, 28)
+        with pytest.raises(DimensionError):
+            la.vec_mat((1, 2), ((1, 2), (3, 4), (5, 6)))
+        with pytest.raises(DimensionError):
+            la.dot((1, 2), (1, 2, 3))
+
     def test_adjugate(self):
         adj, det = la.adjugate(((1, 0), (3, 5)))
         assert det == 5

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -9,11 +10,11 @@ from conekit import linalg as la, simplex as simplex_module
 from conekit.cone import make_simplicial_cone
 from conekit.errors import DomainError, InternalConsistencyError
 from conekit.simplex import (
-    _residue_axes, fundamental_points, half_open_shift, hb_candidates,
+    _block_dtype, _residue_axes, fundamental_points, half_open_shift, hb_candidates,
     residue_blocks, series_contribution,
 )
 
-from oracles import brute_fundamental_points, dotv, explicit_residue_axes, minor_det
+from oracles import brute_fundamental_points, dotv, minor_det, residue_classes
 
 
 def simplex(gens):
@@ -164,7 +165,6 @@ class TestHbCandidates:
 
 class TestBlocks:
     def test_big_int_fallback_matches(self):
-        from conekit.simplex import _block_dtype
         for gens in [
             # entries large enough to force the object-dtype path, small det
             ((1, 10**18), (1, 10**18 + 5)),
@@ -183,48 +183,160 @@ class TestBlocks:
                 {p for p in pts if any(p)} | set(gens))
 
 
-def patched_snf(**fields):
-    """Patch smith_normal_form so that its result has the given fields
-    replaced by functions of the true result."""
-    true_snf = la.smith_normal_form
+def patched_hermite(change):
+    """Patch hermite_mod so that its result h comes back as
+    `change(h, det)`; returns the patch and the dets of the calls it saw."""
+    true_hermite = la.hermite_mod
+    calls = []
 
-    def fake(m):
-        snf = true_snf(m)
-        return replace(snf, **{k: f(snf) for k, f in fields.items()})
-    return mock.patch.object(la, "smith_normal_form", fake)
+    def fake(rows, det):
+        calls.append(det)
+        return change(true_hermite(rows, det), det)
+    return mock.patch.object(la, "hermite_mod", fake), calls
+
+
+def replaced_row(i, row):
+    return lambda h, det: h[:i] + (row,) + h[i + 1:]
+
+
+nonsingular_big = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)),
+                 min_size=n, max_size=n),
+        min_size=n, max_size=n))
 
 
 class TestResidueAxes:
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 6).flatmap(
-        lambda n: st.lists(
-            st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)),
-                     min_size=n, max_size=n),
-            min_size=n, max_size=n)))
-    def test_matches_explicit_inverse(self, gens):
+    @given(nonsingular_big)
+    def test_axes_are_triangular_lattice_points(self, gens):
         assume(minor_det(gens) != 0)
         s = simplex(gens)
-        snf = la.smith_normal_form(s.gens)
-        assert _residue_axes(s) == explicit_residue_axes(gens, snf.d, snf.v)
+        det = s.det
+        axes = _residue_axes(s)
+        assert prod(m for m, _ in axes) == det
+        pivots = []
+        for m, row in axes:
+            assert m > 1 and all(0 <= x < det for x in row)
+            p = next(j for j, x in enumerate(row) if x)
+            assert row[p] * m == det
+            pivots.append(p)
+            # row·gens / det is a lattice point whose q numerators are row
+            point = [sum(row[k] * gens[k][j] for k in range(len(gens)))
+                     for j in range(len(gens))]
+            assert all(x % det == 0 for x in point)
+            x = tuple(c // det for c in point)
+            assert tuple(q % det for q in s.q_numerators(x)) == row
+        assert pivots == sorted(set(pivots))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_matches_explicit_inverse(self, gens):
+        # the enumerated rows are the classes that the rows of det·gens^-1
+        # generate modulo det, each exactly once
+        assume(0 < abs(minor_det(gens)) <= 4000)
+        s = simplex(gens)
+        got = [tuple(int(x) for x in v) for b in residue_blocks(s) for v in b]
+        assert len(got) == len(set(got)) == s.det
+        assert sorted(got) == residue_classes(gens)
+
+    def test_big_entries_match_explicit_inverse(self):
+        # small determinants, entries past int64: the object-dtype blocks
+        for gens, det in [(((1, 10**18), (1, 10**18 + 5)), 5),
+                          (((2, 2**70, 0), (0, 2, 2**66), (0, 0, 4)), 16)]:
+            s = simplex(gens)
+            assert s.det == det and _block_dtype(s) is object
+            got = [tuple(int(x) for x in v) for b in residue_blocks(s) for v in b]
+            assert len(got) == det
+            assert sorted(got) == residue_classes(gens)
 
     def test_wrong_diagonal_rejected(self):
-        # d = (1, 5); dropping the 5 leaves no axis row to check
+        # the Hermite rows of ((1, 0), (3, 5)) are (1, 3) and (0, 5):
+        # pivot 5 on row 0 drops the only axis
         s = simplex(((1, 0), (3, 5)))
-        with patched_snf(d=lambda snf: snf.d[:-1] + (1,)):
-            with pytest.raises(InternalConsistencyError):
-                _residue_axes(s)
+        patch, calls = patched_hermite(replaced_row(0, (5, 0)))
+        with patch, pytest.raises(InternalConsistencyError, match="multiply"):
+            _residue_axes(s)
+        assert calls == [5]
+        # rows (8, 0, 14), (0, 8, 14), (0, 0, 4) modulo 16; pivot 7 keeps
+        # the ranges (2, 2, 4) but does not divide 16
+        s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
+        patch, _ = patched_hermite(replaced_row(0, (7, 0, 14)))
+        with patch, pytest.raises(InternalConsistencyError, match="triangular"):
+            _residue_axes(s)
+
+    def test_row_left_of_pivot_rejected(self):
+        s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
+        patch, _ = patched_hermite(replaced_row(1, (8, 8, 14)))
+        with patch, pytest.raises(InternalConsistencyError, match="triangular"):
+            _residue_axes(s)
+
+    def test_entry_above_det_rejected(self):
+        # (1, 8) is (1, 3) plus det·e_1: the same class and still a lattice
+        # point, but past the det² bound that _block_dtype relies on
+        s = simplex(((1, 0), (3, 5)))
+        patch, _ = patched_hermite(replaced_row(0, (1, 8)))
+        with patch, pytest.raises(InternalConsistencyError, match="triangular"):
+            _residue_axes(s)
 
     def test_row_off_the_lattice_rejected(self):
-        # adding e_0 to the axis row of u adds gens[0]/det to its point
+        # adding e_1 to the axis row adds gens[1]/det to its point
         s = simplex(((1, 0), (3, 5)))
-        with patched_snf(u=lambda snf: (snf.u[0], (snf.u[1][0] + 1, snf.u[1][1]))):
-            with pytest.raises(InternalConsistencyError):
-                _residue_axes(s)
+        patch, calls = patched_hermite(replaced_row(0, (1, 4)))
+        with patch, pytest.raises(InternalConsistencyError, match="lattice point"):
+            _residue_axes(s)
+        assert calls == [5]
 
     def test_negated_row_is_another_valid_transform(self):
-        # diag(1, -1)·u is unimodular too: the axis generates the same
-        # classes, so the same points come out in another order
-        s = simplex(((2, 1), (3, 17)))
-        with patched_snf(u=lambda snf: (snf.u[0], tuple(-x for x in snf.u[1]))):
+        # negating a generator leaves the lattice, and so the points, as
+        # they are, but the Hermite rows come out different
+        s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
+        true_hermite = la.hermite_mod
+
+        def negated_first(rows, det):
+            return true_hermite((tuple(-x for x in rows[0]),) + tuple(rows[1:]), det)
+        with mock.patch.object(la, "hermite_mod", negated_first):
+            axes = _residue_axes(s)
             negated = rows(fundamental_points(s))
+        assert axes != _residue_axes(s)
         assert negated == rows(fundamental_points(s))
+
+
+def unimodular(draw, n):
+    """Lower times upper unitriangular, off-diagonal entries near ±2^40."""
+    near = st.integers(2**40 - 2**20, 2**40 + 2**20).flatmap(
+        lambda x: st.sampled_from([x, -x]))
+    low = [[1 if i == j else (draw(near) if j < i else 0) for j in range(n)]
+           for i in range(n)]
+    up = [[1 if i == j else (draw(near) if j > i else 0) for j in range(n)]
+          for i in range(n)]
+    return [[sum(low[i][k] * up[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def gens_and_unimodular(draw):
+    n = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return gens, unimodular(draw, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens_and_unimodular())
+def test_unimodular_invariance(case):
+    # x -> x·U maps Z^n onto itself, so E(gens·U) = E(gens)·U; the
+    # transformed entries reach about 2^80 and take the object dtype
+    gens, u = case
+    assume(0 < abs(minor_det(gens)) <= 2000)
+    moved = [[sum(g[k] * u[k][j] for k in range(len(g))) for j in range(len(g))]
+             for g in gens]
+    s = simplex(moved)
+    assert _block_dtype(s) is object
+    got = rows(fundamental_points(s))
+    want = sorted(tuple(sum(p[k] * u[k][j] for k in range(len(p)))
+                        for j in range(len(p)))
+                  for p in rows(fundamental_points(simplex(gens))))
+    assert got == want
