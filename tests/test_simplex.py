@@ -184,22 +184,22 @@ class TestBlocks:
 
 
 def patched_hermite(change):
-    """Patch hermite_mod so that its result h comes back as
-    `change(h, det)`; returns the patch and the dets of the calls it saw."""
+    """Patch hermite_mod so that its result h comes back as `change(h)`;
+    returns the patch and the dets of the calls it saw."""
     true_hermite = la.hermite_mod
     calls = []
 
     def fake(rows, det):
         calls.append(det)
-        return change(true_hermite(rows, det), det)
+        return change(true_hermite(rows, det))
     return mock.patch.object(la, "hermite_mod", fake), calls
 
 
 def replaced_row(i, row):
-    return lambda h, det: h[:i] + (row,) + h[i + 1:]
+    return lambda h: h[:i] + (row,) + h[i + 1:]
 
 
-nonsingular_big = st.integers(1, 6).flatmap(
+big_square = st.integers(1, 6).flatmap(
     lambda n: st.lists(
         st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)),
                  min_size=n, max_size=n),
@@ -208,7 +208,7 @@ nonsingular_big = st.integers(1, 6).flatmap(
 
 class TestResidueAxes:
     @settings(max_examples=80, deadline=None)
-    @given(nonsingular_big)
+    @given(big_square)
     def test_axes_are_triangular_lattice_points(self, gens):
         assume(minor_det(gens) != 0)
         s = simplex(gens)
