@@ -3,8 +3,10 @@
 Working convention: a cone lives in *restricted coordinates*, i.e. a
 basis of the lattice E = Z^d ∩ span(generators).  The `lattice_basis`
 rows map restricted vectors back to the ambient space (x_ambient =
-x_restricted · lattice_basis).  Full-dimensional cones keep the identity
-basis so that restricted and ambient coordinates coincide.
+x_restricted · lattice_basis); `linalg.sublattice` returns them
+LLL-reduced, so restricted entries stay small.  Full-dimensional cones
+keep the identity basis so that restricted and ambient coordinates
+coincide.
 """
 
 from __future__ import annotations
@@ -252,16 +254,19 @@ def _rays_from_constraints(ci: ConeInput) -> IntMat:
     """Extreme rays (ambient, primitive) of the constraint-defined cone."""
     d = ci.ambient_dim
     ineqs = list(ci.inequalities or ())
-    eqs = list(ci.equations or ())
+    b = la.identity(d)
     if ci.generators is not None:
-        # intersecting with a generator cone: turn it into constraints.  The
-        # raw generators' kernel is the extreme rays' kernel up to a unimodular
-        # change of basis; the double description is equivariant under it, so
-        # the rays, their order and their primitivity are the same.
+        # intersecting with a generator cone: its support forms join the
+        # inequalities, and the equations are solved inside its lattice
+        # (x = y·B), where e·x = 0 reads (B·e)·y = 0.  Any basis of the
+        # solution lattice gives the same rays in the same order, because
+        # the double description is equivariant under a unimodular change
+        # of basis.
         gen_cone = build_cone(ConeInput(ambient_dim=d, generators=ci.generators))
         ineqs.extend(ambient_support_forms(gen_cone))
-        eqs.extend(la.sublattice(ci.generators, d)[2])
-    kbasis = la.sublattice(eqs, d)[2]
+        b = gen_cone.lattice_basis
+    eqs = tuple(la.mat_vec(b, e) for e in ci.equations or ())
+    kbasis = la.matmul(la.sublattice(eqs, len(b))[2], b)
     s = len(kbasis)
     if s == 0:
         return ()

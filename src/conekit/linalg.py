@@ -6,7 +6,6 @@ Everything here is exact; no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
@@ -274,129 +273,43 @@ def hermite_mod(rows, det: int) -> IntMat:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form u·m·v = diag(d) with u, v unimodular."""
-
-    d: IntVec
-    u: IntMat
-    v: IntMat
-
-
-def smith_normal_form(m: IntMat) -> SnfResult:
-    """Smith normal form with nonnegative diagonal and divisibility chain.
-
-    Pivoting picks the smallest nonzero absolute value in the remaining
-    block, which keeps coefficient growth down and makes output
-    deterministic.
-    """
-    m = as_mat(m)
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    a = [list(r) for r in m]
-    u = [list(r) for r in identity(nr)]
-    v = [list(r) for r in identity(nc)]
-
-    def row_sub(i, k, q):  # row_i -= q * row_k
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def col_sub(j, k, q):  # col_j -= q * col_k
-        for row in a:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    def swap_rows(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def swap_cols(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        while True:
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // p
-                    if q:
-                        row_sub(i, t, q)
-                    if a[i][t]:  # remainder became the smaller pivot
-                        swap_rows(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // p
-                    if q:
-                        col_sub(j, t, q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            break
-        # enforce the divisibility chain: pivot must divide the whole block
-        p = a[t][t]
-        fix = next(((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
-                    if a[i][j] % p), None)
-        if fix is not None:
-            row_sub(t, fix[0], -1)  # add offending row, then re-clean
-            continue
-        t += 1
-
-    d = tuple(a[i][i] for i in range(limit))
-    return SnfResult(d=d, u=as_mat(u), v=as_mat(v))
-
-
 def sublattice(rows, dim: int) -> tuple[IntMat, IntMat, IntMat]:
-    """(basis, coords, kernel) of the rows from one Smith normal form.
+    """(basis, coords, kernel) of the rows from one column echelon.
 
-    With u·rows·v = diag(d) of rank k, `basis` is the first k rows of
-    v^-1, read off as (u·rows)_i / d_i: a basis of span_Q(rows) ∩ Z^dim.
-    `coords` is the first k columns of rows·v; the others vanish, so
-    coords·basis = rows.  `kernel` is the last dim - k columns of v: a
-    basis of the saturated lattice {x in Z^dim : row·x = 0 for all rows}.
+    Extended-gcd steps on pairs of columns fold each row into its pivot
+    column: rows·u = [h | 0] with u unimodular and h of rank k, and u^-1
+    is kept alongside (a column step E = [[x, -q], [y, p]] on u is the
+    row step E^-1 = [[p, q], [-y, x]] on u^-1).  Then rows = h·u^-1[:k],
+    so the first k rows of u^-1 are a basis of span_Q(rows) ∩ Z^dim and
+    the last dim - k columns of u a basis of the saturated lattice
+    {x in Z^dim : row·x = 0 for all rows}.  Both are returned
+    LLL-reduced: `basis` = g·u^-1[:k] and `coords` = h·g^-1, so
+    coords·basis = rows.
     """
     rows = as_mat(rows)
     if not rows:
         return (), (), identity(dim)
     if len(rows[0]) != dim:
         raise DimensionError("rows have wrong arity")
-    snf = smith_normal_form(rows)
-    k = sum(1 for x in snf.d if x)
-    w = matmul(snf.u[:k], rows)
-    if any(x % m for m, row in zip(snf.d, w) for x in row):
-        raise InternalConsistencyError("saturation row is not divisible by d_i")
-    basis = tuple(tuple(x // m for x in row) for m, row in zip(snf.d, w))
-    vt = transpose(snf.v)
-    coords = tuple(tuple(dot(row, c) for c in vt[:k]) for row in rows)
+    a = [list(r) for r in rows]
+    u = [list(r) for r in identity(dim)]  # columns are the transform
+    inv = [list(r) for r in identity(dim)]
+    k = 0
+    for r in a:
+        for j in range(k + 1, dim):
+            if r[j]:
+                g, x, y = _xgcd(r[k], r[j])
+                p, q = r[k] // g, r[j] // g
+                for row in a + u:
+                    row[k], row[j] = x * row[k] + y * row[j], p * row[j] - q * row[k]
+                inv[k], inv[j] = ([p * s + q * t for s, t in zip(inv[k], inv[j])],
+                                  [x * t - y * s for s, t in zip(inv[k], inv[j])])
+        if k < dim and r[k]:
+            k += 1
+    basis, g = lll_reduce(inv[:k])
+    adj, det = adjugate(g)  # det g = ±1, so g^-1 = det·adj
+    ginv = tuple(tuple(det * x for x in r) for r in adj)
+    coords = matmul(tuple(r[:k] for r in a), ginv)
     if k and matmul(coords, basis) != rows:  # at rank 0 the rows are zero
         raise InternalConsistencyError("restricted coordinates do not give the rows")
-    return basis, coords, vt[k:]
+    return basis, coords, lll_reduce(transpose(u)[k:])[0]

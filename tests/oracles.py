@@ -89,12 +89,29 @@ def brute_fundamental_points(gens):
     return sorted(pts)
 
 
-def inverse_rows(v, k):
-    """The first k rows of the inverse of a unimodular matrix v, by
-    Fraction Gauss-Jordan; asserts that they are integral."""
-    inv = frac_inverse([list(r) for r in v])[:k]
-    assert all(x.denominator == 1 for row in inv for x in row)
-    return tuple(tuple(int(x) for x in row) for row in inv)
+def minors_gcd(rows, m) -> int:
+    """gcd of all m×m minors of the rows (1 for m = 0)."""
+    n = len(rows[0]) if rows else 0
+    g = 0
+    for sub in combinations(rows, m):
+        for cols in combinations(range(n), m):
+            g = _gcd(g, minor_det([[r[j] for j in cols] for r in sub]))
+    return g
+
+
+def lattice_index(rows, det) -> int:
+    """Index in Z^n of the lattice spanned by the rows and det·Z^n.
+
+    It is the gcd of the n×n minors of the rows stacked on det·I; such a
+    minor with m of the rows is ±det^(n-m) times an m×m minor of them,
+    so the index is the gcd over m of det^(n-m)·D_m, with D_m the gcd
+    of the m×m minors of the rows.
+    """
+    n = len(rows[0])
+    g = 0
+    for m in range(min(len(rows), n) + 1):
+        g = _gcd(g, det ** (n - m) * minors_gcd(rows, m))
+    return g
 
 
 def gram_restrict(basis, vectors):

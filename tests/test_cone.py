@@ -1,9 +1,12 @@
 from itertools import product
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conekit import linalg as la
+from conekit.cli import parse_input
 from conekit.cone import (
     ConeInput, build_cone, is_pointed, make_simplicial_cone, normalize_grading,
     support_hyperplanes, triangulate, ambient_support_forms,
@@ -17,6 +20,7 @@ from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv
 QUADRANT = ((1, 0), (0, 1))
 CONE35 = ((1, 0), (3, 5))
 SQUARE3 = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
+SUBLATTICE = Path(__file__).parent / "fixtures" / "sublattice"
 
 
 def forms_set(forms):
@@ -142,6 +146,13 @@ class TestBuildCone:
         c = build_cone(ConeInput(2, generators=((1, 0), (0, 1)),
                                  inequalities=((1, -1),)))
         assert set(c.generators) == {(1, 0), (1, 1)}
+        # a rank-3 generator cone {(a, b, c, a + b + c)} in Z^4 cut by
+        # x0 = x1 and x2 >= x0: the equation is solved in its lattice
+        c = build_cone(ConeInput(4, generators=((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)),
+                                 inequalities=((-1, 0, 1, 0),),
+                                 equations=((1, -1, 0, 0),)))
+        assert c.rank == 2
+        assert {c.to_ambient(g) for g in c.generators} == {(1, 1, 1, 3), (0, 0, 1, 1)}
 
     def test_dual_round_trip_2d(self):
         for gens in [CONE35, QUADRANT, ((2, 1), (3, 7)), ((1, -2), (4, 1))]:
@@ -169,6 +180,30 @@ class TestBuildCone:
         for f in c.support_forms:
             on = [g for g in c.generators if dotv(f, g) == 0]
             assert frac_rank(on) == c.rank - 1
+
+
+class TestRestrictedCoordinates:
+    """The lattice basis of a rank-deficient cone is LLL-reduced, and a
+    generator cone cut by constraints is restricted only once."""
+
+    def test_skew_entries_stay_small(self):
+        # the Smith-form basis of these generators had entries of 47 bits
+        # and restricted generators of 38 bits
+        ci = parse_input((SUBLATTICE / "skew.in").read_text())
+        c = build_cone(ConeInput(ci.ambient_dim, generators=ci.generators))
+        assert c.rank == 5
+        assert all(abs(x) < 2**8 for m in (c.lattice_basis, c.generators)
+                   for row in m for x in row)
+
+    def test_intersection_solved_in_generator_lattice(self):
+        # one sublattice for the generator cone, one for the equations in
+        # its lattice, one for the rank-3 intersection; the generators'
+        # kernel is not computed a second time
+        ci = parse_input((SUBLATTICE / "intersect.in").read_text())
+        with mock.patch.object(la, "sublattice", wraps=la.sublattice) as spy:
+            c = build_cone(ci)
+        assert spy.call_count == 3
+        assert c.rank == 3
 
 
 class TestExtremeRays:

@@ -1,6 +1,5 @@
-from dataclasses import replace
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -10,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conekit.errors import DimensionError, InternalConsistencyError, SingularMatrixError
 from conekit import linalg as la
 
-from oracles import frac_rank, gram_restrict, gram_schmidt, inverse_rows, minor_det
+from oracles import (frac_rank, gram_restrict, gram_schmidt, lattice_index, minor_det,
+                     minors_gcd)
 
 
 def square_matrices(max_dim=5, max_entry=1000):
@@ -49,64 +49,6 @@ class TestDeterminant:
     @given(square_matrices(max_dim=6, max_entry=10))
     def test_dim_six(self, rows):
         assert la.determinant(la.as_mat(rows)) == minor_det(rows)
-
-
-class TestSmithNormalForm:
-    def test_identity(self):
-        res = la.smith_normal_form(la.identity(2))
-        assert res.d == (1, 1)
-
-    def test_diag_2_3(self):
-        res = la.smith_normal_form(((2, 0), (0, 3)))
-        assert res.d == (1, 6)
-
-    def test_lower_triangular(self):
-        res = la.smith_normal_form(((1, 0), (3, 5)))
-        assert res.d == (1, 5)
-
-    def _check(self, rows):
-        m = la.as_mat(rows)
-        res = la.smith_normal_form(m)
-        nr, nc = len(m), len(m[0])
-        prod = la.matmul(la.matmul(res.u, m), res.v)
-        for i in range(nr):
-            for j in range(nc):
-                expect = res.d[i] if i == j and i < len(res.d) else 0
-                assert prod[i][j] == expect
-        assert abs(la.determinant(res.u)) == 1
-        assert abs(la.determinant(res.v)) == 1
-        for i in range(len(res.d) - 1):
-            if res.d[i]:
-                assert res.d[i + 1] % res.d[i] == 0
-            else:
-                assert res.d[i + 1] == 0
-        assert all(x >= 0 for x in res.d)
-        if nr == nc:
-            det = la.determinant(m)
-            prod_d = 1
-            for x in res.d:
-                prod_d *= x
-            assert prod_d == abs(det)
-
-    @settings(max_examples=100, deadline=None)
-    @given(square_matrices(max_dim=4, max_entry=50))
-    def test_square_properties(self, rows):
-        self._check(rows)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 4), st.integers(1, 4),
-        st.data(),
-    )
-    def test_rectangular_properties(self, nr, nc, data):
-        rows = data.draw(st.lists(
-            st.lists(st.integers(-30, 30), min_size=nc, max_size=nc),
-            min_size=nr, max_size=nr))
-        self._check(rows)
-
-    def test_zero_matrix(self):
-        res = la.smith_normal_form(((0, 0), (0, 0)))
-        assert res.d == (0, 0)
 
 
 def cofactor_adjugate(rows):
@@ -208,13 +150,11 @@ class TestHermiteMod:
             assert not any(row[:i]) and det % row[i] == 0
             assert all(0 <= x < det for j, x in enumerate(row) if j != i)
         # the pivots multiply to the index of L = rows + det·Z^n, which
-        # the Smith invariants give independently: prod gcd(d_i, det)
-        d = la.smith_normal_form(rows).d
-        index = prod(gcd(x, det) for x in d + (0,) * (n - len(d)))
+        # the minors of the rows give independently
+        index = lattice_index(rows, det)
         assert prod(row[i] for i, row in enumerate(h)) == index
         # every row is in L: adding it to the rows leaves the index unchanged
-        more = la.smith_normal_form(la.as_mat(rows) + h).d
-        assert prod(gcd(x, det) for x in more + (0,) * (n - len(more))) == index
+        assert lattice_index(la.as_mat(rows) + h, det) == index
 
 
 class TestHelpers:
@@ -269,20 +209,17 @@ class TestHelpers:
             st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)),
                      min_size=dim, max_size=dim),
             min_size=1, max_size=4)))
-    def test_saturation_is_leading_rows_of_v_inverse(self, rows):
+    def test_saturated_basis_and_kernel(self, rows):
+        # a lattice of rank k in Z^dim is saturated iff the gcd of the
+        # k×k minors of a basis is 1; the kernel, orthogonal to the rows
+        # and to the basis, makes span(basis) = span(rows)
         dim = len(rows[0])
-        snf = la.smith_normal_form(rows)
-        rk = sum(1 for x in snf.d if x)
-        assert la.sublattice(rows, dim)[0] == inverse_rows(snf.v, rk)
-
-    def test_saturation_inexact_division_rejected(self):
-        # diag(2, 4) has d = (2, 4) and u = I; with u's rows swapped the
-        # second row (2, 0) is not divisible by 4
-        true_snf = la.smith_normal_form
-        with mock.patch.object(la, "smith_normal_form",
-                               lambda m: replace(true_snf(m), u=true_snf(m).u[::-1])):
-            with pytest.raises(InternalConsistencyError):
-                la.sublattice(((2, 0), (0, 4)), 2)
+        basis, _, kernel = la.sublattice(rows, dim)
+        k = frac_rank(rows)
+        assert len(basis) == k and len(kernel) == dim - k
+        assert minors_gcd(basis, k) == 1
+        assert minors_gcd(kernel, dim - k) == 1
+        assert all(la.dot(x, b) == 0 for x in kernel for b in tuple(basis) + tuple(rows))
 
     def test_independent_rows(self):
         idx = la.independent_rows(((1, 0), (2, 0), (0, 1)), 2)
@@ -341,18 +278,18 @@ class TestSublattice:
         assert la.sublattice(((0, 0, 0),), 3) == ((), ((),), la.identity(3))
 
     def test_coordinate_check(self):
-        # negating the first column of v negates the first coordinate of
-        # every row but leaves the basis, read off u, as it is
-        true_snf = la.smith_normal_form
+        # a transform that is not the one applied to the basis gives
+        # coordinates that do not reproduce the rows
+        true_lll = la.lll_reduce
 
-        def flipped(m):
-            snf = true_snf(m)
-            return replace(snf, v=tuple((-r[0],) + r[1:] for r in snf.v))
+        def wrong(basis):
+            reduced, h = true_lll(basis)
+            return reduced, tuple((-r[0],) + r[1:] for r in h)
 
-        with mock.patch.object(la, "smith_normal_form", flipped):
+        with mock.patch.object(la, "lll_reduce", wrong):
             with pytest.raises(InternalConsistencyError,
                                match="restricted coordinates"):
-                la.sublattice(((2, 2, 0), (1, 1, 0)), 3)
+                la.sublattice(((2, 2, 0), (1, 1, 0), (0, 1, 3)), 3)
 
 
 @st.composite
