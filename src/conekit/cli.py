@@ -214,7 +214,7 @@ def main(argv=None) -> int:
         except DomainError as exc:
             raise InputParseError(str(exc)) from None
         report = run(options, cone_input, args.input, args.stats_csv)
-    except InputParseError as exc:
+    except (InputParseError, OSError) as exc:  # OSError: writing the report or CSV
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (NotPointedError, GradingNotPositiveError, DomainError) as exc:

@@ -13,7 +13,7 @@ from . import linalg as la
 from .cone import SimplicialCone, dual_description
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntMat, IntVec
-from .simplex import hb_candidates
+from .simplex import POINT_BUDGET, hb_candidates
 
 # sorted candidates per dominance pass, and the boolean entries one
 # comparison slab may hold
@@ -204,11 +204,17 @@ def accumulate_series(contribs, extreme_degrees, rank: int) -> HilbertSeries:
     triangulation or the half-open shift).  It divides by one binomial
     of the common denominator at a time, which is exact exactly when
     the whole division is.  The empty sum is 0 for rank > 0.
+    Multiplying by (1 - t^e)^rank adds e·rank coefficients to the
+    numerator, so e·rank above POINT_BUDGET is refused before any
+    expansion.
     """
     extreme_degrees = [int(x) for x in extreme_degrees]
     if any(x <= 0 for x in extreme_degrees):
         raise DomainError("extreme generator degrees must be positive")
     e = lcm(*extreme_degrees) if extreme_degrees else 1
+    if e * rank > POINT_BUDGET:
+        raise DomainError(f"Hilbert series denominator (1 - t^{e})^{rank} "
+                          f"is above the budget of {POINT_BUDGET} coefficients")
     if rank == 0:
         return HilbertSeries(numerator=(1,), e=e, r=rank)
 

@@ -96,14 +96,6 @@ class SimplicialCone:
         """det times the barycentric generator coordinates of x."""
         return tuple(la.dot(f, x) for f in self.facet_forms)
 
-    def contains(self, x) -> bool:
-        """Whether x lies in the half-open simplex."""
-        for i, f in enumerate(self.facet_forms):
-            v = la.dot(f, x)
-            if v < 0 or (v == 0 and i in self.excluded_facets):
-                return False
-        return True
-
 
 def lex_sign(form: IntVec, anchor: IntVec) -> int:
     """Sign of form at anchor - sum(eps^j e_j) for infinitesimal eps."""
@@ -214,24 +206,6 @@ def dual_description(vectors, want_triangulation: bool = False):
         masks = [masks[k] | (1 << i if vals[k] == 0 else 0) for k in keep] + new_masks
 
     return tuple(rays), tuple(simplices) if want_triangulation else ()
-
-
-def support_hyperplanes(generators) -> IntMat:
-    """Irredundant primitive support forms of a spanning generator set."""
-    rays, _ = dual_description(generators)
-    return tuple(sorted(rays))
-
-
-def is_pointed(obj) -> bool:
-    """Whether a cone (or a raw generator matrix) contains no line."""
-    if isinstance(obj, Cone):
-        return len(la.independent_rows(obj.support_forms, obj.rank)) == obj.rank
-    gens = la.as_mat(obj)
-    try:
-        build_cone(ConeInput(len(gens[0]) if gens else 0, generators=gens))
-    except NotPointedError:
-        return False
-    return True
 
 
 def ambient_support_forms(cone: Cone) -> IntMat:

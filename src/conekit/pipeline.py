@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ GOALS = frozenset({"hilbert_basis", "hilbert_series", "support_hyperplanes"})
 class RunOptions:
     goals: frozenset = GOALS
     subdivision: SubdivisionConfig = field(default_factory=SubdivisionConfig)
-    threads: int = 1
+    threads: int = 1  # checked; evaluation runs in the calling thread
 
     def __post_init__(self):
         goals = frozenset(self.goals)
@@ -113,26 +112,17 @@ def compute(problem, options: RunOptions = RunOptions()) -> ComputationResult:
     stats.volume_used = sum(s.det for s in leaves)
 
     t0 = time.monotonic()
-
-    def evaluate(leaf):
-        contrib = series_contribution(leaf, cone.grading) if want_series else None
-        cands = hb_candidates(leaf) if want_hb else None
-        return contrib, cands
-
-    if options.threads > 1 and len(leaves) > 1:
-        with ThreadPoolExecutor(max_workers=options.threads) as pool:
-            evaluated = list(pool.map(evaluate, leaves))
-    else:
-        evaluated = [evaluate(leaf) for leaf in leaves]
+    contribs = ([series_contribution(leaf, cone.grading) for leaf in leaves]
+                if want_series else [])
+    cands = [hb_candidates(leaf) for leaf in leaves] if want_hb else []
     times["evaluate"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     hilbert_basis = ()
     if want_hb:
-        if evaluated:
+        if cands:
             # a leaf of Python ints turns the whole stack into Python ints
-            basis_r = reduce_to_hilbert_basis(np.vstack([c for _, c in evaluated]),
-                                              cone.support_forms)
+            basis_r = reduce_to_hilbert_basis(np.vstack(cands), cone.support_forms)
         else:
             basis_r = ()
         ambient = [cone.to_ambient(v) for v in basis_r]
@@ -141,8 +131,7 @@ def compute(problem, options: RunOptions = RunOptions()) -> ComputationResult:
     series = None
     if want_series:
         extreme_degrees = [la.dot(g, cone.grading) for g in cone.generators]
-        series = accumulate_series([c for c, _ in evaluated if c is not None],
-                                   extreme_degrees, cone.rank)
+        series = accumulate_series(contribs, extreme_degrees, cone.rank)
     times["collect"] = time.monotonic() - t0
     times["total"] = time.monotonic() - t_total
 

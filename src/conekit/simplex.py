@@ -19,11 +19,11 @@ import numpy as np
 
 from . import linalg as la
 from .cone import SimplicialCone
-from .errors import DomainError, GradingNotPositiveError, InternalConsistencyError
+from .errors import GradingNotPositiveError, InternalConsistencyError
 from .linalg import IntVec
 
 DEFAULT_BLOCK = 1 << 20
-POINT_BUDGET = 1 << 22  # most points one overcone evaluation may enumerate
+POINT_BUDGET = 1 << 22  # most overcone points or series coefficients held at once
 
 
 @dataclass(frozen=True)
@@ -97,33 +97,6 @@ def points_from_block(s: SimplicialCone, v: np.ndarray) -> np.ndarray:
     """Map residue numerators to fundamental-domain points (exact)."""
     gens = np.array(s.gens, dtype=v.dtype)
     return v.dot(gens) // s.det
-
-
-def fundamental_points(s: SimplicialCone) -> np.ndarray:
-    """All |det| points of the fundamental domain, one per row."""
-    pts = np.vstack([points_from_block(s, v) for v in residue_blocks(s)])
-    if len(pts) != s.det:
-        raise InternalConsistencyError(
-            f"enumerated {len(pts)} points for determinant {s.det}")
-    return pts
-
-
-def half_open_shift(p: IntVec, s: SimplicialCone) -> IntVec:
-    """Representative of p in the half-open simplex.
-
-    Adds the generator opposite every excluded facet on which p lies;
-    the shifted points are exactly the Stanley-decomposition offsets of
-    the half-open cone.
-    """
-    u = s.q_numerators(p)
-    if any(x < 0 or x >= s.det for x in u):
-        raise DomainError("point is not in the fundamental domain")
-    out = list(p)
-    for i in s.excluded_facets:
-        if u[i] == 0:
-            for j, x in enumerate(s.gens[i]):
-                out[j] += x
-    return tuple(out)
 
 
 def series_contribution(s: SimplicialCone, deg: IntVec) -> SeriesContribution:

@@ -305,8 +305,8 @@ def best_candidate(s: SimplicialCone, cands) -> IntVec | None:
     return min((la.as_vec(x) for x in cands), key=lambda x: (la.dot(normal, x), x))
 
 
-def recursive_subdivide(s: SimplicialCone, cfg: SubdivisionConfig, finder,
-                        on_step=None) -> tuple[SimplicialCone, ...]:
+def recursive_subdivide(s: SimplicialCone, cfg: SubdivisionConfig,
+                        finder) -> tuple[SimplicialCone, ...]:
     """Refine until every piece is at or below the volume bound.
 
     `finder(simplex)` returns a tuple of candidate points, possibly
@@ -317,8 +317,7 @@ def recursive_subdivide(s: SimplicialCone, cfg: SubdivisionConfig, finder,
     inherit that pool; a pool still empty terminates the branch (the
     large simplex is evaluated as is).  An IP's pool is its one point,
     a generator of every piece it makes, so each piece calls the finder
-    again.  `on_step` receives (simplex, point, pieces) after every
-    stellar subdivision.
+    again.
     """
     stack = [(s, ())]
     leaves = []
@@ -338,7 +337,5 @@ def recursive_subdivide(s: SimplicialCone, cfg: SubdivisionConfig, finder,
         if la.dot(cur.height_normal, xhat) >= cur.gen_height:
             raise DomainError("finder returned a point at generator height")
         pieces = stellar_subdivide(cur, xhat)
-        if on_step is not None:
-            on_step(cur, xhat, pieces)
         stack.extend((p, pool) for p in reversed(pieces))
     return tuple(leaves)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive (expansion by minors, grid
 enumeration, reduction by elimination) and shares no code with the
-package internals beyond tuples of ints.  The one exception is
+package internals beyond tuples of ints.  The exceptions are
 stellar_tree, which checks recursive_subdivide's loop and so reuses the
-package's single stellar step.
+package's single stellar step, and fundamental_points and is_pointed,
+which only the tests need: the first collects the package's residue
+sweep, the second asks build_cone.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from itertools import combinations, product
 
 import numpy as np
 
+from conekit.cone import ConeInput, build_cone
+from conekit.errors import NotPointedError
+from conekit.simplex import points_from_block, residue_blocks
 from conekit.subdivide import stellar_subdivide
 
 
@@ -511,3 +516,31 @@ def stellar_tree(s, cfg, find_point):
             continue
         stack.extend(reversed(stellar_subdivide(cur, xhat)))
     return tuple(leaves)
+
+
+def fundamental_points(s):
+    """All |det| points of the simplex's fundamental domain, one per row,
+    in the package's residue-sweep order."""
+    pts = np.vstack([points_from_block(s, v) for v in residue_blocks(s)])
+    assert len(pts) == s.det, f"enumerated {len(pts)} points for det {s.det}"
+    return pts
+
+
+def is_pointed(gens) -> bool:
+    """Whether the cone generated by gens contains no line."""
+    try:
+        build_cone(ConeInput(len(gens[0]) if gens else 0,
+                             generators=tuple(map(tuple, gens))))
+    except NotPointedError:
+        return False
+    return True
+
+
+def in_half_open(s, x) -> bool:
+    """Whether x lies in the half-open simplex s: every facet form is
+    nonnegative at x, and positive on the excluded facets."""
+    for i, f in enumerate(s.facet_forms):
+        v = dotv(f, x)
+        if v < 0 or (v == 0 and i in s.excluded_facets):
+            return False
+    return True

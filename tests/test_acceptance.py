@@ -12,18 +12,18 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from conekit import linalg as la
+from conekit import linalg as la, subdivide as subdivide_module
 from conekit.approx import approx_candidates, approximate_cone, cross_section, \
     minimal_cube_face_vertices
 from conekit.cli import main
-from conekit.cone import ConeInput, build_cone, dual_description, is_pointed, \
+from conekit.cone import ConeInput, build_cone, dual_description, \
     make_simplicial_cone, triangulate
 from conekit.pipeline import RunOptions, compute
-from conekit.simplex import fundamental_points
 from conekit.subdivide import SubdivisionConfig, recursive_subdivide, solve_star_ip
 
 from oracles import (brute_degree_counts, brute_hilbert_basis, brute_star_minimum,
-                     dotv, frac_rank, oracle_cost_estimate, stellar_tree)
+                     dotv, frac_rank, fundamental_points, in_half_open, is_pointed,
+                     oracle_cost_estimate, stellar_tree)
 
 HB = frozenset({"hilbert_basis"})
 SERIES = frozenset({"hilbert_series"})
@@ -163,19 +163,25 @@ def _subdivision_cases(rng, count):
     return cases
 
 
-def test_criterion_4_and_6_subdivision_soundness_and_stellar_identity():
+def test_criterion_4_and_6_subdivision_soundness_and_stellar_identity(monkeypatch):
     rng = random.Random(104)
     cases = _subdivision_cases(rng, 24)
     steps = 0
     covered = 0
     compared = 0
+    stellar_subdivide = subdivide_module.stellar_subdivide
 
-    def check_step(cur, xhat, pieces):
+    def check_step(cur, xhat):
         nonlocal steps
+        pieces = stellar_subdivide(cur, xhat)
         lhs = sum(p.det for p in pieces) * cur.gen_height
         rhs = cur.det * dotv(cur.height_normal, xhat)
         assert lhs == rhs, "stellar determinant identity failed"
         steps += 1
+        return pieces
+
+    # every stellar step of recursive_subdivide, here and in the pipeline
+    monkeypatch.setattr(subdivide_module, "stellar_subdivide", check_step)
 
     for gens in cases:
         s = make_simplicial_cone(gens)
@@ -183,14 +189,13 @@ def test_criterion_4_and_6_subdivision_soundness_and_stellar_identity():
         for bound in (2, 10, 100):
             cfg = SubdivisionConfig(volume_bound=bound, strategy="ip",
                                     time_limit_scale=Fraction(1, 4))
-            leaves = recursive_subdivide(s, cfg, ip_finder(cfg),
-                                         on_step=check_step)
+            leaves = recursive_subdivide(s, cfg, ip_finder(cfg))
             assert sum(p.det for p in leaves) <= s.det
             if s.det <= 2500:
                 span = 10 if d == 2 else 5
                 for x in product(range(-span, span + 1), repeat=d):
-                    inside = s.contains(x)
-                    hits = sum(1 for p in leaves if p.contains(x))
+                    inside = in_half_open(s, x)
+                    hits = sum(in_half_open(p, x) for p in leaves)
                     assert hits == (1 if inside else 0), (gens, bound, x)
                 covered += 1
         # pipeline equality, subdivided vs not (grading = height normal)

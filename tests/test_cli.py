@@ -1,5 +1,8 @@
+import threading
+
 import pytest
 
+from conekit import pipeline
 from conekit.cli import main, parse_input, render_report
 from conekit.cone import ConeInput
 from conekit.errors import InputParseError
@@ -257,6 +260,14 @@ class TestMain:
         assert p.read_text(encoding="utf-8") == text
         assert [f.name for f in tmp_path.iterdir()] == ["c.in"]
 
+    def test_unwritable_stats_csv_is_an_error(self, tmp_path, capsys):
+        p = write_input(tmp_path, "a.in", "amb_space 2\ncone 2\n1 0\n3 5\n")
+        csv_path = tmp_path / "no" / "such" / "dir" / "x.csv"
+        assert main([str(p), "--stats-csv", str(csv_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(csv_path) in err
+        assert err.count("\n") == 1  # one line, no traceback
+
     def test_threads_identical_output(self, tmp_path):
         text = "amb_space 3\ncone 4\n0 0 1\n1 0 1\n0 1 1\n1 1 1\ngrading\n0 0 1\n"
         p1 = write_input(tmp_path, "a.in", text)
@@ -267,6 +278,25 @@ class TestMain:
 
 
 class TestComputeLibrary:
+    def test_evaluation_runs_in_the_calling_thread(self, monkeypatch):
+        # a hexagon cone: four simplices, each evaluated for both goals
+        gens = ((0, 0, 1), (1, 0, 1), (2, 1, 1), (2, 2, 1), (1, 2, 1), (0, 1, 1))
+        ci = ConeInput(3, generators=gens, grading=(0, 0, 1))
+        calls = []
+
+        def recorded(fn):
+            def wrapper(*args):
+                calls.append((fn.__name__, threading.get_ident()))
+                return fn(*args)
+            return wrapper
+
+        for name in ("series_contribution", "hb_candidates"):
+            monkeypatch.setattr(pipeline, name, recorded(getattr(pipeline, name)))
+        compute(ci, RunOptions(goals=ALL_GOALS, threads=4))
+        assert sorted(calls) == sorted(
+            [("hb_candidates", threading.get_ident())] * 4
+            + [("series_contribution", threading.get_ident())] * 4)
+
     def test_low_dim_cone_end_to_end(self):
         ci = ConeInput(3, inequalities=((1, 0, 0), (0, 0, 1)),
                        equations=((1, -1, 0),), grading=(1, 0, 1))

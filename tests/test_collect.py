@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -14,7 +17,7 @@ from conekit.collect import (
 )
 from conekit.errors import DomainError, InternalConsistencyError
 from conekit.pipeline import RunOptions, compute
-from conekit.simplex import SeriesContribution, hb_candidates
+from conekit.simplex import POINT_BUDGET, SeriesContribution, hb_candidates
 from conekit.subdivide import SubdivisionConfig
 
 from oracles import (brute_hilbert_basis, brute_support_forms, dotv,
@@ -324,6 +327,54 @@ def graded_cones(draw):
     head = draw(st.lists(st.integers(-1, 1), min_size=d - 1, max_size=d - 1))
     last = 1 + entry * sum(abs(x) for x in head) + draw(st.integers(0, 1))
     return ConeInput(d, generators=tuple(gens), grading=tuple(head) + (last,))
+
+
+# one simplex of det 768 whose extreme degrees 383, 307, 63 and 81 give
+# e = lcm = 66,668,427 at rank 4: the numerator over (1 - t^e)^4 would
+# have 266,673,709 coefficients
+HUGE_E_INPUT = """amb_space 5
+inequalities 6
+1 -2 -1 -2 1
+-3 3 1 -3 1
+1 -1 -1 -2 -2
+1 3 -2 1 0
+-2 1 3 3 1
+3 1 1 2 2
+equations 1
+-3 0 1 -1 3
+grading
+1 5 1 -1 3
+"""
+
+SERIES_GUARD_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from conekit.cli import main
+sys.exit(main([{path!r}, "--goal", "series"]))
+"""
+
+
+class TestSeriesSizeGuard:
+    def test_budget_is_on_e_times_rank(self):
+        e = POINT_BUDGET // 2
+        assert accumulate_series([], [e], 2).numerator == (0,)
+        with pytest.raises(DomainError, match="budget"):
+            accumulate_series([], [e + 1], 2)
+
+    def test_huge_denominator_exits_2_within_one_gib(self, tmp_path):
+        # a child process under its own 1 GiB address-space limit: the
+        # unguarded expansion raises MemoryError there instead of
+        # exhausting the machine
+        path = tmp_path / "huge_e.in"
+        path.write_text(HUGE_E_INPUT, encoding="utf-8")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", SERIES_GUARD_CHILD.format(path=str(path))],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == ("error: Hilbert series denominator (1 - t^66668427)^4 "
+                              f"is above the budget of {POINT_BUDGET} coefficients\n")
+        assert not path.with_suffix(".out").exists()
 
 
 class TestSubdividedSeries:

@@ -8,13 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 from conekit import linalg as la
 from conekit.cli import parse_input
 from conekit.cone import (
-    ConeInput, build_cone, is_pointed, make_simplicial_cone, normalize_grading,
-    support_hyperplanes, triangulate, ambient_support_forms,
+    ConeInput, build_cone, dual_description, make_simplicial_cone, normalize_grading,
+    triangulate, ambient_support_forms,
 )
 from conekit.errors import GradingNotPositiveError, NotPointedError
 
 from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv,
-                     frac_rank, in_cone)
+                     frac_rank, in_cone, in_half_open, is_pointed)
 
 
 QUADRANT = ((1, 0), (0, 1))
@@ -25,6 +25,12 @@ SUBLATTICE = Path(__file__).parent / "fixtures" / "sublattice"
 
 def forms_set(forms):
     return {la.primitive(f) for f in forms}
+
+
+def support_hyperplanes(generators):
+    """Irredundant primitive support forms of a spanning generator set,
+    sorted: the rays of the double description's dual."""
+    return tuple(sorted(dual_description(generators)[0]))
 
 
 def pointed_gens(d, min_size, max_size, entry=4):
@@ -262,6 +268,8 @@ class TestExtremeRays:
 
 
 class TestIsPointed:
+    """The oracle filter that the random-cone tests use."""
+
     def test_quadrant(self):
         assert is_pointed(QUADRANT)
 
@@ -273,7 +281,7 @@ class TestIsPointed:
 
     def test_on_cone_object(self):
         c = build_cone(ConeInput(2, generators=CONE35))
-        assert is_pointed(c)
+        assert is_pointed(c.generators)
 
 
 class TestNormalizeGrading:
@@ -297,7 +305,7 @@ class TestNormalizeGrading:
 
 
 def half_open_count(simplices, x):
-    return sum(1 for s in simplices if s.contains(x))
+    return sum(1 for s in simplices if in_half_open(s, x))
 
 
 class TestTriangulate:

@@ -51,17 +51,22 @@ def test_scan_flags_unused_and_respects_all():
     assert unused_imports(source) == ["b (line 3)", "os (line 2)"]
 
 
+def module_reads(trees) -> list[tuple[ast.stmt, set[str]]]:
+    """(statement, names it reads as a name or an attribute) for every
+    top-level statement of every module."""
+    return [(top, {n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(top)
+                   if isinstance(n, (ast.Name, ast.Attribute))})
+            for tree in trees.values() for top in tree.body]
+
+
 def dead_definitions(sources: dict[str, str]) -> list[str]:
     """Module-level functions and classes, as "module:name", that no
     module reads (as a name or an attribute) outside the definition
     itself and no `__all__` lists."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     exported = set().union(*map(exported_names, trees.values()))
-    # names read by each top-level statement of every module
-    reads = [(top, {n.id if isinstance(n, ast.Name) else n.attr
-                    for n in ast.walk(top)
-                    if isinstance(n, (ast.Name, ast.Attribute))})
-             for tree in trees.values() for top in tree.body]
+    reads = module_reads(trees)
     return sorted(
         f"{mod}:{node.name}"
         for mod, tree in trees.items() for node in tree.body
@@ -87,3 +92,45 @@ def test_dead_scan_flags_unreferenced_definitions():
               "caller()\n"),
     }
     assert dead_definitions(sources) == ["a:Dead", "a:only_recursive"]
+
+
+# The documented entry points: exported although no package module
+# reads them.  bottom_volume stays until the pipeline's bottom
+# triangulation (ROADMAP item 9) calls it.
+PUBLIC = {
+    "compute", "RunOptions", "ConeInput",
+    "ComputationResult", "HilbertSeries", "StatsRecord",
+    "ConeKitError", "DomainError", "GradingNotPositiveError", "InputParseError",
+    "InternalConsistencyError", "NotPointedError",
+    "bottom_volume",
+}
+
+
+def unread_exports(sources: dict[str, str], public=frozenset()) -> list[str]:
+    """Names in the `__all__` of the package's `__init__` that no other
+    module reads outside their own definition, except the public ones."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    init = trees.pop("__init__")
+    reads = module_reads(trees)
+    return sorted(name for name in exported_names(init) - set(public)
+                  if not any(name in names for top, names in reads
+                             if getattr(top, "name", None) != name))
+
+
+def test_every_export_is_read_or_public():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert PUBLIC <= exported_names(ast.parse(sources["__init__"]))
+    assert unread_exports(sources, PUBLIC) == []
+
+
+def test_export_scan_flags_unread_names():
+    sources = {
+        "__init__": ("from .a import helper, only_tests, recursive, run\n"
+                     "__all__ = ['helper', 'only_tests', 'recursive', 'run']\n"),
+        "a": ("def helper(): pass\n"
+              "def only_tests(): pass\n"
+              "def recursive(n): return recursive(n - 1)\n"
+              "def run(): return helper()\n"),
+    }
+    assert unread_exports(sources) == ["only_tests", "recursive", "run"]
+    assert unread_exports(sources, {"run"}) == ["only_tests", "recursive"]

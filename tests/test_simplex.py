@@ -8,13 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conekit import linalg as la, simplex as simplex_module
 from conekit.cone import make_simplicial_cone
-from conekit.errors import DomainError, InternalConsistencyError
+from conekit.errors import InternalConsistencyError
 from conekit.simplex import (
-    _block_dtype, _residue_axes, fundamental_points, half_open_shift, hb_candidates,
-    residue_blocks, series_contribution,
+    _block_dtype, _residue_axes, hb_candidates, residue_blocks, series_contribution,
 )
 
-from oracles import brute_fundamental_points, dotv, minor_det, residue_classes
+from oracles import (brute_fundamental_points, dotv, fundamental_points, minor_det,
+                     residue_classes)
 
 
 def simplex(gens):
@@ -24,6 +24,20 @@ def simplex(gens):
 def rows(points):
     """Rows of a point array as sorted tuples of Python ints."""
     return sorted(tuple(int(x) for x in p) for p in points)
+
+
+def half_open_shift(p, s):
+    """Representative of the fundamental-domain point p in the half-open
+    simplex: p plus the generator opposite every excluded facet on which
+    p lies.  The shifted points are the Stanley-decomposition offsets of
+    the half-open cone, the reference for series_contribution."""
+    u = s.q_numerators(p)
+    assert all(0 <= x < s.det for x in u), "point is not in the fundamental domain"
+    out = list(p)
+    for i in s.excluded_facets:
+        if u[i] == 0:
+            out = [a + b for a, b in zip(out, s.gens[i])]
+    return tuple(out)
 
 
 class TestFundamentalPoints:
@@ -100,9 +114,9 @@ class TestHalfOpenShift:
 
     def test_outside_domain_rejected(self):
         s = simplex(((1, 0), (1, 2)))
-        with pytest.raises(DomainError):
+        with pytest.raises(AssertionError, match="fundamental domain"):
             half_open_shift((5, 0), s)
-        with pytest.raises(DomainError):
+        with pytest.raises(AssertionError, match="fundamental domain"):
             half_open_shift((-1, 0), s)
 
 

@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conekit import linalg as la
+from conekit import linalg as la, subdivide as subdivide_module
 from conekit.collect import StatsRecord, reduce_to_hilbert_basis
 from conekit.cone import make_simplicial_cone
 from conekit.errors import DomainError
 from conekit.pipeline import make_finder
-from conekit.simplex import fundamental_points, hb_candidates
+from conekit.simplex import hb_candidates
 from conekit.subdivide import (
     IpOutcome, SubdivisionConfig, best_candidate, recursive_subdivide,
     solve_star_ip, stellar_subdivide,
 )
 
-from oracles import brute_star_minimum, dotv, stellar_tree
+from oracles import (brute_star_minimum, dotv, fundamental_points, in_half_open,
+                     stellar_tree)
 
 
 def simplex(gens):
@@ -250,8 +251,8 @@ class TestStellarSubdivide:
         s = simplex(((2, 1), (3, 7)))
         pieces = stellar_subdivide(s, (1, 1))
         for x in product(range(0, 15), repeat=2):
-            inside = s.contains(x)
-            assert sum(1 for p in pieces if p.contains(x)) == (1 if inside else 0)
+            inside = in_half_open(s, x)
+            assert sum(in_half_open(p, x) for p in pieces) == (1 if inside else 0)
 
 
 def ip_finder(cfg):
@@ -268,12 +269,17 @@ class TestRecursiveSubdivide:
         leaves = recursive_subdivide(s, cfg, ip_finder(cfg))
         assert leaves == (s,)
 
-    def test_cone35_bound_two(self):
+    def test_cone35_bound_two(self, monkeypatch):
         s = simplex(((1, 0), (3, 5)))
         cfg = SubdivisionConfig(volume_bound=2, strategy="ip")
         calls = []
-        leaves = recursive_subdivide(s, cfg, ip_finder(cfg),
-                                     on_step=lambda *a: calls.append(a))
+
+        def step(cur, xhat):
+            calls.append((cur, xhat))
+            return stellar_subdivide(cur, xhat)
+
+        monkeypatch.setattr(subdivide_module, "stellar_subdivide", step)
+        leaves = recursive_subdivide(s, cfg, ip_finder(cfg))
         assert sorted(p.det for p in leaves) == [1, 2]
         assert sum(p.det for p in leaves) == 3
         assert len(calls) == 1
@@ -304,8 +310,8 @@ class TestRecursiveSubdivide:
         leaves = recursive_subdivide(s, cfg, ip_finder(cfg))
         assert sum(p.det for p in leaves) <= s.det
         for x in product(range(-10, 11), repeat=2):
-            inside = s.contains(x)
-            assert sum(1 for p in leaves if p.contains(x)) == (1 if inside else 0)
+            inside = in_half_open(s, x)
+            assert sum(in_half_open(p, x) for p in leaves) == (1 if inside else 0)
 
 
 def test_approx_pool_lowers_volume():
