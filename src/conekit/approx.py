@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg as la
 from .collect import as_rows
-from .cone import SimplicialCone, dual_description, make_simplicial_cone
+from .cone import SimplicialCone, dual_description, placing_simplices
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
 from .simplex import POINT_BUDGET, hb_candidates
@@ -87,15 +87,17 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     """Subdivision candidates found through the overcone, sorted.
 
     Builds every simplex of the overcone's placing triangulation (without
-    further subdivision), then evaluates those of det > 1 and returns
-    their distinct points that points_below keeps: the points in the
-    simplex strictly below generator height.  A unimodular overcone
-    simplex adds only its generators, which are overcone generators
-    already.  Empty output means the approximation found nothing at this
-    level; it is also the result when an overcone simplex is at least as
-    big as the simplex itself, in which case approximating cannot pay
-    off, and when the simplices to evaluate hold more than POINT_BUDGET
-    points together, which keeps the enumeration's memory bounded.
+    further subdivision): the first by an adjugate, each later one by
+    one exchange pivot from the simplex it extends.  Then it evaluates
+    those of det > 1 and returns their distinct points that points_below
+    keeps: the points in the simplex strictly below generator height.  A
+    unimodular overcone simplex adds only its generators, which are
+    overcone generators already.  Empty output means the approximation
+    found nothing at this level; it is also the result when an overcone
+    simplex is at least as big as the simplex itself, in which case
+    approximating cannot pay off, and when the simplices to evaluate hold
+    more than POINT_BUDGET points together, which keeps the enumeration's
+    memory bounded.
 
     Every candidate goes into recursive_subdivide's pool, so they are
     not reduced to their minimal elements.  Stellar subdivision at any
@@ -110,8 +112,7 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     if any(la.dot(f, g) < 0 for f in forms for g in s.gens):
         raise InternalConsistencyError("approximation is not an overcone")
     big = []
-    for idx in tri:
-        sub = make_simplicial_cone(tuple(over[i] for i in idx))
+    for sub in placing_simplices(over, tri):
         if sub.det >= max(2, s.det):
             return ()
         if sub.det > 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -133,16 +134,31 @@ def render_report(result, goals) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_stats_csv(result, path: str) -> None:
+def stats_csv(result) -> str:
     items = stats_items(result)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(k for k, _ in items) + "\n")
-        fh.write(",".join(v for _, v in items) + "\n")
+    return ",".join(k for k, _ in items) + "\n" + ",".join(v for _, v in items) + "\n"
+
+
+def _write_all(files) -> None:
+    """Write every (path, text) pair or none of them: each text goes to a
+    temporary file next to its target, and the targets are replaced only
+    after every write succeeded."""
+    staged = []
+    try:
+        for path, text in files:
+            staged.append(Path(f"{path}.{os.getpid()}.tmp"))
+            staged[-1].write_text(text, encoding="utf-8")
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def run(options: RunOptions, cone_input: ConeInput, input_path: str,
         stats_csv_path: str | None = None) -> str:
-    """Compute, write <input>.out (and optional CSV), return the report."""
+    """Compute, write <input>.out and the optional CSV (both or neither),
+    return the report."""
     out_path = Path(input_path).with_suffix(".out")
     claimed = {Path(input_path).resolve(): "the input"}
     for path, what in ((out_path, "the report"), (stats_csv_path, "the stats CSV")):
@@ -154,9 +170,10 @@ def run(options: RunOptions, cone_input: ConeInput, input_path: str,
         claimed[key] = what
     result = compute(cone_input, options)
     report = render_report(result, options.goals)
-    out_path.write_text(report, encoding="utf-8")
+    files = [(out_path, report)]
     if stats_csv_path:
-        write_stats_csv(result, stats_csv_path)
+        files.append((stats_csv_path, stats_csv(result)))
+    _write_all(files)
     return report
 
 

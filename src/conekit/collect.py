@@ -167,10 +167,13 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
     stay bounded whatever the number of candidates.
 
     Normaliz also skips reducers of more than half the aux degree of x.
-    That is sound only for a candidate set that contains the Hilbert
-    basis, and every caller's does: the pipeline passes the candidates
-    of all leaves of a triangulation, bottom_volume those of the whole
-    simplex.
+    That cut is not applied here.  It would be sound, since every
+    caller's candidate set contains the Hilbert basis (the pipeline
+    passes the candidates of all leaves of a triangulation,
+    bottom_volume those of the whole simplex), but on the criterion-8
+    Hilbert basis (205,262 candidates, a 7,022-element basis) it gave no
+    gain: the reduction took 1.61-2.02 s with it against 1.66-1.88 s
+    without.
     """
     cands = candidates if isinstance(candidates, np.ndarray) else as_rows(candidates)
     if cands.dtype == object:
@@ -264,6 +267,6 @@ def bottom_volume(s: SimplicialCone, guard: int = 10**6) -> int:
             continue
         on_facet = [p for p in points if la.dot(eta, p) + offset == 0]
         _, tri = dual_description(on_facet, want_triangulation=True)
-        for idx in tri:
+        for idx, _, _ in tri:
             total += abs(la.determinant(tuple(on_facet[i] for i in idx)))
     return total

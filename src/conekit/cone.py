@@ -7,14 +7,24 @@ x_restricted · lattice_basis); `linalg.sublattice` returns them
 LLL-reduced, so restricted entries stay small.  Full-dimensional cones
 keep the identity basis so that restricted and ambient coordinates
 coincide.
+
+Simplicial cones are built in two ways.  make_simplicial_cone takes the
+facet forms from one adjugate of the generators; it builds a simplex
+that nothing is known about, such as the first simplex of a
+triangulation.  Every later simplex of a placing triangulation, and
+every stellar piece, differs from a known simplex in one generator, and
+exchange derives its forms from that simplex by one fraction-free pivot.
+Both give the same SimplicialCone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import mul
 
 from . import linalg as la
-from .errors import DimensionError, NotPointedError, GradingNotPositiveError
+from .errors import (DimensionError, GradingNotPositiveError, InternalConsistencyError,
+                     NotPointedError, SingularMatrixError)
 from .linalg import IntMat, IntVec
 
 
@@ -108,21 +118,94 @@ def lex_sign(form: IntVec, anchor: IntVec) -> int:
     return 0
 
 
-def make_simplicial_cone(gens, anchor: IntVec | None = None) -> SimplicialCone:
-    gens = la.as_mat(gens)
-    adj, det = la.adjugate(gens)
-    sg = 1 if det > 0 else -1
+def _simplex(gens: IntMat, det: int, forms: IntMat,
+             anchor: IntVec | None) -> SimplicialCone:
+    """The simplex with these facet forms, its exclusions and height normal."""
     r = len(gens)
-    forms = tuple(tuple(sg * adj[k][i] for k in range(r)) for i in range(r))
     if anchor is None:
         anchor = tuple(sum(g[j] for g in gens) for j in range(r))
     excluded = frozenset(i for i in range(r) if lex_sign(forms[i], anchor) < 0)
     # the sum of the facet forms takes the value det on every generator,
     # so its primitive part is the normal of their affine hull
     normal = la.primitive(tuple(sum(f[j] for f in forms) for j in range(r)))
-    return SimplicialCone(gens=gens, det=abs(det), facet_forms=forms,
+    return SimplicialCone(gens=gens, det=det, facet_forms=forms,
                           excluded_facets=excluded, anchor=la.as_vec(anchor),
                           height_normal=normal)
+
+
+def make_simplicial_cone(gens, anchor: IntVec | None = None) -> SimplicialCone:
+    """The simplicial cone over `gens`, its facet forms from one adjugate."""
+    gens = la.as_mat(gens)
+    adj, det = la.adjugate(gens)
+    sg = 1 if det > 0 else -1
+    r = len(gens)
+    forms = tuple(tuple(sg * adj[k][i] for k in range(r)) for i in range(r))
+    return _simplex(gens, abs(det), forms, anchor)
+
+
+def exchange(s: SimplicialCone, i: int, x, anchor: IntVec | None = None,
+             at: int | None = None) -> SimplicialCone:
+    """S with gens[i] replaced by x, by one fraction-free pivot.
+
+    With u = F·x for the facet forms F of S and δ = det S, the new
+    simplex has det |u_i| and the forms F'_i = sgn(u_i)·F_i and
+    F'_j = sgn(u_i)·(u_i·F_j - u_j·F_i)/δ, the exact division of
+    Bareiss (1968) and Edmonds (1967).  They are the forms
+    make_simplicial_cone takes from an adjugate, for r² products instead
+    of an elimination.  x moves to position `at` (default i), the other
+    generators keep their order.  Every division must leave remainder 0
+    and F'·g'_k = det'·e_k must hold for every generator g'_k.
+    """
+    x = la.as_vec(x)
+    u = s.q_numerators(x)
+    if u[i] == 0:
+        raise SingularMatrixError("exchange point lies on the facet opposite gens[i]")
+    sg = 1 if u[i] > 0 else -1
+    det = abs(u[i])
+    delta = s.det
+    fi = s.facet_forms[i]
+    forms = []
+    for j, (fj, uj) in enumerate(zip(s.facet_forms, u)):
+        if j == i:
+            forms.append(tuple(sg * c for c in fi))
+            continue
+        vj = sg * uj
+        row = []
+        for a, b in zip(fj, fi):
+            q, rem = divmod(det * a - vj * b, delta)
+            if rem:
+                raise InternalConsistencyError("exchange division left a remainder")
+            row.append(q)
+        forms.append(tuple(row))
+    gens = list(s.gens)
+    gens[i] = x
+    if at is not None:
+        gens.insert(at, gens.pop(i))
+        forms.insert(at, forms.pop(i))
+    r = len(gens)
+    if [[sum(map(mul, f, g)) for g in gens] for f in forms] != \
+            [[det if j == k else 0 for k in range(r)] for j in range(r)]:
+        raise InternalConsistencyError("exchanged facet forms failed F'·g' = det'·I")
+    return _simplex(tuple(gens), det, tuple(forms), anchor)
+
+
+def placing_simplices(vectors, tri, anchor: IntVec | None = None):
+    """Yield the simplices of a placing triangulation of dual_description.
+
+    The first is built by make_simplicial_cone; every later one by
+    exchange from the earlier simplex it extends, its new vector moved
+    to the place of its index in the sorted index tuple.
+    """
+    built = []
+    for idx, parent, drop in tri:
+        if parent is None:
+            sub = make_simplicial_cone(tuple(vectors[g] for g in idx), anchor)
+        else:
+            pidx = tri[parent][0]
+            at = next(t for t, g in enumerate(idx) if g not in pidx)
+            sub = exchange(built[parent], drop, vectors[idx[at]], anchor, at)
+        built.append(sub)
+        yield sub
 
 
 def dual_description(vectors, want_triangulation: bool = False):
@@ -140,7 +223,11 @@ def dual_description(vectors, want_triangulation: bool = False):
     third extreme ray, which the scan would find.
 
     With `want_triangulation` the same incremental pass also records the
-    placing triangulation of cone(vectors) as index tuples.
+    placing triangulation of cone(vectors) as triples (idx, parent, drop):
+    idx is a sorted index tuple; a new simplex extends the earlier simplex
+    at position `parent` of the list across one of its facets, dropping
+    the vertex at position `drop` of the parent's idx.  The first simplex
+    has parent and drop None.
     """
     vectors = la.as_mat(vectors)
     n = len(vectors)
@@ -156,8 +243,8 @@ def dual_description(vectors, want_triangulation: bool = False):
     full = sum(1 << gi for gi in init)
     masks = [full & ~(1 << gi) for gi in init]
 
-    simplices: list[tuple[int, ...]] = [tuple(sorted(init))]
-    seen = {simplices[0]}
+    simplices = [(tuple(sorted(init)), None, None)]
+    seen = {simplices[0][0]}
     init_set = set(init)
 
     for i in range(n):
@@ -174,16 +261,16 @@ def dual_description(vectors, want_triangulation: bool = False):
         neg = [k for k, x in enumerate(vals) if x < 0]
 
         if want_triangulation:
-            bit_cache = [(idx, sum(1 << g for g in idx)) for idx in simplices]
+            bit_cache = [(idx, sum(1 << g for g in idx)) for idx, _, _ in simplices]
             for q in neg:
                 zq = masks[q]
-                for idx, bits in bit_cache:
+                for parent, (idx, bits) in enumerate(bit_cache):
                     if (bits & zq).bit_count() == s - 1:
-                        new_idx = tuple(sorted(
-                            [g for g in idx if zq >> g & 1] + [i]))
+                        drop = next(k for k, g in enumerate(idx) if not zq >> g & 1)
+                        new_idx = tuple(sorted(idx[:drop] + idx[drop + 1:] + (i,)))
                         if new_idx not in seen:
                             seen.add(new_idx)
-                            simplices.append(new_idx)
+                            simplices.append((new_idx, parent, drop))
 
         new_rays = []
         new_masks = []
@@ -333,12 +420,11 @@ def triangulate(cone: Cone) -> tuple[SimplicialCone, ...]:
     """Placing triangulation of the cone along its generator order.
 
     Each simplex carries excluded-facet data so that the half-open
-    simplices cover the cone disjointly.
+    simplices cover the cone disjointly.  The simplices are built along
+    the links of dual_description by placing_simplices.
     """
     if cone.rank == 0:
         return ()
     _, tri = dual_description(cone.generators, want_triangulation=True)
     anchor = tuple(sum(g[j] for g in cone.generators) for j in range(cone.rank))
-    return tuple(
-        make_simplicial_cone(tuple(cone.generators[i] for i in idx), anchor)
-        for idx in tri)
+    return tuple(placing_simplices(cone.generators, tri, anchor))

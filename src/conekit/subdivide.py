@@ -33,7 +33,7 @@ import numpy as np
 
 from . import linalg as la
 from .collect import as_rows, support_values
-from .cone import SimplicialCone, make_simplicial_cone
+from .cone import SimplicialCone, exchange
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
 
@@ -265,7 +265,8 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     their half-open exclusions keep the refined union disjoint.  The
     total determinant satisfies sum det(T_i) = det(S)·(N·xhat)/(N·gen).
     A point inside a non-primitive ray gives one piece: that generator
-    shortened to xhat.
+    shortened to xhat.  Piece i is S with gens[i] replaced by xhat, so
+    it comes from S by one exchange pivot, not from an adjugate.
     """
     xhat = la.as_vec(xhat)
     u = s.q_numerators(xhat)
@@ -279,8 +280,7 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
                           "at or beyond its generator")
     pieces = []
     for i in support:
-        gens = s.gens[:i] + (xhat,) + s.gens[i + 1:]
-        pieces.append(make_simplicial_cone(gens, anchor=s.anchor))
+        pieces.append(exchange(s, i, xhat, anchor=s.anchor))
     if sum(p.det for p in pieces) != sum(u[i] for i in support):
         raise InternalConsistencyError("stellar volume identity failed")
     return tuple(pieces)

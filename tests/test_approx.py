@@ -159,7 +159,7 @@ def tuple_approx_candidates(s, level):
     over = approximate_cone(s, level)
     _, tri = dual_description(over, want_triangulation=True)
     cands = list(over)
-    for idx in tri:
+    for idx, _, _ in tri:
         sub = make_simplicial_cone(tuple(over[i] for i in idx))
         if sub.det >= max(2, s.det):
             return ()
@@ -242,7 +242,7 @@ def overcone_points(s, level):
     """Total det of the overcone simplices approx_candidates evaluates."""
     over = approximate_cone(s, level)
     _, tri = dual_description(over, want_triangulation=True)
-    dets = [simplex(tuple(over[i] for i in idx)).det for idx in tri]
+    dets = [simplex(tuple(over[i] for i in idx)).det for idx, _, _ in tri]
     return sum(d for d in dets if d > 1)
 
 

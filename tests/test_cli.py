@@ -268,6 +268,12 @@ class TestMain:
         assert err.startswith("error: ") and str(csv_path) in err
         assert err.count("\n") == 1  # one line, no traceback
 
+    def test_failed_stats_csv_leaves_no_report(self, tmp_path):
+        p = write_input(tmp_path, "a.in", "amb_space 2\ncone 2\n1 0\n3 5\n")
+        assert main([str(p), "--stats-csv", str(tmp_path / "missing" / "x.csv")]) == 1
+        assert not (tmp_path / "a.out").exists()
+        assert [f.name for f in tmp_path.iterdir()] == ["a.in"]  # no temporary left
+
     def test_threads_identical_output(self, tmp_path):
         text = "amb_space 3\ncone 4\n0 0 1\n1 0 1\n0 1 1\n1 1 1\ngrading\n0 0 1\n"
         p1 = write_input(tmp_path, "a.in", text)

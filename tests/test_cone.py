@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -7,11 +8,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conekit import linalg as la
 from conekit.cli import parse_input
+from conekit.approx import approximate_cone
 from conekit.cone import (
-    ConeInput, build_cone, dual_description, make_simplicial_cone, normalize_grading,
-    triangulate, ambient_support_forms,
+    ConeInput, build_cone, dual_description, exchange, make_simplicial_cone,
+    normalize_grading, placing_simplices, triangulate, ambient_support_forms,
 )
-from conekit.errors import GradingNotPositiveError, NotPointedError
+from conekit.errors import (GradingNotPositiveError, InternalConsistencyError,
+                            NotPointedError, SingularMatrixError)
 
 from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv,
                      frac_rank, in_cone, in_half_open, is_pointed)
@@ -20,7 +23,8 @@ from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv
 QUADRANT = ((1, 0), (0, 1))
 CONE35 = ((1, 0), (3, 5))
 SQUARE3 = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
-SUBLATTICE = Path(__file__).parent / "fixtures" / "sublattice"
+FIXTURES = Path(__file__).parent / "fixtures"
+SUBLATTICE = FIXTURES / "sublattice"
 
 
 def forms_set(forms):
@@ -406,3 +410,129 @@ class TestAmbientSupportForms:
         for f in lifted:
             assert all(dotv(f, g) >= 0 for g in ambient_gens)
             assert any(dotv(f, g) == 0 for g in ambient_gens)
+
+
+# entries of up to 70 bits, so that some simplices leave int64 range
+ENTRY = st.one_of(st.integers(-9, 9), st.integers(-(1 << 70), 1 << 70))
+
+
+@st.composite
+def exchange_case(draw):
+    """(s, i, x): a simplex of rank r <= 6, an index and a point x with
+    u_i != 0, drawn as a nonnegative combination of the generators (a
+    point of the simplex) or freely (mostly outside it)."""
+    r = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.tuples(*[ENTRY] * r), min_size=r, max_size=r))
+    assume(la.determinant(gens) != 0)
+    anchor = draw(st.none() | st.tuples(*[st.integers(-5, 5)] * r))
+    s = make_simplicial_cone(gens, anchor)
+    i = draw(st.integers(0, r - 1))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
+        coeffs[i] = draw(st.integers(1, 3))
+        x = tuple(sum(c * g[j] for c, g in zip(coeffs, s.gens)) for j in range(r))
+    else:
+        x = draw(st.tuples(*[ENTRY] * r))
+    assume(s.q_numerators(x)[i] != 0)
+    return s, i, x
+
+
+def replaced(s, i, x):
+    return s.gens[:i] + (x,) + s.gens[i + 1:]
+
+
+class TestExchange:
+    @settings(max_examples=200, deadline=None)
+    @given(exchange_case())
+    def test_equals_adjugate_route(self, case):
+        s, i, x = case
+        assert exchange(s, i, x, s.anchor) == make_simplicial_cone(replaced(s, i, x), s.anchor)
+        assert exchange(s, i, x) == make_simplicial_cone(replaced(s, i, x))
+
+    @settings(max_examples=50, deadline=None)
+    @given(exchange_case(), st.data())
+    def test_moves_new_generator(self, case, data):
+        s, i, x = case
+        at = data.draw(st.integers(0, s.dim - 1))
+        gens = list(s.gens[:i] + s.gens[i + 1:])
+        gens.insert(at, x)
+        assert exchange(s, i, x, s.anchor, at) == make_simplicial_cone(gens, s.anchor)
+
+    def test_point_on_opposite_facet(self):
+        s = make_simplicial_cone(CONE35)
+        with pytest.raises(SingularMatrixError):
+            exchange(s, 0, (3, 5))
+
+    def test_inexact_division_raises(self):
+        # det 11 and u = (4, 1) at x = (1, 1); one more on an entry of
+        # the other row leaves a remainder modulo 11
+        s = make_simplicial_cone(((2, 1), (3, 7)))
+        assert s.det == 11 and s.q_numerators((1, 1)) == (4, 1)
+        forms = (s.facet_forms[0], (s.facet_forms[1][0] + 1, s.facet_forms[1][1]))
+        bad = replace(s, facet_forms=forms)
+        with pytest.raises(InternalConsistencyError, match="remainder"):
+            exchange(bad, 0, (1, 1))
+
+    def test_wrong_form_row_raises(self):
+        # det added to an entry of the pivot row keeps every division
+        # exact, but that row no longer vanishes on the other generator
+        s = make_simplicial_cone(((2, 1), (3, 7)))
+        pivot = (s.facet_forms[0][0] + s.det, s.facet_forms[0][1])
+        bad = replace(s, facet_forms=(pivot, s.facet_forms[1]))
+        with pytest.raises(InternalConsistencyError, match="F'"):
+            exchange(bad, 0, (1, 1))
+
+
+def check_links(vectors):
+    """Every simplex of the placing triangulation but the first differs
+    from an earlier simplex, its link, in exactly the dropped vertex, and
+    the simplices built along the links are the adjugate route's."""
+    _, tri = dual_description(vectors, want_triangulation=True)
+    assert tri[0][1:] == (None, None)
+    for k, (idx, parent, drop) in enumerate(tri[1:], start=1):
+        assert idx == tuple(sorted(idx))
+        assert 0 <= parent < k
+        pidx = tri[parent][0]
+        assert len(set(idx) - set(pidx)) == 1
+        assert set(pidx) - set(idx) == {pidx[drop]}
+    anchor = tuple(sum(g[j] for g in vectors) for j in range(len(vectors[0])))
+    for a in (None, anchor):
+        assert tuple(placing_simplices(vectors, tri, a)) == tuple(
+            make_simplicial_cone(tuple(vectors[g] for g in idx), a) for idx, _, _ in tri)
+
+
+FIXTURE_CONES = [build_cone(parse_input(p.read_text()))
+                 for p in sorted(FIXTURES.glob("*.in")) + sorted(SUBLATTICE.glob("*.in"))]
+
+
+class TestPlacingLinks:
+    @pytest.mark.parametrize("c", FIXTURE_CONES, ids=lambda c: str(c.generators))
+    def test_fixture_cones(self, c):
+        check_links(c.generators)
+        anchor = tuple(sum(g[j] for g in c.generators) for j in range(c.rank))
+        _, tri = dual_description(c.generators, want_triangulation=True)
+        assert triangulate(c) == tuple(make_simplicial_cone(
+            tuple(c.generators[g] for g in idx), anchor) for idx, _, _ in tri)
+
+    @pytest.mark.parametrize("c", FIXTURE_CONES, ids=lambda c: str(c.generators))
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_fixture_overcones(self, c, level):
+        for s in triangulate(c):
+            if s.dim > 1:
+                check_links(approximate_cone(s, level))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(cluttered_gens))
+    def test_random_cones(self, gens):
+        gens = tuple(g for g in gens if any(g))
+        assume(gens and frac_rank(gens) == len(gens[0]))
+        c = build_cone(ConeInput(len(gens[0]), generators=gens))
+        check_links(c.generators)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-30, 30)] * (d - 1), st.integers(1, 30)),
+        min_size=d, max_size=d)), st.integers(1, 2))
+    def test_random_overcones(self, gens, level):
+        assume(la.determinant(gens) != 0)
+        check_links(approximate_cone(make_simplicial_cone(gens), level))
