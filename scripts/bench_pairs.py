@@ -10,8 +10,9 @@ from seed to seed.  The file holds, per workload and end-to-end metric,
 both sides' per-seed values, their median and quartiles, the number
 of pairs the change won, and the verdict: `gain` (at least nine tenths
 of the pairs won and a median gap wider than the parent's quartile
-spread) and `regressed` (the median worse by more than the metric's
-bound).  Then seed 1 runs once per checkout with `--trace 1`, and its
+spread), `regressed` (the median worse by more than the metric's
+bound) and `unresolved` (the parent's quartile spread wider than that
+bound, unless every change run beats every parent run).  Then seed 1 runs once per checkout with `--trace 1`, and its
 per-layer metrics (the stage split among them) are stored as they are.
 
 A parent checkout is made with `git archive <rev> | tar -x -C DIR`.
@@ -59,12 +60,19 @@ def verdict(metric: dict, parent: dict, change: dict, wins: int) -> dict:
     """`gain`: the change won at least nine tenths of the pairs and its
     median beats the parent's by more than the parent's quartile spread.
     `regressed`: its median is worse than the parent's by more than the
-    metric's BENCHMARK.json bound, a fraction of the parent's median."""
+    metric's BENCHMARK.json bound, a fraction of the parent's median.
+    `unresolved`: the parent's quartile spread is wider than that bound,
+    so the runs cannot tell a change of the bound's size from noise,
+    unless every change run is better than every parent run."""
     sign = 1 if metric["better"] == "lower" else -1
     gap = sign * (parent["median"] - change["median"])  # > 0: change better
     pairs = len(parent["runs"])
-    return {"gain": 10 * wins >= 9 * pairs and gap > parent["q3"] - parent["q1"],
-            "regressed": -gap > metric["bound"] * abs(parent["median"])}
+    spread = parent["q3"] - parent["q1"]
+    bound = metric["bound"] * abs(parent["median"])
+    dominates = all(sign * (p - c) > 0 for p in parent["runs"] for c in change["runs"])
+    return {"gain": 10 * wins >= 9 * pairs and gap > spread,
+            "regressed": -gap > bound,
+            "unresolved": spread > bound and not dominates}
 
 
 def compare(spec: dict, trees: dict, seeds: list[int], seconds: float) -> dict:

@@ -108,11 +108,11 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     facet values dominated by x's and aux(y) < aux(x), so N·y < N·x.
     """
     over = approximate_cone(s, level)
-    forms, tri = dual_description(over, want_triangulation=True)
+    forms, _, placing = dual_description(over)
     if any(la.dot(f, g) < 0 for f in forms for g in s.gens):
         raise InternalConsistencyError("approximation is not an overcone")
     big = []
-    for sub in placing_simplices(over, tri):
+    for sub in placing_simplices(over, placing):
         if sub.det >= max(2, s.det):
             return ()
         if sub.det > 1:

@@ -259,14 +259,13 @@ def bottom_volume(s: SimplicialCone, guard: int = 10**6) -> int:
     r = s.dim
     points = reduce_to_hilbert_basis(hb_candidates(s), s.facet_forms)
     homog = [p + (1,) for p in points] + [tuple(g) + (0,) for g in s.gens]
-    facets, _ = dual_description(homog)
+    facets, _, _ = dual_description(homog)
     total = 0
     for form in facets:
         eta, offset = form[:r], form[r]
         if not all(la.dot(eta, g) > 0 for g in s.gens):
             continue
         on_facet = [p for p in points if la.dot(eta, p) + offset == 0]
-        _, tri = dual_description(on_facet, want_triangulation=True)
-        for idx, _, _ in tri:
+        for idx, _, _ in dual_description(on_facet)[2]:
             total += abs(la.determinant(tuple(on_facet[i] for i in idx)))
     return total

@@ -14,7 +14,8 @@ that nothing is known about, such as the first simplex of a
 triangulation.  Every later simplex of a placing triangulation, and
 every stellar piece, differs from a known simplex in one generator, and
 exchange derives its forms from that simplex by one fraction-free pivot.
-Both give the same SimplicialCone.
+Both give the same SimplicialCone.  A cone's placing triangulation is
+recorded by its one double description, in `Cone.placing`.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ class Cone:
     ambient_dim: int
     rank: int
     generators: IntMat      # primitive extreme rays, input order
+    placing: tuple          # dual_description's placing triangulation of generators
     support_forms: IntMat   # irredundant primitive forms, sorted
     lattice_basis: IntMat   # rows form a basis of E = Z^d ∩ span
     grading: IntVec | None = None
@@ -189,45 +191,47 @@ def exchange(s: SimplicialCone, i: int, x, anchor: IntVec | None = None,
     return _simplex(tuple(gens), det, tuple(forms), anchor)
 
 
-def placing_simplices(vectors, tri, anchor: IntVec | None = None):
-    """Yield the simplices of a placing triangulation of dual_description.
-
-    The first is built by make_simplicial_cone; every later one by
-    exchange from the earlier simplex it extends, its new vector moved
+def placing_simplices(vectors, placing, anchor: IntVec | None = None):
+    """Yield the simplices of the placing that dual_description(vectors)
+    returns.  The first is built by make_simplicial_cone; every later one
+    by exchange from the earlier simplex it extends, its new vector moved
     to the place of its index in the sorted index tuple.
     """
     built = []
-    for idx, parent, drop in tri:
+    for idx, parent, drop in placing:
         if parent is None:
             sub = make_simplicial_cone(tuple(vectors[g] for g in idx), anchor)
         else:
-            pidx = tri[parent][0]
+            pidx = placing[parent][0]
             at = next(t for t, g in enumerate(idx) if g not in pidx)
             sub = exchange(built[parent], drop, vectors[idx[at]], anchor, at)
         built.append(sub)
         yield sub
 
 
-def dual_description(vectors, want_triangulation: bool = False):
+def dual_description(vectors):
     """Extreme rays of {y : y·v >= 0 for all v}, by incremental insertion.
 
-    The vectors must span the space (which makes the dual cone pointed).
-    Inserting one vector at a time performs the Fourier-Motzkin step of
-    the double-description method.  A pair of rays p, q on opposite
-    sides of the new hyperplane yields a new ray iff it is adjacent:
-    no third ray vanishes on every inserted vector that both vanish on
-    (the combinatorial test of Fukuda-Prodon 1996).  Before that scan
-    over all rays, a pair sharing fewer than s - 2 zeros is skipped: the
-    smallest face holding p and q has dimension s - rank(common zeros),
-    at least 3 then, and a pointed cone of dimension 3 or more has a
-    third extreme ray, which the scan would find.
+    Returns (rays, masks, placing).  The vectors must span the space
+    (which makes the dual cone pointed).  Inserting one vector at a time
+    performs the Fourier-Motzkin step of the double-description method.
+    A pair of rays p, q on opposite sides of the new hyperplane yields a
+    new ray iff it is adjacent: no third ray vanishes on every inserted
+    vector that both vanish on (the combinatorial test of Fukuda-Prodon
+    1996).  Before that scan over all rays, a pair sharing fewer than
+    s - 2 zeros is skipped: the smallest face holding p and q has
+    dimension s - rank(common zeros), at least 3 then, and a pointed cone
+    of dimension 3 or more has a third extreme ray, which the scan would
+    find.
 
-    With `want_triangulation` the same incremental pass also records the
-    placing triangulation of cone(vectors) as triples (idx, parent, drop):
-    idx is a sorted index tuple; a new simplex extends the earlier simplex
-    at position `parent` of the list across one of its facets, dropping
-    the vertex at position `drop` of the parent's idx.  The first simplex
-    has parent and drop None.
+    Bit i of masks[k] is set iff rays[k]·vectors[i] == 0: every vector
+    updates the masks, and a new ray a·p + b·q (a, b > 0) vanishes on an
+    earlier vector iff p and q do.  placing is the placing triangulation
+    of cone(vectors), as triples (idx, parent, drop): idx is a sorted
+    index tuple; a new simplex extends the earlier simplex at position
+    `parent` of the list across one of its facets, dropping the vertex
+    at position `drop` of the parent's idx.  The first simplex has
+    parent and drop None.
     """
     vectors = la.as_mat(vectors)
     n = len(vectors)
@@ -252,25 +256,19 @@ def dual_description(vectors, want_triangulation: bool = False):
             continue
         v = vectors[i]
         vals = [la.dot(r, v) for r in rays]
-        if all(x >= 0 for x in vals):
-            for k, x in enumerate(vals):
-                if x == 0:
-                    masks[k] |= 1 << i
-            continue
         pos = [k for k, x in enumerate(vals) if x > 0]
         neg = [k for k, x in enumerate(vals) if x < 0]
 
-        if want_triangulation:
-            bit_cache = [(idx, sum(1 << g for g in idx)) for idx, _, _ in simplices]
-            for q in neg:
-                zq = masks[q]
-                for parent, (idx, bits) in enumerate(bit_cache):
-                    if (bits & zq).bit_count() == s - 1:
-                        drop = next(k for k, g in enumerate(idx) if not zq >> g & 1)
-                        new_idx = tuple(sorted(idx[:drop] + idx[drop + 1:] + (i,)))
-                        if new_idx not in seen:
-                            seen.add(new_idx)
-                            simplices.append((new_idx, parent, drop))
+        bit_cache = [(idx, sum(1 << g for g in idx)) for idx, _, _ in simplices]
+        for q in neg:
+            zq = masks[q]
+            for parent, (idx, bits) in enumerate(bit_cache):
+                if (bits & zq).bit_count() == s - 1:
+                    drop = next(k for k, g in enumerate(idx) if not zq >> g & 1)
+                    new_idx = tuple(sorted(idx[:drop] + idx[drop + 1:] + (i,)))
+                    if new_idx not in seen:
+                        seen.add(new_idx)
+                        simplices.append((new_idx, parent, drop))
 
         new_rays = []
         new_masks = []
@@ -292,7 +290,7 @@ def dual_description(vectors, want_triangulation: bool = False):
         rays = [rays[k] for k in keep] + new_rays
         masks = [masks[k] | (1 << i if vals[k] == 0 else 0) for k in keep] + new_masks
 
-    return tuple(rays), tuple(simplices) if want_triangulation else ()
+    return tuple(rays), tuple(masks), tuple(simplices)
 
 
 def ambient_support_forms(cone: Cone) -> IntMat:
@@ -335,20 +333,21 @@ def _rays_from_constraints(ci: ConeInput) -> IntMat:
     ineq_r = tuple(row for row in ineq_r if any(row))
     if len(la.independent_rows(ineq_r, s)) < s:
         raise NotPointedError("constraints admit a nonzero linear subspace")
-    rays_r, _ = dual_description(ineq_r)
+    rays_r, _, _ = dual_description(ineq_r)
     return tuple(la.vec_mat(r, kbasis) for r in rays_r)
 
 
 def build_cone(ci: ConeInput) -> Cone:
-    """Both descriptions of the cone, in restricted coordinates.
+    """Both descriptions and the placing of the cone, in restricted coordinates.
 
-    The support forms come from one double description of the
-    generators.  A primitive generator p spans an extreme ray iff no
-    generator off the ray of p vanishes on every facet through p: those
-    facets cut out the smallest face holding p, and that face is spanned
-    by the generators in it, so it is the ray of p exactly when they all
-    lie on that ray.  The generators keep their input order, primitive
-    and without repeats.
+    One double description gives the forms, the facets through each
+    generator (read off the masks) and the placing.  A primitive
+    generator p spans an extreme ray iff no generator off the ray of p
+    lies on every facet through p: those facets cut out the smallest face
+    holding p, which the generators in it span.  The generators keep
+    their input order, primitive and without repeats.  If that drops one
+    (a repeat, or a non-extreme generator, which may be a vertex of the
+    placing), a second pass records the placing of the extreme ones.
 
     Raises NotPointedError when the input contains a line; an input with
     no nonzero generators yields the trivial (rank zero) cone.
@@ -360,7 +359,7 @@ def build_cone(ci: ConeInput) -> Cone:
         gens_amb = ci.generators
     gens_amb = tuple(g for g in gens_amb if any(g))
     if not gens_amb:
-        cone = Cone(ambient_dim=d, rank=0, generators=(), support_forms=(),
+        cone = Cone(ambient_dim=d, rank=0, generators=(), placing=(), support_forms=(),
                     lattice_basis=(), grading=None)
         if ci.grading is not None:
             cone = replace(cone, grading=())
@@ -372,20 +371,22 @@ def build_cone(ci: ConeInput) -> Cone:
     else:
         basis, gens_r, _ = la.sublattice(gens_amb, d)
 
-    forms, _ = dual_description(gens_r)
+    forms, masks, placing = dual_description(gens_r)
     if len(la.independent_rows(forms, r)) < r:
         raise NotPointedError("cone contains a nonzero linear subspace")
 
     prims = [la.primitive(g) for g in gens_r]
-    zeros = [sum(1 << j for j, f in enumerate(forms) if la.dot(f, p) == 0)
-             for p in prims]
+    zeros = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
+             for i in range(len(prims))]
     generators = []
     for p, z in zip(prims, zeros):
         if p not in generators and all(z & ~zk or pk == p
                                        for pk, zk in zip(prims, zeros)):
             generators.append(p)
+    if len(generators) < len(prims):
+        _, _, placing = dual_description(generators)
 
-    cone = Cone(ambient_dim=d, rank=r, generators=tuple(generators),
+    cone = Cone(ambient_dim=d, rank=r, generators=tuple(generators), placing=placing,
                 support_forms=tuple(sorted(forms)), lattice_basis=basis,
                 grading=None)
     if ci.grading is not None:
@@ -419,12 +420,9 @@ def normalize_grading(cone: Cone, deg: IntVec) -> IntVec:
 def triangulate(cone: Cone) -> tuple[SimplicialCone, ...]:
     """Placing triangulation of the cone along its generator order.
 
-    Each simplex carries excluded-facet data so that the half-open
-    simplices cover the cone disjointly.  The simplices are built along
-    the links of dual_description by placing_simplices.
+    Built by placing_simplices from the placing build_cone recorded, with
+    no double description.  Each simplex carries excluded-facet data so
+    that the half-open simplices cover the cone disjointly.
     """
-    if cone.rank == 0:
-        return ()
-    _, tri = dual_description(cone.generators, want_triangulation=True)
     anchor = tuple(sum(g[j] for g in cone.generators) for j in range(cone.rank))
-    return tuple(placing_simplices(cone.generators, tri, anchor))
+    return tuple(placing_simplices(cone.generators, cone.placing, anchor))

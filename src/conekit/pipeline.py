@@ -11,7 +11,7 @@ from . import linalg as la
 from .approx import approx_candidates
 from .collect import (ComputationResult, StatsRecord, accumulate_series,
                       reduce_to_hilbert_basis)
-from .cone import Cone, ambient_support_forms, build_cone, triangulate
+from .cone import ConeInput, ambient_support_forms, build_cone, triangulate
 from .errors import DomainError
 from .simplex import hb_candidates, series_contribution
 from .subdivide import (APPROX_LEVEL_CAP, HUGE_DET, SubdivisionConfig,
@@ -77,14 +77,14 @@ def make_finder(cfg: SubdivisionConfig, stats: StatsRecord):
     return find
 
 
-def compute(problem, options: RunOptions = RunOptions()) -> ComputationResult:
-    """Run the primal algorithm and collect results in ambient coordinates."""
+def compute(ci: ConeInput, options: RunOptions = RunOptions()) -> ComputationResult:
+    """Run the primal algorithm on `ci` and collect results in ambient coordinates."""
     stats = StatsRecord()
     times = stats.wall_time
     t_total = time.monotonic()
 
     t0 = time.monotonic()
-    cone = problem if isinstance(problem, Cone) else build_cone(problem)
+    cone = build_cone(ci)
     times["build"] = time.monotonic() - t0
 
     want_series = "hilbert_series" in options.goals

@@ -279,7 +279,7 @@ def test_criterion_7_approximation_properties():
         gens = random_simplex(rng, d, entry, det_hi=2000)
         s = make_simplicial_cone(gens)
         over = approximate_cone(s, 1)
-        forms, _ = dual_description(over)
+        forms, _, _ = dual_description(over)
         assert all(dotv(f, g) >= 0 for f in forms for g in s.gens), gens
         contained += 1
         cands = approx_candidates(s, 1)

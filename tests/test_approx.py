@@ -115,7 +115,7 @@ class TestApproximateCone:
             return
         s = simplex(rows)
         over = approximate_cone(s, level)
-        forms, _ = dual_description(over)
+        forms, _, _ = dual_description(over)
         for g in s.gens:
             assert all(dotv(f, g) >= 0 for f in forms)
 
@@ -157,7 +157,7 @@ def tuple_approx_candidates(s, level):
     """approx_candidates with the candidates filtered as tuples, every
     overcone simplex evaluated (unimodular ones too)."""
     over = approximate_cone(s, level)
-    _, tri = dual_description(over, want_triangulation=True)
+    _, _, tri = dual_description(over)
     cands = list(over)
     for idx, _, _ in tri:
         sub = make_simplicial_cone(tuple(over[i] for i in idx))
@@ -241,7 +241,7 @@ class TestApproxDrivenSubdivision:
 def overcone_points(s, level):
     """Total det of the overcone simplices approx_candidates evaluates."""
     over = approximate_cone(s, level)
-    _, tri = dual_description(over, want_triangulation=True)
+    _, _, tri = dual_description(over)
     dets = [simplex(tuple(over[i] for i in idx)).det for idx, _, _ in tri]
     return sum(d for d in dets if d > 1)
 

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -6,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conekit import linalg as la
+from conekit import cone as cone_module, linalg as la
 from conekit.cli import parse_input
 from conekit.approx import approximate_cone
 from conekit.cone import (
@@ -100,6 +101,34 @@ class TestSupportHyperplanes:
         gens = data.draw(pointed_gens(d, min_size=d, max_size=d + 4))
         assume(frac_rank(gens) == d)
         assert list(support_hyperplanes(gens)) == brute_facets(gens)
+
+
+@st.composite
+def redundant_vectors(draw, d):
+    """Vector lists in Z^d that end in repeats, positive multiples and
+    sums of earlier vectors, each inside the cone of those before it."""
+    vectors = draw(pointed_gens(d, min_size=d, max_size=d + 2))
+    for _ in range(draw(st.integers(1, 5))):
+        a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
+        k = draw(st.integers(2, 3))
+        vectors.append(draw(st.sampled_from([
+            a, tuple(k * x for x in a), tuple(x + y for x, y in zip(a, b))])))
+    return vectors
+
+
+class TestMasks:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 4).flatmap(
+        lambda d: st.one_of(redundant_vectors(d), cluttered_gens(d))))
+    def test_masks_are_zero_sets(self, vectors):
+        # build_cone reads every generator's facets off these bits
+        assume(frac_rank(vectors) == len(vectors[0]))
+        rays, masks, _ = dual_description(vectors)
+        assert len(masks) == len(rays)
+        for ray, mask in zip(rays, masks):
+            for i, v in enumerate(vectors):
+                assert bool(mask >> i & 1) == (dotv(ray, v) == 0)
+            assert mask >> len(vectors) == 0
 
 
 class TestBuildCone:
@@ -487,7 +516,7 @@ def check_links(vectors):
     """Every simplex of the placing triangulation but the first differs
     from an earlier simplex, its link, in exactly the dropped vertex, and
     the simplices built along the links are the adjugate route's."""
-    _, tri = dual_description(vectors, want_triangulation=True)
+    _, _, tri = dual_description(vectors)
     assert tri[0][1:] == (None, None)
     for k, (idx, parent, drop) in enumerate(tri[1:], start=1):
         assert idx == tuple(sorted(idx))
@@ -510,7 +539,8 @@ class TestPlacingLinks:
     def test_fixture_cones(self, c):
         check_links(c.generators)
         anchor = tuple(sum(g[j] for g in c.generators) for j in range(c.rank))
-        _, tri = dual_description(c.generators, want_triangulation=True)
+        _, _, tri = dual_description(c.generators)
+        assert c.placing == tri
         assert triangulate(c) == tuple(make_simplicial_cone(
             tuple(c.generators[g] for g in idx), anchor) for idx, _, _ in tri)
 
@@ -528,6 +558,8 @@ class TestPlacingLinks:
         assume(gens and frac_rank(gens) == len(gens[0]))
         c = build_cone(ConeInput(len(gens[0]), generators=gens))
         check_links(c.generators)
+        # one pass or two, the placing is that of the extreme generators
+        assert c.placing == dual_description(c.generators)[2]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda d: st.lists(
@@ -536,3 +568,55 @@ class TestPlacingLinks:
     def test_random_overcones(self, gens, level):
         assume(la.determinant(gens) != 0)
         check_links(approximate_cone(make_simplicial_cone(gens), level))
+
+
+def polytope_cone(rng, points=16, box=5, d=6):
+    """The cone over `points` distinct random lattice points of
+    [0, box]^(d-1) at height 1, drawn as conebench's series-polytope
+    workload draws its cones."""
+    seen = []
+    while len(seen) < points:
+        p = tuple(rng.randint(0, box) for _ in range(d - 1)) + (1,)
+        if p not in seen:
+            seen.append(p)
+    return ConeInput(d, generators=seen)
+
+
+def passes(ci):
+    """The cone and triangulation of `ci` and the number of
+    dual_description calls build_cone and triangulate make."""
+    with mock.patch.object(cone_module, "dual_description",
+                           wraps=cone_module.dual_description) as dd:
+        c = build_cone(ci)
+        tri = triangulate(c)
+    return c, tri, dd.call_count
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("name", ["cone35", "quadrant", "square3d", "subdiv",
+                                      "sublattice/skew"])
+    def test_generator_fixtures(self, name):
+        ci = parse_input((FIXTURES / f"{name}.in").read_text())
+        c, _, count = passes(ci)
+        assert len(c.generators) == len(ci.generators)
+        assert count == 1
+
+    def test_polytope_cone(self):
+        ci = polytope_cone(random.Random(17))
+        c, tri, count = passes(ci)
+        assert len(c.generators) == 16 and c.rank == 6
+        assert count == 1
+        assert len(tri) == len(c.placing)
+
+    def test_redundant_input_takes_a_second_pass(self):
+        c, tri, count = passes(ConeInput(2, generators=((1, 1), (1, 0), (0, 1))))
+        assert count == 2
+        extreme, tri_extreme, _ = passes(ConeInput(2, generators=((1, 0), (0, 1))))
+        assert c == extreme
+        assert tri == tri_extreme and len(tri) == 1
+
+    @pytest.mark.parametrize("name, count", [("constraints", 2), ("lowdim", 2),
+                                             ("sublattice/intersect", 3)])
+    def test_constraint_fixtures(self, name, count):
+        ci = parse_input((FIXTURES / f"{name}.in").read_text())
+        assert passes(ci)[2] == count
