@@ -20,6 +20,14 @@ the search.  A slab of heights [a, b] has a tight box around
 it or proves it empty.  The levels v = 1..8 are scanned as slabs [v, v]
 first; above them, one search of the whole range gives an upper bound,
 and bisection over height slabs closes the gap to the minimum.
+
+Each search node first propagates its box through the rows cl <= c·y
+<= cu.  With mn and mx the least and greatest c·y on the box, the row
+moves hi_j (c_j > 0) or lo_j (c_j < 0) iff cu - mn < |c_j|·(hi_j - lo_j),
+and the other bound iff mx - cl < |c_j|·(hi_j - lo_j).  So a row whose
+two slacks are at least every |c_j|·(hi_j - lo_j) is skipped, exactly
+(Achterberg 2007).  Tightening is monotone, so any sweep order reaches
+the same fixpoint box (Apt 1999).
 """
 
 from __future__ import annotations
@@ -79,46 +87,49 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _terms(coeffs):
+    """A row's nonzero terms: (j, c) for c > 0 and (j, -c) for c < 0."""
+    return ([(j, c) for j, c in enumerate(coeffs) if c > 0],
+            [(j, -c) for j, c in enumerate(coeffs) if c < 0])
+
+
 def _propagate(rows, lo, hi) -> bool:
-    """Tighten the box [lo, hi] in place to cl <= coeffs·x <= cu for every
-    row (coeffs, cl, cu), until no bound moves; False if a row fails."""
+    """Tighten the box [lo, hi] in place to cl <= c·x <= cu for every row
+    (*_terms(c), cl, cu), until no bound moves; False if a row fails.
+    Rows that move no bound are skipped by the slack test."""
     changed = True
     while changed:
         changed = False
-        for coeffs, cl, cu in rows:
-            mn = mx = 0
-            for c, l, h in zip(coeffs, lo, hi):
-                if c > 0:
-                    mn += c * l
-                    mx += c * h
-                elif c < 0:
-                    mn += c * h
-                    mx += c * l
+        for pos, neg, cl, cu in rows:
+            mn = mx = span = 0
+            for j, a in pos:
+                l, h = lo[j], hi[j]
+                mn += a * l
+                mx += a * h
+                if a * (h - l) > span:
+                    span = a * (h - l)
+            for j, a in neg:
+                l, h = lo[j], hi[j]
+                mn -= a * h
+                mx -= a * l
+                if a * (h - l) > span:
+                    span = a * (h - l)
             if mn > cu or mx < cl:
                 return False
-            for j, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                if c > 0:
-                    tmin, tmax = c * lo[j], c * hi[j]
-                else:
-                    tmin, tmax = c * hi[j], c * lo[j]
-                up = cu - (mn - tmin)   # c*x_j <= up
-                dn = cl - (mx - tmax)   # c*x_j >= dn
-                if c > 0:
-                    nh = up // c
-                    nl = _ceil_div(dn, c)
-                else:
-                    nh = dn // c
-                    nl = _ceil_div(up, c)
-                if nh < hi[j]:
-                    hi[j] = nh
-                    changed = True
-                if nl > lo[j]:
-                    lo[j] = nl
-                    changed = True
-                if lo[j] > hi[j]:
-                    return False
+            if cu - mn >= span and mx - cl >= span:
+                continue
+            changed = True
+            # each x_j from the bounds the row saw before this visit
+            for terms, up, dn in ((pos, cu - mn, mx - cl), (neg, mx - cl, cu - mn)):
+                for j, a in terms:
+                    l, h = lo[j], hi[j]
+                    nh, nl = l + up // a, h - dn // a
+                    if nh < h:
+                        hi[j] = nh
+                    if nl > l:
+                        lo[j] = nl
+                    if lo[j] > hi[j]:
+                        return False
     return True
 
 
@@ -141,9 +152,9 @@ class _Search:
 
     def find(self, rows, lo, hi, order):
         """The first integer point of the box [lo, hi] that satisfies every
-        row, or None.  Branching tries low values of order·x first."""
+        row, or None; narrows the lists lo and hi it is given.
+        Branching tries low values of order·x first."""
         self._tick()
-        lo, hi = list(lo), list(hi)
         if not _propagate(rows, lo, hi):
             return None
         free = [j for j in range(len(lo)) if lo[j] < hi[j]]
@@ -203,6 +214,8 @@ def solve_star_ip(s: SimplicialCone,
                      None)
     gmin = [min(g[j] for g in ygens) for j in range(r)]
     gmax = [max(g[j] for g in ygens) for j in range(r)]
+    facet_terms = [_terms(f) for f in forms]
+    order_terms = _terms(order)
     search = _Search(_deadline(cfg, det), cfg.node_limit)
 
     def slab(a: int, b: int):
@@ -219,7 +232,7 @@ def solve_star_ip(s: SimplicialCone,
         if any(x > y for x, y in zip(lo, hi)):
             return None
         cap = (det * b) // height
-        rows = [(f, 0, cap) for f in forms] + [(order, a, b)]
+        rows = [(*t, 0, cap) for t in facet_terms] + [(*order_terms, a, b)]
         y = search.find(rows, lo, hi, order)
         return None if y is None else la.mat_vec(transform, y)
 

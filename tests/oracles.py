@@ -468,6 +468,53 @@ def oracle_cost_estimate(gens):
     return size
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def sweep_propagate(rows, lo, hi) -> bool:
+    """Tighten the box [lo, hi] in place to cl <= coeffs·x <= cu for every
+    row (coeffs, cl, cu), until no bound moves; False if a row fails."""
+    changed = True
+    while changed:
+        changed = False
+        for coeffs, cl, cu in rows:
+            mn = mx = 0
+            for c, l, h in zip(coeffs, lo, hi):
+                if c > 0:
+                    mn += c * l
+                    mx += c * h
+                elif c < 0:
+                    mn += c * h
+                    mx += c * l
+            if mn > cu or mx < cl:
+                return False
+            for j, c in enumerate(coeffs):
+                if c == 0:
+                    continue
+                if c > 0:
+                    tmin, tmax = c * lo[j], c * hi[j]
+                else:
+                    tmin, tmax = c * hi[j], c * lo[j]
+                up = cu - (mn - tmin)   # c*x_j <= up
+                dn = cl - (mx - tmax)   # c*x_j >= dn
+                if c > 0:
+                    nh = up // c
+                    nl = _ceil_div(dn, c)
+                else:
+                    nh = dn // c
+                    nl = _ceil_div(up, c)
+                if nh < hi[j]:
+                    hi[j] = nh
+                    changed = True
+                if nl > lo[j]:
+                    lo[j] = nl
+                    changed = True
+                if lo[j] > hi[j]:
+                    return False
+    return True
+
+
 def brute_star_minimum(gens, normal, height):
     """Exact optimum of min{N·x : x in E \\ {0}, N·x < height} by grid scan."""
     best = None

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conekit import collect
 from conekit import linalg as la
@@ -380,15 +380,25 @@ class TestSeriesSizeGuard:
 class TestSubdividedSeries:
     @settings(max_examples=100, deadline=None)
     @given(graded_cones(), st.sampled_from([1, 2, 5]))
+    # e·rank = 1,907,620·3 is above POINT_BUDGET: both runs refuse
+    @example(ConeInput(3, generators=((-1, 3, 3), (1, 3, 3), (0, 3, 2), (-3, -2, 3),
+                                      (2, -3, 3)), grading=(1, -1, 8)), 1)
     def test_ip_leaves_give_the_undivided_series(self, ci, bound):
-        # stellar points get degrees that need not divide e
+        # stellar points get degrees that need not divide e; e is the lcm
+        # of the extreme degrees alone, so a series over budget is refused
+        # with the same message whatever the strategy
         series = frozenset({"hilbert_series"})
-        none = compute(ci, RunOptions(
-            goals=series, subdivision=SubdivisionConfig(strategy="none")))
-        ip = compute(ci, RunOptions(goals=series, subdivision=SubdivisionConfig(
-            strategy="ip", volume_bound=bound, node_limit=200,
-            time_limit_scale=None)))
-        assert ip.series == none.series
+        ip = SubdivisionConfig(strategy="ip", volume_bound=bound, node_limit=200,
+                               time_limit_scale=None)
+        try:
+            none = compute(ci, RunOptions(
+                goals=series, subdivision=SubdivisionConfig(strategy="none")))
+        except DomainError as refused:
+            with pytest.raises(DomainError) as also:
+                compute(ci, RunOptions(goals=series, subdivision=ip))
+            assert str(also.value) == str(refused)
+            return
+        assert compute(ci, RunOptions(goals=series, subdivision=ip)).series == none.series
 
 
 class TestBottomVolume:

@@ -19,7 +19,7 @@ from conekit.subdivide import (
 )
 
 from oracles import (brute_star_minimum, dotv, fundamental_points, in_half_open,
-                     stellar_tree)
+                     stellar_tree, sweep_propagate)
 
 
 def simplex(gens):
@@ -120,6 +120,41 @@ class TestSolveStarIp:
             assert out.status == "infeasible"
         else:
             assert out.is_optimal and out.value == ref[0]
+
+
+@st.composite
+def propagation_rows(draw):
+    """Up to 7 rows (coeffs, cl, cu) over a box of up to 6 variables, with
+    zero coefficients, coefficients up to 2^70, widths 0 and cl > cu.
+    The sides are drawn around the row's activity range on the box, so
+    rows that fail, tighten and do nothing all occur."""
+    n = draw(st.integers(1, 6))
+    size = st.sampled_from([0, 1, 3, 2**20, 2**70])
+    lo = [draw(st.integers(-20, 20)) for _ in range(n)]
+    hi = [l + draw(st.integers(0, draw(size))) for l in lo]
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        coeffs = [draw(st.integers(-m, m)) for m in draw(st.lists(size, min_size=n,
+                                                                  max_size=n))]
+        mn = sum(min(c * l, c * h) for c, l, h in zip(coeffs, lo, hi))
+        mx = sum(max(c * l, c * h) for c, l, h in zip(coeffs, lo, hi))
+        side = st.integers(mn - 3, mx + 3)
+        rows.append((coeffs, draw(side), draw(side)))
+    return rows, lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(propagation_rows())
+def test_propagate_matches_sweep(instance):
+    """The slack-skipping propagation gives the textbook sweep's verdict,
+    and its box when feasible."""
+    rows, lo, hi = instance
+    lo2, hi2 = list(lo), list(hi)
+    ok = sweep_propagate(rows, lo, hi)
+    split = [(*subdivide_module._terms(c), cl, cu) for c, cl, cu in rows]
+    assert subdivide_module._propagate(split, lo2, hi2) == ok
+    if ok:
+        assert (lo2, hi2) == (lo, hi)
 
 
 # (generators, the smallest node_limit at which the IP is optimal, the
@@ -312,6 +347,31 @@ class TestRecursiveSubdivide:
         for x in product(range(-10, 11), repeat=2):
             inside = in_half_open(s, x)
             assert sum(in_half_open(p, x) for p in leaves) == (1 if inside else 0)
+
+
+def test_subdivision_node_counts(monkeypatch):
+    """Two height-10 simplices cut down to volume 10^4 by the star IP:
+    the IPs, their search nodes, the leaves and the leaves' volume are
+    pinned, so a propagation change that moves any box shows here."""
+    searches = []
+
+    class Counted(subdivide_module._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(subdivide_module, "_Search", Counted)
+    rng = random.Random(18)
+    cfg = SubdivisionConfig(volume_bound=10**4, strategy="ip", node_limit=500,
+                            time_limit_scale=Fraction(0))
+    counts = []
+    for _ in range(2):
+        s = height_ten_simplex(rng, 5, 40, 4 * 10**6, 6 * 10**6)
+        searches.clear()
+        leaves = recursive_subdivide(s, cfg, ip_finder(cfg))
+        counts.append((len(searches), sum(x.nodes for x in searches),
+                       len(leaves), sum(p.det for p in leaves)))
+    assert counts == [(8, 241, 33, 72568), (10, 511, 41, 85114)]
 
 
 def test_approx_pool_lowers_volume():
