@@ -15,10 +15,11 @@ from .errors import DomainError, InternalConsistencyError
 from .linalg import IntMat, IntVec
 from .simplex import POINT_BUDGET, hb_candidates
 
-# sorted candidates per dominance pass, and the boolean entries one
-# comparison slab may hold
+# sorted candidates per dominance pass, the boolean entries one
+# comparison slab may hold, and the reducers of a row set's first slab
 _BLOCK = 1 << 12
 _SLAB = 1 << 20
+_FIRST_SLAB = 32
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +131,19 @@ def _dominated(vals, aux, red_vals, red_aux) -> np.ndarray:
     """Mask of rows x with a reducer y: vals(x) >= vals(y), aux(y) < aux(x).
 
     Rows and reducers come in increasing aux order.  Each slab compares
-    the rows not yet dominated with as many reducers as keep the
-    (rows x reducers) boolean temporary within _SLAB entries.
+    the rows not yet dominated with the next reducers: the first slab
+    with _FIRST_SLAB of them, every later one with twice as many as the
+    one before, but never more than keep the (rows x reducers) boolean
+    temporary within _SLAB entries.  A reducible row is almost always
+    dominated by one of the first few reducers of low aux degree, so
+    most rows leave after a narrow slab, and the survivors meet the
+    remaining reducers in a logarithmic number of slabs.
     """
     dominated = np.zeros(len(vals), dtype=bool)
     todo = np.arange(len(vals))
-    lo = 0
+    lo, width = 0, _FIRST_SLAB
     while todo.size and lo < len(red_vals) and red_aux[lo] < aux[todo[-1]]:
-        hi = lo + max(1, _SLAB // todo.size)
+        hi = lo + max(1, min(width, _SLAB // todo.size))
         x = vals[todo]
         hit = red_aux[None, lo:hi] < aux[todo, None]
         for k in range(vals.shape[1]):
@@ -145,7 +151,7 @@ def _dominated(vals, aux, red_vals, red_aux) -> np.ndarray:
         hit = hit.any(1)
         dominated[todo[hit]] = True
         todo = todo[~hit]
-        lo = hi
+        lo, width = hi, 2 * width
     return dominated
 
 
@@ -155,38 +161,43 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
     x is reducible by another candidate y when x - y lies in the cone,
     i.e. when x's support-form values dominate y's; then y has smaller
     auxiliary degree (the sum of all support-form values, positive on
-    the pointed cone).  The result is the set of candidates that no
-    other candidate reduces, in increasing (aux, lex) order.
+    the pointed cone).  The result is the set of nonzero candidates that
+    no other candidate reduces, in increasing (aux, lex) order.  One
+    lexsort gives that order, in which a duplicate follows its equal.
 
     Reduction is transitive, so a reducible candidate is also reduced by
     a minimal one, of smaller aux degree.  The sorted candidates are
     therefore taken in blocks of _BLOCK rows, each tested once against
     every minimal element of the earlier blocks and once against its own
     survivors; nothing within a block depends on the order of the tests.
-    A test holds at most _SLAB booleans at a time, so its temporaries
+    A test meets the reducers in slabs that start at _FIRST_SLAB and
+    double, so the rows that the first, low-degree reducers dominate
+    leave early; a slab holds at most _SLAB booleans, so the temporaries
     stay bounded whatever the number of candidates.
 
     Normaliz also skips reducers of more than half the aux degree of x.
-    That cut is not applied here.  It would be sound, since every
-    caller's candidate set contains the Hilbert basis (the pipeline
-    passes the candidates of all leaves of a triangulation,
-    bottom_volume those of the whole simplex), but on the criterion-8
+    That cut stays off: it is sound only for a candidate set that
+    contains the Hilbert basis, while this function returns the minimal
+    elements of any set (x may be reducible only by a y of more than
+    half its degree when x - y is not a candidate).  On the criterion-8
     Hilbert basis (205,262 candidates, a 7,022-element basis) it gave no
-    gain: the reduction took 1.61-2.02 s with it against 1.66-1.88 s
-    without.
+    gain either: 1.61-2.02 s with it against 1.66-1.88 s without.
     """
     cands = candidates if isinstance(candidates, np.ndarray) else as_rows(candidates)
     if cands.dtype == object:
         cands = np.array(sorted({tuple(int(x) for x in row)
                                  for row in cands if any(row)}), dtype=object)
     else:
-        cands = np.unique(cands[np.any(cands != 0, axis=1)], axis=0)
+        cands = cands[np.any(cands != 0, axis=1)]
     if cands.size == 0:
         return ()
     vals = support_values(cands, support_forms)
     aux = vals.sum(axis=1)
-    order = np.argsort(aux, kind="stable")
+    order = np.lexsort((*cands.T[::-1], aux))
     cands, vals, aux = cands[order], vals[order], aux[order]
+    distinct = np.ones(len(cands), dtype=bool)
+    distinct[1:] = np.any(cands[1:] != cands[:-1], axis=1)
+    cands, vals, aux = cands[distinct], vals[distinct], aux[distinct]
 
     kept = np.zeros(0, dtype=np.intp)
     for start in range(0, len(cands), _BLOCK):
@@ -194,7 +205,20 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
         idx = idx[~_dominated(vals[idx], aux[idx], vals[kept], aux[kept])]
         idx = idx[~_dominated(vals[idx], aux[idx], vals[idx], aux[idx])]
         kept = np.concatenate([kept, idx])
-    return tuple(tuple(int(x) for x in row) for row in cands[kept])
+    return tuple(map(tuple, cands[kept].tolist()))
+
+
+def series_period(extreme_degrees, rank: int) -> int:
+    """e, the lcm of the extreme generator degrees; refused when the
+    e·rank numerator coefficients over (1 - t^e)^rank pass POINT_BUDGET."""
+    extreme_degrees = [int(x) for x in extreme_degrees]
+    if any(x <= 0 for x in extreme_degrees):
+        raise DomainError("extreme generator degrees must be positive")
+    e = lcm(*extreme_degrees) if extreme_degrees else 1
+    if e * rank > POINT_BUDGET:
+        raise DomainError(f"Hilbert series denominator (1 - t^{e})^{rank} "
+                          f"is above the budget of {POINT_BUDGET} coefficients")
+    return e
 
 
 def accumulate_series(contribs, extreme_degrees, rank: int) -> HilbertSeries:
@@ -207,17 +231,10 @@ def accumulate_series(contribs, extreme_degrees, rank: int) -> HilbertSeries:
     triangulation or the half-open shift).  It divides by one binomial
     of the common denominator at a time, which is exact exactly when
     the whole division is.  The empty sum is 0 for rank > 0.
-    Multiplying by (1 - t^e)^rank adds e·rank coefficients to the
-    numerator, so e·rank above POINT_BUDGET is refused before any
+    series_period refuses an e·rank above POINT_BUDGET before any
     expansion.
     """
-    extreme_degrees = [int(x) for x in extreme_degrees]
-    if any(x <= 0 for x in extreme_degrees):
-        raise DomainError("extreme generator degrees must be positive")
-    e = lcm(*extreme_degrees) if extreme_degrees else 1
-    if e * rank > POINT_BUDGET:
-        raise DomainError(f"Hilbert series denominator (1 - t^{e})^{rank} "
-                          f"is above the budget of {POINT_BUDGET} coefficients")
+    e = series_period(extreme_degrees, rank)
     if rank == 0:
         return HilbertSeries(numerator=(1,), e=e, r=rank)
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import linalg as la
 from .approx import approx_candidates
 from .collect import (ComputationResult, StatsRecord, accumulate_series,
-                      reduce_to_hilbert_basis)
+                      reduce_to_hilbert_basis, series_period)
 from .cone import ConeInput, ambient_support_forms, build_cone, triangulate
 from .errors import DomainError
 from .simplex import hb_candidates, series_contribution
@@ -91,6 +91,9 @@ def compute(ci: ConeInput, options: RunOptions = RunOptions()) -> ComputationRes
     want_hb = "hilbert_basis" in options.goals
     if want_series and cone.rank > 0 and cone.grading is None:
         raise DomainError("the hilbert_series goal requires a grading")
+    if want_series:  # refuse an oversized series before any leaf is evaluated
+        extreme_degrees = [la.dot(g, cone.grading) for g in cone.generators]
+        series_period(extreme_degrees, cone.rank)
 
     t0 = time.monotonic()
     tri = triangulate(cone)
@@ -130,7 +133,6 @@ def compute(ci: ConeInput, options: RunOptions = RunOptions()) -> ComputationRes
 
     series = None
     if want_series:
-        extreme_degrees = [la.dot(g, cone.grading) for g in cone.generators]
         series = accumulate_series(contribs, extreme_degrees, cone.rank)
     times["collect"] = time.monotonic() - t0
     times["total"] = time.monotonic() - t_total

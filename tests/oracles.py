@@ -4,9 +4,11 @@ Everything here is deliberately naive (expansion by minors, grid
 enumeration, reduction by elimination) and shares no code with the
 package internals beyond tuples of ints.  The exceptions are
 stellar_tree, which checks recursive_subdivide's loop and so reuses the
-package's single stellar step, and fundamental_points and is_pointed,
+package's single stellar step, fundamental_points and is_pointed,
 which only the tests need: the first collects the package's residue
-sweep, the second asks build_cone.
+sweep, the second asks build_cone, and unique_sort_reduction, the
+reference for reduce_to_hilbert_basis, which converts rows and support
+values as the package does.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from conekit.collect import as_rows, support_values
 from conekit.cone import ConeInput, build_cone
 from conekit.errors import NotPointedError
 from conekit.simplex import points_from_block, residue_blocks
@@ -466,6 +469,55 @@ def oracle_cost_estimate(gens):
     for l, h in zip(lo[:-1], hi[:-1]):
         size *= h - l + 1
     return size
+
+
+def _fixed_slab_dominated(vals, aux, red_vals, red_aux, slab):
+    """Mask of rows x with a reducer y: vals(x) >= vals(y), aux(y) < aux(x),
+    comparing the rows not yet dominated with as many reducers at a time
+    as keep the (rows x reducers) temporary within slab entries."""
+    dominated = np.zeros(len(vals), dtype=bool)
+    todo = np.arange(len(vals))
+    lo = 0
+    while todo.size and lo < len(red_vals) and red_aux[lo] < aux[todo[-1]]:
+        hi = lo + max(1, slab // todo.size)
+        x = vals[todo]
+        hit = red_aux[None, lo:hi] < aux[todo, None]
+        for k in range(vals.shape[1]):
+            hit &= x[:, k, None] >= red_vals[None, lo:hi, k]
+        hit = hit.any(1)
+        dominated[todo[hit]] = True
+        todo = todo[~hit]
+        lo = hi
+    return dominated
+
+
+def unique_sort_reduction(candidates, forms):
+    """Minimal nonzero candidates in (aux, lex) order: the reduction as
+    it was before narrow-first slabs.  Rows are deduplicated by a row
+    sort (np.unique, or a sorted set of Python-int rows), ordered by a
+    stable argsort on aux, and each block of 4,096 rows is tested
+    against the earlier minimal rows and itself in slabs of 2^20
+    booleans."""
+    block, slab = 1 << 12, 1 << 20
+    cands = candidates if isinstance(candidates, np.ndarray) else as_rows(candidates)
+    if cands.dtype == object:
+        cands = np.array(sorted({tuple(int(x) for x in row)
+                                 for row in cands if any(row)}), dtype=object)
+    else:
+        cands = np.unique(cands[np.any(cands != 0, axis=1)], axis=0)
+    if cands.size == 0:
+        return ()
+    vals = support_values(cands, forms)
+    aux = vals.sum(axis=1)
+    order = np.argsort(aux, kind="stable")
+    cands, vals, aux = cands[order], vals[order], aux[order]
+    kept = np.zeros(0, dtype=np.intp)
+    for start in range(0, len(cands), block):
+        idx = np.arange(start, min(len(cands), start + block))
+        idx = idx[~_fixed_slab_dominated(vals[idx], aux[idx], vals[kept], aux[kept], slab)]
+        idx = idx[~_fixed_slab_dominated(vals[idx], aux[idx], vals[idx], aux[idx], slab)]
+        kept = np.concatenate([kept, idx])
+    return tuple(tuple(int(x) for x in row) for row in cands[kept])
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -21,7 +21,8 @@ from conekit.simplex import POINT_BUDGET, SeriesContribution, hb_candidates
 from conekit.subdivide import SubdivisionConfig
 
 from oracles import (brute_hilbert_basis, brute_support_forms, dotv,
-                     enumerate_polytope_points, in_cone, sweep_polytope_points)
+                     enumerate_polytope_points, in_cone, sweep_polytope_points,
+                     unique_sort_reduction)
 
 
 QUADRANT_FORMS = ((1, 0), (0, 1))
@@ -158,19 +159,61 @@ def candidate_sets(draw):
     return draw(st.permutations(picked)), s.facet_forms
 
 
+@st.composite
+def candidate_unions(draw):
+    """The hb_candidates of every simplex of a small cone's placing
+    triangulation, stacked with repeats of some rows and zero rows, so
+    that shared generators are duplicates and many rows tie in aux
+    degree; returned with the cone's support forms."""
+    d = draw(st.integers(2, 4))
+    coords = st.lists(st.integers(-4, 4), min_size=d - 1, max_size=d - 1)
+    gens = draw(st.lists(st.tuples(coords, st.integers(1, 5)),
+                         min_size=d + 1, max_size=d + 3))
+    c = build_cone(ConeInput(d, generators=tuple((*x, h) for x, h in gens)))
+    tri = triangulate(c)
+    assume(sum(s.det for s in tri) <= 500)
+    rows = np.vstack([hb_candidates(s) for s in tri])
+    again = draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
+    rows = np.vstack([rows, rows[again], np.zeros((draw(st.integers(0, 2)), c.rank),
+                                                  dtype=rows.dtype)])
+    return rows[draw(st.permutations(range(len(rows))))], c.support_forms
+
+
 class TestReduceProperty:
     @settings(max_examples=150, deadline=None)
-    @given(candidate_sets(), st.sampled_from([(1, 1), (3, 2), (4096, 1 << 20)]))
+    @given(candidate_sets(), st.sampled_from([
+        (1, 1, 1), (3, 2, 1), (1, 1 << 20, 1), (3, 1 << 20, 1), (1, 1 << 20, 32),
+        (3, 1 << 20, 32), (4096, 1 << 20, 32)]))
     def test_matches_naive_minimal_elements(self, case, sizes):
+        # _BLOCK, _SLAB and _FIRST_SLAB; a wide _SLAB with _FIRST_SLAB 1
+        # lets the slabs double several times within one test
         cands, forms = case
         with mock.patch.object(collect, "_BLOCK", sizes[0]), \
-                mock.patch.object(collect, "_SLAB", sizes[1]):
+                mock.patch.object(collect, "_SLAB", sizes[1]), \
+                mock.patch.object(collect, "_FIRST_SLAB", sizes[2]):
             got = reduce_to_hilbert_basis(cands, forms)
             got_array = reduce_to_hilbert_basis(
                 np.array(cands, dtype=object), forms)
         want = naive_minimal(cands, forms)
         assert got == want
         assert got_array == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(candidate_unions(), st.sampled_from(["int64", "object", "tuples", "scaled"]),
+           st.sampled_from([1, 32]))
+    def test_matches_unique_sort_reference(self, case, form, first):
+        # scaled rows pass 2^62 and take the Python-int path
+        rows, forms = case
+        if form == "object":
+            rows = rows.astype(object)
+        elif form == "tuples":
+            rows = [tuple(int(x) for x in row) for row in rows]
+        elif form == "scaled":
+            rows = [tuple((2**62 + 1) * int(x) for x in row) for row in rows]
+        with mock.patch.object(collect, "_FIRST_SLAB", first):
+            got = reduce_to_hilbert_basis(rows, forms)
+        assert got == unique_sort_reduction(rows, forms)
+        assert all(type(x) is int for row in got for x in row)
 
 
 def pairwise_hilbert_basis(gens):
@@ -346,12 +389,34 @@ grading
 1 5 1 -1 3
 """
 
+# the quadrant graded by (10^9, 1): one simplex of det 1 whose degree
+# counts alone would take 10^9 int64 entries, 7.45 GiB
+BIG_DEGREE_INPUT = """amb_space 2
+cone 2
+1 0
+0 1
+grading
+1000000000 1
+"""
+
 SERIES_GUARD_CHILD = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from conekit.cli import main
 sys.exit(main([{path!r}, "--goal", "series"]))
 """
+
+
+def run_series_child(tmp_path, text):
+    """The input file and the finished `conekit --goal series` child run
+    on it under a 1 GiB address-space limit."""
+    path = tmp_path / "series.in"
+    path.write_text(text, encoding="utf-8")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    return path, subprocess.run(
+        [sys.executable, "-c", SERIES_GUARD_CHILD.format(path=str(path))],
+        capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestSeriesSizeGuard:
@@ -365,16 +430,26 @@ class TestSeriesSizeGuard:
         # a child process under its own 1 GiB address-space limit: the
         # unguarded expansion raises MemoryError there instead of
         # exhausting the machine
-        path = tmp_path / "huge_e.in"
-        path.write_text(HUGE_E_INPUT, encoding="utf-8")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        out = subprocess.run([sys.executable, "-c", SERIES_GUARD_CHILD.format(path=str(path))],
-                             capture_output=True, text=True, env=env, timeout=120)
+        path, out = run_series_child(tmp_path, HUGE_E_INPUT)
         assert out.returncode == 2, out.stderr
         assert out.stderr == ("error: Hilbert series denominator (1 - t^66668427)^4 "
                               f"is above the budget of {POINT_BUDGET} coefficients\n")
         assert not path.with_suffix(".out").exists()
+
+    def test_big_degree_exits_2_within_one_gib(self, tmp_path):
+        # refused before evaluation, whose degree counts would need 7.45 GiB
+        path, out = run_series_child(tmp_path, BIG_DEGREE_INPUT)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == ("error: Hilbert series denominator (1 - t^1000000000)^2 "
+                              f"is above the budget of {POINT_BUDGET} coefficients\n")
+        assert not path.with_suffix(".out").exists()
+
+    def test_refused_before_evaluation(self):
+        ci = ConeInput(2, generators=((1, 0), (0, 1)), grading=(3 * 10**6, 1))
+        with mock.patch("conekit.pipeline.series_contribution") as evaluate, \
+                pytest.raises(DomainError, match="budget"):
+            compute(ci, RunOptions(goals=frozenset({"hilbert_series"})))
+        evaluate.assert_not_called()
 
 
 class TestSubdividedSeries:
