@@ -41,26 +41,21 @@ def minimal_cube_face_vertices(v) -> tuple[IntVec, ...]:
     The unit cube at floor(v) is triangulated by the hyperplanes
     {x_i = x_j}; sorting the fractional parts descending gives the
     staircase chain w_0 = floor(v), w_k = w_{k-1} + e_(k-th largest).
-    Vertices whose barycentric weight vanishes (ties, zero fractional
-    parts) are dropped, so a lattice point returns just itself.
+    The barycentric weight of w_0 is 1 minus the largest fractional part,
+    always positive; that of w_k is the k-th largest fractional part
+    minus the next one (0 after the last).  Vertices of weight 0 (ties,
+    zero fractional parts) are dropped, so a lattice point returns just
+    itself.
     """
     v = tuple(Fraction(x) for x in v)
-    d = len(v)
-    base = tuple(floor(x) for x in v)
-    frac = [x - b for x, b in zip(v, base)]
-    order = sorted(range(d), key=lambda i: (-frac[i], i))
-    lambdas = [1 - (frac[order[0]] if d else 0)]
-    for k in range(1, d):
-        lambdas.append(frac[order[k - 1]] - frac[order[k]])
-    if d:
-        lambdas.append(frac[order[-1]])
-    out = []
-    w = list(base)
-    if lambdas[0] > 0:
-        out.append(tuple(w))
-    for k in range(1, d + 1):
-        w[order[k - 1]] += 1
-        if lambdas[k] > 0:
+    w = [floor(x) for x in v]
+    frac = [x - b for x, b in zip(v, w)]
+    order = sorted(range(len(v)), key=lambda i: (-frac[i], i))
+    desc = [frac[i] for i in order] + [0]
+    out = [tuple(w)]
+    for k, i in enumerate(order):
+        w[i] += 1
+        if desc[k] > desc[k + 1]:
             out.append(tuple(w))
     return tuple(out)
 
@@ -87,7 +82,7 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     """Subdivision candidates found through the overcone, sorted.
 
     Builds every simplex of the overcone's placing triangulation (without
-    further subdivision): the first by an adjugate, each later one by
+    further subdivision): the first by linalg.facet_forms, each later one by
     one exchange pivot from the simplex it extends.  Then it evaluates
     those of det > 1 and returns their distinct points that points_below
     keeps: the points in the simplex strictly below generator height.  A

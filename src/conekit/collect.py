@@ -263,16 +263,16 @@ def accumulate_series(contribs, extreme_degrees, rank: int) -> HilbertSeries:
     return HilbertSeries(numerator=tuple(numer) or (0,), e=e, r=rank)
 
 
-def bottom_volume(s: SimplicialCone, guard: int = 10**6) -> int:
+def bottom_volume(s: SimplicialCone) -> int:
     """Total determinant of a triangulated bottom of the simplex.
 
     The bottom is the union of the bounded faces of the convex hull of
     the nonzero lattice points of the cone; it is the theoretical
     optimum any subdivision could reach.  Brute force over the
-    fundamental domain, guarded to desk scale.
+    fundamental domain, refused above POINT_BUDGET points.
     """
-    if s.det > guard:
-        raise DomainError(f"determinant {s.det} above the bottom-volume guard")
+    if s.det > POINT_BUDGET:
+        raise DomainError(f"determinant {s.det} is above the budget of {POINT_BUDGET} points")
     r = s.dim
     points = reduce_to_hilbert_basis(hb_candidates(s), s.facet_forms)
     homog = [p + (1,) for p in points] + [tuple(g) + (0,) for g in s.gens]
@@ -284,5 +284,5 @@ def bottom_volume(s: SimplicialCone, guard: int = 10**6) -> int:
             continue
         on_facet = [p for p in points if la.dot(eta, p) + offset == 0]
         for idx, _, _ in dual_description(on_facet)[2]:
-            total += abs(la.determinant(tuple(on_facet[i] for i in idx)))
+            total += la.facet_forms(tuple(on_facet[i] for i in idx))[1]
     return total

@@ -8,13 +8,14 @@ LLL-reduced, so restricted entries stay small.  Full-dimensional cones
 keep the identity basis so that restricted and ambient coordinates
 coincide.
 
-Simplicial cones are built in two ways.  make_simplicial_cone takes the
-facet forms from one adjugate of the generators; it builds a simplex
-that nothing is known about, such as the first simplex of a
-triangulation.  Every later simplex of a placing triangulation, and
+Simplicial cones are built in two ways, both by linalg.pivot, the one
+fraction-free elimination step of the package.  make_simplicial_cone
+pivots the generators into the unit basis (linalg.facet_forms); it
+builds a simplex that nothing is known about, such as the first simplex
+of a triangulation.  Every later simplex of a placing triangulation, and
 every stellar piece, differs from a known simplex in one generator, and
-exchange derives its forms from that simplex by one fraction-free pivot.
-Both give the same SimplicialCone.  A cone's placing triangulation is
+exchange derives its forms from that simplex by one pivot.  Both give
+the same SimplicialCone.  A cone's placing triangulation is
 recorded by its one double description, in `Cone.placing`.
 """
 
@@ -25,7 +26,7 @@ from operator import mul
 
 from . import linalg as la
 from .errors import (DimensionError, GradingNotPositiveError, InternalConsistencyError,
-                     NotPointedError, SingularMatrixError)
+                     NotPointedError)
 from .linalg import IntMat, IntVec
 
 
@@ -70,6 +71,8 @@ class Cone:
     grading: IntVec | None = None
 
     def to_ambient(self, v: IntVec) -> IntVec:
+        if self.rank == self.ambient_dim:  # the basis is the identity
+            return v
         if self.rank == 0:
             return (0,) * self.ambient_dim
         return la.vec_mat(v, self.lattice_basis)
@@ -136,50 +139,25 @@ def _simplex(gens: IntMat, det: int, forms: IntMat,
 
 
 def make_simplicial_cone(gens, anchor: IntVec | None = None) -> SimplicialCone:
-    """The simplicial cone over `gens`, its facet forms from one adjugate."""
+    """The simplicial cone over `gens`, its facet forms from linalg.facet_forms."""
     gens = la.as_mat(gens)
-    adj, det = la.adjugate(gens)
-    sg = 1 if det > 0 else -1
-    r = len(gens)
-    forms = tuple(tuple(sg * adj[k][i] for k in range(r)) for i in range(r))
-    return _simplex(gens, abs(det), forms, anchor)
+    forms, det = la.facet_forms(gens)
+    return _simplex(gens, det, forms, anchor)
 
 
 def exchange(s: SimplicialCone, i: int, x, anchor: IntVec | None = None,
              at: int | None = None) -> SimplicialCone:
     """S with gens[i] replaced by x, by one fraction-free pivot.
 
-    With u = F·x for the facet forms F of S and δ = det S, the new
-    simplex has det |u_i| and the forms F'_i = sgn(u_i)·F_i and
-    F'_j = sgn(u_i)·(u_i·F_j - u_j·F_i)/δ, the exact division of
-    Bareiss (1968) and Edmonds (1967).  They are the forms
-    make_simplicial_cone takes from an adjugate, for r² products instead
-    of an elimination.  x moves to position `at` (default i), the other
-    generators keep their order.  Every division must leave remainder 0
-    and F'·g'_k = det'·e_k must hold for every generator g'_k.
+    linalg.pivot takes the new det and facet forms from those of S for
+    r² products, where make_simplicial_cone pivots r times from the unit
+    basis; both give the same forms, since the inverse is unique.  x
+    moves to position `at` (default i), the other generators keep their
+    order.  F'·g'_k = det'·e_k must hold for every generator g'_k.
     """
     x = la.as_vec(x)
-    u = s.q_numerators(x)
-    if u[i] == 0:
-        raise SingularMatrixError("exchange point lies on the facet opposite gens[i]")
-    sg = 1 if u[i] > 0 else -1
-    det = abs(u[i])
-    delta = s.det
-    fi = s.facet_forms[i]
-    forms = []
-    for j, (fj, uj) in enumerate(zip(s.facet_forms, u)):
-        if j == i:
-            forms.append(tuple(sg * c for c in fi))
-            continue
-        vj = sg * uj
-        row = []
-        for a, b in zip(fj, fi):
-            q, rem = divmod(det * a - vj * b, delta)
-            if rem:
-                raise InternalConsistencyError("exchange division left a remainder")
-            row.append(q)
-        forms.append(tuple(row))
-    gens = list(s.gens)
+    forms, det = la.pivot(s.facet_forms, s.det, s.q_numerators(x), i)
+    forms, gens = list(forms), list(s.gens)
     gens[i] = x
     if at is not None:
         gens.insert(at, gens.pop(i))
@@ -239,11 +217,8 @@ def dual_description(vectors):
     init = la.independent_rows(vectors, s)
     if len(init) < s:
         raise DimensionError("vectors do not span the working space")
-    basis = tuple(vectors[i] for i in init)
-    adj, det = la.adjugate(basis)
-    sg = 1 if det > 0 else -1
-    # column j of the adjugate vanishes on every basis vector but the j-th
-    rays = [la.primitive(tuple(sg * adj[k][j] for k in range(s))) for j in range(s)]
+    # facet form j vanishes on every basis vector but the j-th
+    rays = [la.primitive(f) for f in la.facet_forms(tuple(vectors[i] for i in init))[0]]
     full = sum(1 << gi for gi in init)
     masks = [full & ~(1 << gi) for gi in init]
 
@@ -297,14 +272,14 @@ def ambient_support_forms(cone: Cone) -> IntMat:
     """Support forms lifted back to ambient coordinates (canonical lift).
 
     The lift of a form y is the ambient form in span(B) that agrees with
-    y on the basis rows, (G^-1·y)·B; the Gram matrix G is positive
-    definite, so adj(G)·y is a positive multiple of G^-1·y and has the
-    same primitive lift.
+    y on the basis rows, (G^-1·y)·B; the Gram matrix G is symmetric and
+    positive definite, so its facet forms are adj(G) = det(G)·G^-1, and
+    adj(G)·y is a positive multiple of G^-1·y with the same primitive lift.
     """
     if cone.rank == cone.ambient_dim:
         return cone.support_forms
     b = cone.lattice_basis
-    adj, _ = la.adjugate(la.matmul(b, la.transpose(b)))
+    adj, _ = la.facet_forms(la.matmul(b, la.transpose(b)))
     return tuple(sorted(la.primitive(la.vec_mat(la.mat_vec(adj, form), b))
                         for form in cone.support_forms))
 

@@ -81,76 +81,82 @@ def primitive(v) -> IntVec:
     return tuple(x // g for x in v)
 
 
-def _gauss_jordan(m: IntMat) -> tuple[int, IntMat] | None:
-    """(det, adj) of m by fraction-free Gauss-Jordan elimination of [m | I].
+def pivot(forms: IntMat, delta: int, u: IntVec, i: int) -> tuple[IntMat, int]:
+    """(F', δ') after generator i of a simplex is exchanged for x.
 
-    Each step k clears column k above and below the pivot and divides
-    the updated rows by the previous pivot.  By Sylvester's identity
-    (Bareiss 1968) the divisions are exact and the entries stay minors
-    of [m | I]; at the end the left block is p·I for the last pivot
-    p = ±det and the right block is p·m^-1.  Column k and those left of
-    it are never read again, so they are not updated.  None if m is
-    singular.
+    F are the simplex's facet forms and δ its det, so F·g_k = δ·e_k for
+    its generators g_k, and u = F·x.  Then δ' = |u_i|, F'_i = sgn(u_i)·F_i
+    and F'_j = sgn(u_i)·(u_i·F_j - u_j·F_i)/δ: one fraction-free pivot
+    (Edmonds 1967; Bareiss 1968), whose divisions are exact.  Each one is
+    checked to leave remainder 0.
     """
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionError("expected a square matrix")
-    a = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        rk = a[k]
-        pk = rk[k]
-        for i, ri in enumerate(a):
-            if i != k:
-                aik = ri[k]
-                for j in range(k + 1, 2 * n):
-                    ri[j] = (ri[j] * pk - aik * rk[j]) // prev
-        prev = pk
-    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in a)
+    if not u[i]:
+        raise SingularMatrixError("pivot on zero: x lies on the facet opposite g_i")
+    sg = 1 if u[i] > 0 else -1
+    det = abs(u[i])
+    fi = forms[i]
+    out = []
+    for j, (fj, uj) in enumerate(zip(forms, u)):
+        if j == i:
+            out.append(tuple(sg * c for c in fi))
+            continue
+        vj = sg * uj
+        row = []
+        for a, b in zip(fj, fi):
+            q, rem = divmod(det * a - vj * b, delta)
+            if rem:
+                raise InternalConsistencyError("pivot division left a remainder")
+            row.append(q)
+        out.append(tuple(row))
+    return tuple(out), det
 
 
-def determinant(m: IntMat) -> int:
-    """Signed determinant; 0 for a singular matrix."""
-    out = _gauss_jordan(m)
-    return 0 if out is None else out[0]
+def _pivot_rows(rows, n: int) -> tuple[IntMat, int, list[tuple[int, int]]]:
+    """(forms, det, kept): the rows pivoted, first come first served, into
+    the unit basis of Z^n.  A row r takes the first position still held by
+    a unit vector at which u = forms·r is nonzero; if there is none, r lies
+    in the span of the rows taken and is skipped.  kept lists the (row
+    index, position) pairs; the pass stops once every position is taken.
+    """
+    forms, det = identity(n), 1
+    free = list(range(n))
+    kept = []
+    for k, r in enumerate(rows):
+        if not free:
+            break
+        u = mat_vec(forms, r)
+        i = next((p for p in free if u[p]), None)
+        if i is not None:
+            forms, det = pivot(forms, det, u, i)
+            free.remove(i)
+            kept.append((k, i))
+    return forms, det, kept
 
 
 def independent_rows(rows, ncols: int) -> list[int]:
     """Indices of the greedy (first-come) maximal independent subset: a
-    row is kept iff it does not reduce to zero, fraction-free, against
-    the primitive rows kept so far (each zero on the earlier pivots)."""
-    kept: list[tuple[int, IntVec]] = []
-    out = []
-    for i, r in enumerate(rows):
-        w = [int(x) for x in r]
-        for p, row in kept:
-            if w[p]:
-                wp, rp = w[p], row[p]
-                w = [wi * rp - ri * wp for wi, ri in zip(w, row)]
-        p = next((j for j in range(ncols) if w[j]), None)
-        if p is not None:
-            kept.append((p, primitive(w)))
-            out.append(i)
-    return out
+    row is kept iff it is independent of the rows kept before it."""
+    return [k for k, _ in _pivot_rows(rows, ncols)[2]]
 
 
-def adjugate(m: IntMat) -> tuple[IntMat, int]:
-    """Return (adj, det) with m·adj = adj·m = det·I, all entries integer."""
-    out = _gauss_jordan(m)
-    if out is None:
-        raise SingularMatrixError("adjugate of singular matrix")
-    det, adj = out
-    if matmul(m, adj) != tuple(tuple(det if i == j else 0 for j in range(len(m)))
-                               for i in range(len(m))):
-        raise InternalConsistencyError("adjugate failed exactness check")
-    return adj, det
+def facet_forms(m: IntMat) -> tuple[IntMat, int]:
+    """(F, δ) with F·m^T = δ·I and δ = |det m|, all entries integer.
+
+    Row j of F vanishes on every row of m but the j-th, and is positive
+    on it: F = sgn(det m)·adj(m)^T.  Checked exactly.
+    """
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise DimensionError("expected a square matrix")
+    forms, det, kept = _pivot_rows(m, n)
+    if len(kept) < n:
+        raise SingularMatrixError("facet forms of a singular matrix")
+    at = dict(kept)
+    forms = tuple(forms[at[k]] for k in range(n))
+    if [[dot(f, r) for r in m] for f in forms] != \
+            [[det if j == k else 0 for k in range(n)] for j in range(n)]:
+        raise InternalConsistencyError("facet forms failed F·m^T = δ·I")
+    return forms, det
 
 
 def lll_reduce(basis) -> tuple[IntMat, IntMat]:
@@ -307,9 +313,8 @@ def sublattice(rows, dim: int) -> tuple[IntMat, IntMat, IntMat]:
         if k < dim and r[k]:
             k += 1
     basis, g = lll_reduce(inv[:k])
-    adj, det = adjugate(g)  # det g = ±1, so g^-1 = det·adj
-    ginv = tuple(tuple(det * x for x in r) for r in adj)
-    coords = matmul(tuple(r[:k] for r in a), ginv)
+    ginv_t, _ = facet_forms(g)  # g is unimodular, so g^-1 = F^T
+    coords = tuple(mat_vec(ginv_t, r[:k]) for r in a)
     if k and matmul(coords, basis) != rows:  # at rank 0 the rows are zero
         raise InternalConsistencyError("restricted coordinates do not give the rows")
     return basis, coords, lll_reduce(transpose(u)[k:])[0]

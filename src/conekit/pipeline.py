@@ -47,7 +47,8 @@ def make_finder(cfg: SubdivisionConfig, stats: StatsRecord):
     no candidate exists at all (the approximation searches the same
     feasible set), so only a LimitReached falls through to the
     approximation.  When a simplex is still huge and a level found
-    nothing, the level is escalated up to APPROX_LEVEL_CAP.
+    nothing, the level is escalated up to APPROX_LEVEL_CAP.  Strategy
+    none finds nothing, so every simplex stays a leaf.
     """
 
     def approx_stage(s):
@@ -103,14 +104,11 @@ def compute(ci: ConeInput, options: RunOptions = RunOptions()) -> ComputationRes
 
     t0 = time.monotonic()
     cfg = options.subdivision
-    if cfg.strategy == "none":
-        leaves = tri
-    else:
-        finder = make_finder(cfg, stats)
-        leaves = []
-        for s in tri:
-            leaves.extend(recursive_subdivide(s, cfg, finder))
-        leaves = tuple(leaves)
+    finder = make_finder(cfg, stats)
+    leaves = []
+    for s in tri:
+        leaves.extend(recursive_subdivide(s, cfg, finder))
+    leaves = tuple(leaves)
     times["subdivide"] = time.monotonic() - t0
     stats.volume_used = sum(s.det for s in leaves)
 
@@ -139,7 +137,7 @@ def compute(ci: ConeInput, options: RunOptions = RunOptions()) -> ComputationRes
 
     return ComputationResult(
         hilbert_basis=hilbert_basis,
-        support_forms=tuple(sorted(ambient_support_forms(cone))),
+        support_forms=ambient_support_forms(cone),
         series=series,
         stats=stats,
     )

@@ -14,7 +14,7 @@ The height-minimization problem is solved exactly by depth-first
 interval search over LLL-reduced integer coordinates y, x = U·y, in
 which the columns of the facet-form matrix F·U are a reduced basis
 (Aardal, Hurkens and Lenstra 2000).  Every feasible point lies in the
-fundamental domain, so the adjugate inequalities 0 <= F·U·y < det bound
+fundamental domain, so the facet-form inequalities 0 <= F·U·y < det bound
 the search.  A slab of heights [a, b] has a tight box around
 (b/h)·conv(U^-1·generators), and one search either exhibits a point in
 it or proves it empty.  The levels v = 1..8 are scanned as slabs [v, v]
@@ -190,7 +190,7 @@ def solve_star_ip(s: SimplicialCone,
 
     Feasible points have all generator coordinates in [0,1) (a
     coordinate q_i >= 1 would put x - gen_i in S at negative height), so
-    the adjugate rows and the slab boxes bound the search.  The x != 0
+    the facet-form rows and the slab boxes bound the search.  The x != 0
     condition is subsumed by the height bound N·x >= 1; a coordinate of y
     on which all generators are positive additionally gets a lower bound
     of 1.  A time or node limit yields the status "limit", never a silently
@@ -205,8 +205,8 @@ def solve_star_ip(s: SimplicialCone,
     normal = s.height_normal
     # search in y = U^-1·x, with the columns of F·U LLL-reduced
     transform = la.transpose(la.lll_reduce(la.transpose(s.facet_forms))[1])
-    adj, unit = la.adjugate(transform)  # det U = ±1, so U^-1 = unit·adj
-    ygens = [tuple(unit * x for x in la.mat_vec(adj, g)) for g in s.gens]
+    uinv_t, _ = la.facet_forms(transform)  # U is unimodular, so U^-1 = F^T
+    ygens = [la.vec_mat(g, uinv_t) for g in s.gens]
     forms = la.matmul(s.facet_forms, transform)
     order = la.vec_mat(normal, transform)
     r = s.dim
@@ -279,7 +279,7 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     total determinant satisfies sum det(T_i) = det(S)·(N·xhat)/(N·gen).
     A point inside a non-primitive ray gives one piece: that generator
     shortened to xhat.  Piece i is S with gens[i] replaced by xhat, so
-    it comes from S by one exchange pivot, not from an adjugate.
+    it comes from S by one exchange pivot, not by pivoting from scratch.
     """
     xhat = la.as_vec(xhat)
     u = s.q_numerators(xhat)

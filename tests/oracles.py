@@ -8,13 +8,16 @@ package's single stellar step, fundamental_points and is_pointed,
 which only the tests need: the first collects the package's residue
 sweep, the second asks build_cone, and unique_sort_reduction, the
 reference for reduce_to_hilbert_basis, which converts rows and support
-values as the package does.
+values as the package does.  fraction_free_independent_rows and
+staircase_face_vertices are earlier package versions of
+independent_rows and minimal_cube_face_vertices, kept as references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import floor
 
 import numpy as np
 
@@ -643,3 +646,56 @@ def in_half_open(s, x) -> bool:
         if v < 0 or (v == 0 and i in s.excluded_facets):
             return False
     return True
+
+
+def primitive(v):
+    """Divide a nonzero integer vector by the gcd of its entries."""
+    g = 0
+    for x in v:
+        g = _gcd(g, x)
+    if g <= 1:
+        return tuple(v)
+    return tuple(x // g for x in v)
+
+
+def fraction_free_independent_rows(rows, ncols: int) -> list[int]:
+    """Indices of the greedy (first-come) maximal independent subset: a
+    row is kept iff it does not reduce to zero, fraction-free, against
+    the primitive rows kept so far (each zero on the earlier pivots)."""
+    kept: list[tuple[int, tuple[int, ...]]] = []
+    out = []
+    for i, r in enumerate(rows):
+        w = [int(x) for x in r]
+        for p, row in kept:
+            if w[p]:
+                wp, rp = w[p], row[p]
+                w = [wi * rp - ri * wp for wi, ri in zip(w, row)]
+        p = next((j for j in range(ncols) if w[j]), None)
+        if p is not None:
+            kept.append((p, primitive(w)))
+            out.append(i)
+    return out
+
+
+def staircase_face_vertices(v):
+    """Vertices of the minimal staircase-triangulation face containing v,
+    from the barycentric weights of the staircase chain."""
+    v = tuple(Fraction(x) for x in v)
+    d = len(v)
+    base = tuple(floor(x) for x in v)
+    frac = [x - b for x, b in zip(v, base)]
+    order = sorted(range(d), key=lambda i: (-frac[i], i))
+    lambdas = [1 - (frac[order[0]] if d else 0)]
+    for k in range(1, d):
+        lambdas.append(frac[order[k - 1]] - frac[order[k]])
+    if d:
+        lambdas.append(frac[order[-1]])
+    out = []
+    w = list(base)
+    if lambdas[0] > 0:
+        out.append(tuple(w))
+    for k in range(1, d + 1):
+        w[order[k - 1]] += 1
+        if lambdas[k] > 0:
+            out.append(tuple(w))
+    return tuple(out)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conekit import approx, linalg as la
+from conekit import approx
 from conekit.approx import (
     approx_candidates, approximate_cone, cross_section,
     minimal_cube_face_vertices,
@@ -23,7 +23,8 @@ from conekit.pipeline import make_finder
 from conekit.subdivide import (APPROX_LEVEL_CAP, HUGE_DET, SubdivisionConfig,
                                best_candidate, recursive_subdivide, solve_star_ip)
 
-from oracles import dotv, filter_approx_candidates
+from oracles import (dotv, filter_approx_candidates, minor_det,
+                     staircase_face_vertices)
 
 
 def simplex(gens):
@@ -73,6 +74,15 @@ class TestCubeFaceVertices:
         assert tuple(recon) == v
         assert len(verts) <= d + 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3),
+                              st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                              st.fractions(min_value=-5, max_value=5)),
+                    max_size=6))
+    def test_matches_barycentric_weights(self, v):
+        # the weights' reference construction, ties and lattice entries included
+        assert minimal_cube_face_vertices(v) == staircase_face_vertices(v)
+
 
 def _chain(base, order):
     w = list(base)
@@ -111,7 +121,7 @@ class TestApproximateCone:
                     min_size=3, max_size=3),
            st.sampled_from([1, 2, 3]))
     def test_overcone_contains_simplex(self, rows, level):
-        if la.determinant(la.as_mat(rows)) == 0:
+        if minor_det(rows) == 0:
             return
         s = simplex(rows)
         over = approximate_cone(s, level)
@@ -179,7 +189,7 @@ class TestApproxFilterProperty:
     def test_matches_tuple_filter(self, rows, level, scale):
         # scaling the generators keeps the overcone but pushes the facet
         # forms past int64 in dimension 3
-        assume(la.determinant(la.as_mat(rows)) != 0)
+        assume(minor_det(rows) != 0)
         s = simplex([[scale * x for x in r] for r in rows])
         assert approx_candidates(s, level) == tuple_approx_candidates(s, level)
 
@@ -192,7 +202,7 @@ class TestApproxFilterProperty:
     def test_best_candidate_is_minimal(self, rows, level, scale):
         # the lowest candidate survives reduction, so reducing first
         # would pick the same point
-        assume(la.determinant(la.as_mat(rows)) != 0)
+        assume(minor_det(rows) != 0)
         s = simplex([[scale * x for x in r] for r in rows])
         cands = approx_candidates(s, level)
         reduced = reduce_to_hilbert_basis(cands, s.facet_forms)

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conekit.errors import DimensionError, InternalConsistencyError, SingularMatrixError
 from conekit import linalg as la
 
-from oracles import (frac_rank, gram_restrict, gram_schmidt, lattice_index, minor_det,
-                     minors_gcd)
+from oracles import (frac_rank, fraction_free_independent_rows, gram_restrict,
+                     gram_schmidt, lattice_index, minor_det, minors_gcd)
 
 
 def square_matrices(max_dim=5, max_entry=1000):
@@ -23,32 +23,43 @@ def square_matrices(max_dim=5, max_entry=1000):
 
 
 class TestDeterminant:
+    """facet_forms's δ is |det|; the sign goes into the forms."""
+
     def test_identity(self):
-        assert la.determinant(la.identity(3)) == 1
+        assert la.facet_forms(la.identity(3)) == (la.identity(3), 1)
 
     def test_lower_triangular(self):
-        assert la.determinant(((1, 0), (3, 5))) == 5
+        assert la.facet_forms(((1, 0), (3, 5)))[1] == 5
 
     def test_row_swap_sign(self):
-        assert la.determinant(((0, 1), (1, 0))) == -1
+        # det -1: δ is 1, and the forms are -adj^T
+        assert la.facet_forms(((0, 1), (1, 0))) == (((0, 1), (1, 0)), 1)
 
     def test_empty(self):
-        assert la.determinant(()) == 1
+        assert la.facet_forms(()) == ((), 1)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            la.determinant(((1, 2, 3), (4, 5, 6)))
+            la.facet_forms(((1, 2), (3, 4), (5, 6)))
 
     @settings(max_examples=100, deadline=None)
     @given(square_matrices(max_dim=5, max_entry=1000))
     def test_matches_minor_expansion(self, rows):
-        m = la.as_mat(rows)
-        assert la.determinant(m) == minor_det(rows)
+        assert_delta_is_abs_det(rows)
 
     @settings(max_examples=30, deadline=None)
     @given(square_matrices(max_dim=6, max_entry=10))
     def test_dim_six(self, rows):
-        assert la.determinant(la.as_mat(rows)) == minor_det(rows)
+        assert_delta_is_abs_det(rows)
+
+
+def assert_delta_is_abs_det(rows):
+    det = minor_det(rows)
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            la.facet_forms(la.as_mat(rows))
+    else:
+        assert la.facet_forms(la.as_mat(rows))[1] == abs(det)
 
 
 def cofactor_adjugate(rows):
@@ -79,36 +90,39 @@ def adjugate_inputs(draw):
 
 
 class TestAdjugate:
+    """facet_forms(m) is the oriented, transposed adjugate sgn(det m)·adj(m)^T."""
+
     def test_identity(self):
-        assert la.adjugate(la.identity(2)) == (la.identity(2), 1)
+        assert la.facet_forms(la.identity(2)) == (la.identity(2), 1)
 
     def test_columns_of_generators(self):
-        # the columns of adj are det times the q-coordinates of e_1, e_2
-        assert la.adjugate(((1, 3), (0, 5))) == (((5, -3), (0, 1)), 5)
+        # row j of F is δ times the j-th q-coordinate form of the rows
+        assert la.facet_forms(((1, 3), (0, 5))) == (((5, 0), (-3, 1)), 5)
 
     def test_diagonal(self):
-        assert la.adjugate(((2, 0), (0, 2))) == (((2, 0), (0, 2)), 4)
+        assert la.facet_forms(((2, 0), (0, 2))) == (((2, 0), (0, 2)), 4)
 
     def test_empty_and_one_by_one(self):
-        assert la.adjugate(()) == ((), 1)
-        assert la.adjugate(((-7,),)) == (((1,),), -7)
-        assert la.adjugate(((2**70,),)) == (((1,),), 2**70)
+        assert la.facet_forms(()) == ((), 1)
+        assert la.facet_forms(((-7,),)) == (((-1,),), 7)
+        assert la.facet_forms(((2**70,),)) == (((1,),), 2**70)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            la.adjugate(((1, 1), (2, 2)))
+            la.facet_forms(((1, 1), (2, 2)))
         with pytest.raises(SingularMatrixError):
-            la.adjugate(((0,),))
+            la.facet_forms(((0,),))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            la.adjugate(((1, 2, 3), (4, 5, 6)))
+            la.facet_forms(((1, 2, 3), (4, 5, 6)))
 
     def test_exactness_check(self):
         # a wrong elimination result is caught, not returned
-        with mock.patch.object(la, "_gauss_jordan", return_value=(5, ((5, 0), (0, 1)))):
+        wrong = (((5, 0), (0, 1)), 5, [(0, 0), (1, 1)])
+        with mock.patch.object(la, "_pivot_rows", return_value=wrong):
             with pytest.raises(InternalConsistencyError):
-                la.adjugate(((1, 0), (3, 5)))
+                la.facet_forms(((1, 0), (3, 5)))
 
     @settings(max_examples=150, deadline=None)
     @given(adjugate_inputs())
@@ -118,13 +132,14 @@ class TestAdjugate:
         n = len(rows)
         if det == 0:
             with pytest.raises(SingularMatrixError):
-                la.adjugate(m)
-            assert la.determinant(m) == 0
+                la.facet_forms(m)
             return
-        adj, d = la.adjugate(m)
-        assert d == det == la.determinant(m)
-        assert la.matmul(m, adj) == la.matmul(adj, m) == scaled_identity(n, det)
-        assert adj == cofactor_adjugate(rows)
+        forms, d = la.facet_forms(m)
+        assert d == abs(det)
+        assert la.matmul(forms, la.transpose(m)) == scaled_identity(n, d)
+        sg = 1 if det > 0 else -1
+        assert forms == tuple(tuple(sg * x for x in col)
+                              for col in zip(*cofactor_adjugate(rows)))
 
 
 class TestHermiteMod:
@@ -157,6 +172,24 @@ class TestHermiteMod:
         assert lattice_index(la.as_mat(rows) + h, det) == index
 
 
+@st.composite
+def rows_with_repeats(draw):
+    """(rows, n): rows in Z^n, entries past 2^62 in some draws, plus
+    repeats, zero rows and integer combinations of earlier rows,
+    shuffled."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-2**70, 2**70),
+                      st.sampled_from([2**62, -2**62, 2**63 - 1]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=1, max_size=n + 1))
+    for a, b, x, y in draw(st.lists(st.tuples(
+            st.integers(0, 99), st.integers(0, 99), st.integers(-3, 3),
+            st.integers(-3, 3)), max_size=8)):
+        p, q = rows[a % len(rows)], rows[b % len(rows)]
+        rows.append([x * s + y * t for s, t in zip(p, q)])
+    return draw(st.permutations(rows)), n
+
+
 class TestHelpers:
     def test_vec_mat_lengths(self):
         assert la.vec_mat((1, 2, 3), ((1, 2), (3, 4), (5, 6))) == (22, 28)
@@ -166,9 +199,9 @@ class TestHelpers:
             la.dot((1, 2), (1, 2, 3))
 
     def test_adjugate(self):
-        adj, det = la.adjugate(((1, 0), (3, 5)))
+        forms, det = la.facet_forms(((1, 0), (3, 5)))
         assert det == 5
-        assert la.matmul(((1, 0), (3, 5)), adj) == ((5, 0), (0, 5))
+        assert la.matmul(forms, ((1, 3), (0, 5))) == ((5, 0), (0, 5))
 
     def test_primitive(self):
         assert la.primitive((4, -6, 8)) == (2, -3, 4)
@@ -239,6 +272,12 @@ class TestHelpers:
             assert raises == (i in kept)
             if raises:
                 so_far.append(r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_with_repeats())
+    def test_independent_rows_match_fraction_free_reduction(self, case):
+        rows, n = case
+        assert la.independent_rows(rows, n) == fraction_free_independent_rows(rows, n)
 
 
 @st.composite
