@@ -18,12 +18,10 @@ from math import floor
 import numpy as np
 
 from . import linalg as la
-from .collect import as_rows
 from .cone import SimplicialCone, dual_description, placing_simplices
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
-from .simplex import POINT_BUDGET, hb_candidates
-from .subdivide import points_below
+from .simplex import POINT_BUDGET, hb_candidates, points_below
 
 
 def cross_section(s: SimplicialCone,
@@ -114,5 +112,5 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
             big.append(sub)
     if sum(sub.det for sub in big) > POINT_BUDGET:
         return ()
-    cands = np.vstack([as_rows(over)] + [hb_candidates(sub) for sub in big])
+    cands = np.vstack([la.as_rows(over)] + [hb_candidates(sub) for sub in big])
     return tuple(sorted({la.as_vec(row) for row in points_below(s, cands)}))

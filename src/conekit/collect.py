@@ -104,29 +104,6 @@ class ComputationResult:
 # ---------------------------------------------------------------------------
 
 
-def as_rows(rows) -> np.ndarray:
-    """Integer rows as an int64 array when every entry is below
-    INT64_SAFE in magnitude, else object."""
-    out = np.array([tuple(r) for r in rows], dtype=object)
-    if not out.size:
-        return out
-    return out.astype(la.int_dtype(max(abs(int(x)) for x in out.flat)))
-
-
-def support_values(cands: np.ndarray, forms: IntMat) -> np.ndarray:
-    """Exact values cands · formsᵀ of forms given as Python ints.
-
-    int64 arithmetic is used when a bound on each value and on their
-    sum over all forms, the aux degree, proves it exact; Python ints
-    otherwise.
-    """
-    bound = (int(np.abs(cands).max(initial=0)) *
-             max((abs(x) for f in forms for x in f), default=0) *
-             cands.shape[1] * len(forms))
-    dtype = object if cands.dtype == object else la.int_dtype(bound)
-    return cands.astype(dtype, copy=False) @ np.array(forms, dtype=dtype).T
-
-
 def _dominated(vals, aux, red_vals, red_aux) -> np.ndarray:
     """Mask of rows x with a reducer y: vals(x) >= vals(y), aux(y) < aux(x).
 
@@ -183,7 +160,7 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
     Hilbert basis (205,262 candidates, a 7,022-element basis) it gave no
     gain either: 1.61-2.02 s with it against 1.66-1.88 s without.
     """
-    cands = candidates if isinstance(candidates, np.ndarray) else as_rows(candidates)
+    cands = candidates if isinstance(candidates, np.ndarray) else la.as_rows(candidates)
     if cands.dtype == object:
         cands = np.array(sorted({tuple(int(x) for x in row)
                                  for row in cands if any(row)}), dtype=object)
@@ -191,7 +168,7 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
         cands = cands[np.any(cands != 0, axis=1)]
     if cands.size == 0:
         return ()
-    vals = support_values(cands, support_forms)
+    vals = la.support_values(cands, support_forms)
     aux = vals.sum(axis=1)
     order = np.lexsort((*cands.T[::-1], aux))
     cands, vals, aux = cands[order], vals[order], aux[order]

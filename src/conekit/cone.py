@@ -15,18 +15,17 @@ builds a simplex that nothing is known about, such as the first simplex
 of a triangulation.  Every later simplex of a placing triangulation, and
 every stellar piece, differs from a known simplex in one generator, and
 exchange derives its forms from that simplex by one pivot.  Both give
-the same SimplicialCone.  A cone's placing triangulation is
-recorded by its one double description, in `Cone.placing`.
+the same SimplicialCone, checked by linalg.check_forms.  A cone's
+placing triangulation is recorded by its one double description, in
+`Cone.placing`, whose first simplex and rays come from one basis_forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import mul
 
 from . import linalg as la
-from .errors import (DimensionError, GradingNotPositiveError, InternalConsistencyError,
-                     NotPointedError)
+from .errors import DimensionError, GradingNotPositiveError, NotPointedError
 from .linalg import IntMat, IntVec
 
 
@@ -162,10 +161,7 @@ def exchange(s: SimplicialCone, i: int, x, anchor: IntVec | None = None,
     if at is not None:
         gens.insert(at, gens.pop(i))
         forms.insert(at, forms.pop(i))
-    r = len(gens)
-    if [[sum(map(mul, f, g)) for g in gens] for f in forms] != \
-            [[det if j == k else 0 for k in range(r)] for j in range(r)]:
-        raise InternalConsistencyError("exchanged facet forms failed F'·g' = det'·I")
+    la.check_forms(forms, gens, det, "exchanged facet forms failed F'·g' = det'·I")
     return _simplex(tuple(gens), det, tuple(forms), anchor)
 
 
@@ -209,21 +205,22 @@ def dual_description(vectors):
     index tuple; a new simplex extends the earlier simplex at position
     `parent` of the list across one of its facets, dropping the vertex
     at position `drop` of the parent's idx.  The first simplex has
-    parent and drop None.
+    parent and drop None; one linalg.basis_forms picks it and gives its
+    rays.  Each new idx arises once: the boundary facet it extends spans
+    one facet hyperplane of the current cone and lies in one simplex.
     """
     vectors = la.as_mat(vectors)
     n = len(vectors)
     s = len(vectors[0]) if n else 0
-    init = la.independent_rows(vectors, s)
+    init, forms, _ = la.basis_forms(vectors, s)
     if len(init) < s:
         raise DimensionError("vectors do not span the working space")
     # facet form j vanishes on every basis vector but the j-th
-    rays = [la.primitive(f) for f in la.facet_forms(tuple(vectors[i] for i in init))[0]]
+    rays = [la.primitive(f) for f in forms]
     full = sum(1 << gi for gi in init)
     masks = [full & ~(1 << gi) for gi in init]
 
     simplices = [(tuple(sorted(init)), None, None)]
-    seen = {simplices[0][0]}
     init_set = set(init)
 
     for i in range(n):
@@ -241,9 +238,7 @@ def dual_description(vectors):
                 if (bits & zq).bit_count() == s - 1:
                     drop = next(k for k, g in enumerate(idx) if not zq >> g & 1)
                     new_idx = tuple(sorted(idx[:drop] + idx[drop + 1:] + (i,)))
-                    if new_idx not in seen:
-                        seen.add(new_idx)
-                        simplices.append((new_idx, parent, drop))
+                    simplices.append((new_idx, parent, drop))
 
         new_rays = []
         new_masks = []
@@ -386,10 +381,7 @@ def normalize_grading(cone: Cone, deg: IntVec) -> IntVec:
         if la.dot(g, deg_r) <= 0:
             raise GradingNotPositiveError(
                 f"generator {cone.to_ambient(g)} has nonpositive degree")
-    g = la.content(deg_r)
-    if g > 1:
-        deg_r = tuple(x // g for x in deg_r)
-    return deg_r
+    return la.primitive(deg_r)
 
 
 def triangulate(cone: Cone) -> tuple[SimplicialCone, ...]:

@@ -2,6 +2,11 @@
 
 Vectors are tuples of Python ints, matrices are tuples of such rows.
 Everything here is exact; no floating point is used anywhere.
+
+Every exact inverse comes from one checked pass of fraction-free pivots,
+basis_forms: the greedy basis among some rows and its facet forms.  The
+array helpers as_rows and support_values hold the package's one
+int64-or-object policy, int_dtype.
 """
 
 from __future__ import annotations
@@ -24,6 +29,29 @@ def int_dtype(bound: int) -> object:
     """Array dtype for integers of magnitude at most `bound`: exact int64
     below INT64_SAFE, Python ints (object) otherwise."""
     return np.int64 if bound < INT64_SAFE else object
+
+
+def as_rows(rows) -> np.ndarray:
+    """Integer rows as an int64 array when every entry is below
+    INT64_SAFE in magnitude, else object."""
+    out = np.array([tuple(r) for r in rows], dtype=object)
+    if not out.size:
+        return out
+    return out.astype(int_dtype(max(abs(int(x)) for x in out.flat)))
+
+
+def support_values(cands: np.ndarray, forms: IntMat) -> np.ndarray:
+    """Exact values cands · formsᵀ of forms given as Python ints.
+
+    int64 arithmetic is used when a bound on each value and on their
+    sum over all forms, the aux degree, proves it exact; Python ints
+    otherwise.
+    """
+    bound = (int(np.abs(cands).max(initial=0)) *
+             max((abs(x) for f in forms for x in f), default=0) *
+             cands.shape[1] * len(forms))
+    dtype = object if cands.dtype == object else int_dtype(bound)
+    return cands.astype(dtype, copy=False) @ np.array(forms, dtype=dtype).T
 
 
 def as_vec(entries) -> IntVec:
@@ -67,10 +95,7 @@ def transpose(m) -> IntMat:
 
 
 def content(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    return gcd(*v)
 
 
 def primitive(v) -> IntVec:
@@ -111,16 +136,28 @@ def pivot(forms: IntMat, delta: int, u: IntVec, i: int) -> tuple[IntMat, int]:
     return tuple(out), det
 
 
-def _pivot_rows(rows, n: int) -> tuple[IntMat, int, list[tuple[int, int]]]:
-    """(forms, det, kept): the rows pivoted, first come first served, into
-    the unit basis of Z^n.  A row r takes the first position still held by
-    a unit vector at which u = forms·r is nonzero; if there is none, r lies
-    in the span of the rows taken and is skipped.  kept lists the (row
-    index, position) pairs; the pass stops once every position is taken.
+def check_forms(forms, rows, det: int, message: str) -> None:
+    """Raise InternalConsistencyError(message) unless forms·rows^T = det·I."""
+    n = len(rows)
+    if [[dot(f, r) for r in rows] for f in forms] != \
+            [[det if j == k else 0 for k in range(n)] for j in range(n)]:
+        raise InternalConsistencyError(message)
+
+
+def basis_forms(rows, n: int) -> tuple[list[int], IntMat, int]:
+    """(kept, F, δ): the greedy basis among `rows` and its facet forms.
+
+    The rows are pivoted, first come first served, into the unit basis
+    of Z^n.  A row r takes the first position still held by a unit
+    vector at which u = forms·r is nonzero; if there is none, r lies in
+    the span of the rows taken and is skipped.  The pass stops once
+    every position is taken.  kept lists the indices of the rows taken,
+    B; row j of F, in the order of kept, vanishes on every row of B but
+    the j-th and takes δ on it.  Checked exactly: F·B^T = δ·I.
     """
     forms, det = identity(n), 1
     free = list(range(n))
-    kept = []
+    kept, at = [], []
     for k, r in enumerate(rows):
         if not free:
             break
@@ -129,33 +166,30 @@ def _pivot_rows(rows, n: int) -> tuple[IntMat, int, list[tuple[int, int]]]:
         if i is not None:
             forms, det = pivot(forms, det, u, i)
             free.remove(i)
-            kept.append((k, i))
-    return forms, det, kept
+            kept.append(k)
+            at.append(i)
+    forms = tuple(forms[i] for i in at)
+    check_forms(forms, [rows[k] for k in kept], det, "facet forms failed F·B^T = δ·I")
+    return kept, forms, det
 
 
 def independent_rows(rows, ncols: int) -> list[int]:
     """Indices of the greedy (first-come) maximal independent subset: a
     row is kept iff it is independent of the rows kept before it."""
-    return [k for k, _ in _pivot_rows(rows, ncols)[2]]
+    return basis_forms(rows, ncols)[0]
 
 
 def facet_forms(m: IntMat) -> tuple[IntMat, int]:
     """(F, δ) with F·m^T = δ·I and δ = |det m|, all entries integer.
 
     Row j of F vanishes on every row of m but the j-th, and is positive
-    on it: F = sgn(det m)·adj(m)^T.  Checked exactly.
+    on it: F = sgn(det m)·adj(m)^T.  basis_forms checks it exactly, and
+    its dot products raise DimensionError when m is not square.
     """
     n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionError("expected a square matrix")
-    forms, det, kept = _pivot_rows(m, n)
+    kept, forms, det = basis_forms(m, n)
     if len(kept) < n:
         raise SingularMatrixError("facet forms of a singular matrix")
-    at = dict(kept)
-    forms = tuple(forms[at[k]] for k in range(n))
-    if [[dot(f, r) for r in m] for f in forms] != \
-            [[det if j == k else 0 for k in range(n)] for j in range(n)]:
-        raise InternalConsistencyError("facet forms failed F·m^T = δ·I")
     return forms, det
 
 

@@ -99,6 +99,17 @@ def points_from_block(s: SimplicialCone, v: np.ndarray) -> np.ndarray:
     return v.dot(gens) // s.det
 
 
+def points_below(s: SimplicialCone, rows: np.ndarray) -> np.ndarray:
+    """The rows that are nonzero lattice points of S strictly below its
+    generator height: every facet value is >= 0 and the aux degree, their
+    sum, lies in (0, det).  The facet forms sum to (det/h)·N for the
+    height normal N and the generator height h, so aux < det says N·x < h.
+    """
+    vals = la.support_values(rows, s.facet_forms)
+    aux = vals.sum(axis=1)
+    return rows[np.all(vals >= 0, axis=1) & (aux > 0) & (aux < s.det)]
+
+
 def series_contribution(s: SimplicialCone, deg: IntVec) -> SeriesContribution:
     """Graded count of the half-open simplex's fundamental domain.
 

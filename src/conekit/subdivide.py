@@ -37,13 +37,11 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg as la
-from .collect import as_rows, support_values
 from .cone import SimplicialCone, exchange
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
+from .simplex import points_below
 
 STRATEGIES = ("none", "ip", "approx", "ip_then_approx")
 
@@ -299,17 +297,6 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     return tuple(pieces)
 
 
-def points_below(s: SimplicialCone, rows: np.ndarray) -> np.ndarray:
-    """The rows that are nonzero lattice points of S strictly below its
-    generator height: every facet value is >= 0 and the aux degree, their
-    sum, lies in (0, det).  The facet forms sum to (det/h)·N for the
-    height normal N and the generator height h, so aux < det says N·x < h.
-    """
-    vals = support_values(rows, s.facet_forms)
-    aux = vals.sum(axis=1)
-    return rows[np.all(vals >= 0, axis=1) & (aux > 0) & (aux < s.det)]
-
-
 def best_candidate(s: SimplicialCone, cands) -> IntVec | None:
     """Deterministic pick: lowest height, ties broken lexicographically."""
     if not len(cands):
@@ -342,7 +329,7 @@ def recursive_subdivide(s: SimplicialCone, cfg: SubdivisionConfig,
         if len(pool):
             pool = points_below(cur, pool)
         if not len(pool):
-            pool = as_rows(finder(cur))
+            pool = la.as_rows(finder(cur))
         xhat = best_candidate(cur, pool)
         if xhat is None:
             leaves.append(cur)

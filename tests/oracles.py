@@ -21,9 +21,9 @@ from math import floor
 
 import numpy as np
 
-from conekit.collect import as_rows, support_values
 from conekit.cone import ConeInput, build_cone
 from conekit.errors import NotPointedError
+from conekit.linalg import as_rows, support_values
 from conekit.simplex import points_from_block, residue_blocks
 from conekit.subdivide import stellar_subdivide
 

@@ -4,6 +4,7 @@ import pytest
 
 from conekit import pipeline
 from conekit.cli import main, parse_input, render_report
+from conekit.collect import HilbertSeries
 from conekit.cone import ConeInput
 from conekit.errors import InputParseError
 from conekit.pipeline import RunOptions, compute
@@ -184,6 +185,29 @@ class TestMain:
     def test_series_goal_without_grading(self, tmp_path):
         p = write_input(tmp_path, "nograd.in", "amb_space 2\ncone 2\n1 0\n0 1\n")
         assert main([str(p), "--goal", "series"]) == 2
+
+    def test_rank_zero_graded(self, tmp_path):
+        # the zero cone: no generators after zero rows drop, so the empty
+        # Hilbert basis and forms, the series 1 and nothing subdivided
+        result = compute(ConeInput(2, generators=((0, 0),), grading=(1, 1)))
+        assert result.hilbert_basis == () and result.support_forms == ()
+        assert result.series == HilbertSeries(numerator=(1,), e=1, r=0)
+        assert result.stats.improvement_factor == 1
+        p = write_input(tmp_path, "zero.in", "amb_space 2\ncone 1\n0 0\ngrading\n1 1\n")
+        assert main([str(p)]) == 0
+        assert (tmp_path / "zero.out").read_text() == (
+            "0 Hilbert basis elements:\n"
+            "0 support hyperplanes:\n"
+            "Hilbert series:\n"
+            "1\n"
+            "denominator: (1-t^1)^0\n"
+            "stats:\n"
+            "simplex_volume=0\n"
+            "volume_used=0\n"
+            "improvement_factor=1\n"
+            "ips_solved=0\n"
+            "approx_levels_used=0\n"
+        )
 
     def test_goal_all_without_grading_skips_series(self, tmp_path):
         p = write_input(tmp_path, "nograd.in", "amb_space 2\ncone 2\n1 0\n0 1\n")

@@ -12,8 +12,7 @@ from conekit import collect
 from conekit import linalg as la
 from conekit.cone import ConeInput, build_cone, make_simplicial_cone, triangulate
 from conekit.collect import (
-    HilbertSeries, StatsRecord, accumulate_series, as_rows, bottom_volume,
-    reduce_to_hilbert_basis,
+    HilbertSeries, StatsRecord, accumulate_series, bottom_volume, reduce_to_hilbert_basis,
 )
 from conekit.errors import DomainError, InternalConsistencyError
 from conekit.pipeline import RunOptions, compute
@@ -117,18 +116,18 @@ class TestReduce:
 
 class TestAsRows:
     def test_int64_below_the_bound(self):
-        out = as_rows([(2**62 - 1, 0), (0, -(2**62 - 1))])
+        out = la.as_rows([(2**62 - 1, 0), (0, -(2**62 - 1))])
         assert out.dtype == np.int64
         assert out.tolist() == [[2**62 - 1, 0], [0, -(2**62 - 1)]]
 
     def test_object_at_the_bound(self):
         # 2**62 fits int64 but not the one-bit-spare bound
-        out = as_rows([(2**62, 0), (1, 1)])
+        out = la.as_rows([(2**62, 0), (1, 1)])
         assert out.dtype == object
         assert out.tolist() == [[2**62, 0], [1, 1]]
 
     def test_empty(self):
-        out = as_rows([])
+        out = la.as_rows([])
         assert out.dtype == object and out.size == 0
 
 

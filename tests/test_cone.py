@@ -1,4 +1,6 @@
+import importlib.util
 import random
+import sys
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -7,7 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conekit import cone as cone_module, linalg as la
+from conekit import approx as approx_module, cone as cone_module, linalg as la
 from conekit.cli import parse_input
 from conekit.approx import approximate_cone
 from conekit.cone import (
@@ -16,6 +18,8 @@ from conekit.cone import (
 )
 from conekit.errors import (GradingNotPositiveError, InternalConsistencyError,
                             NotPointedError, SingularMatrixError)
+from conekit.pipeline import RunOptions, compute
+from conekit.subdivide import SubdivisionConfig
 
 from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv,
                      frac_rank, in_cone, in_half_open, is_pointed, minor_det)
@@ -569,6 +573,19 @@ class TestPlacingLinks:
         assume(minor_det(gens) != 0)
         check_links(approximate_cone(make_simplicial_cone(gens), level))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda d: st.one_of(
+        redundant_vectors(d), cluttered_gens(d),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=d, max_size=d + 8))))
+    def test_index_tuples_distinct(self, vectors):
+        # each new tuple extends one boundary facet of the current cone,
+        # so none arises twice, also for repeated, non-extreme and
+        # non-pointed input vectors
+        assume(frac_rank(vectors) == len(vectors[0]))
+        idx = [t for t, _, _ in dual_description(vectors)[2]]
+        assert len(set(idx)) == len(idx)
+        assert all(len(set(t)) == len(vectors[0]) for t in idx)
+
 
 def polytope_cone(rng, points=16, box=5, d=6):
     """The cone over `points` distinct random lattice points of
@@ -620,3 +637,48 @@ class TestOnePass:
     def test_constraint_fixtures(self, name, count):
         ci = parse_input((FIXTURES / f"{name}.in").read_text())
         assert passes(ci)[2] == count
+
+    @pytest.mark.parametrize("vectors", [CONE35, SQUARE3, ((1, 1), (1, 0), (2, 2), (0, 1))])
+    def test_one_pivot_pass_starts_dual_description(self, vectors):
+        # the pass that picks the first simplex also gives its rays
+        with mock.patch.object(la, "basis_forms", wraps=la.basis_forms) as bf:
+            dual_description(vectors)
+        assert bf.call_count == 1
+        assert bf.call_args.args == (la.as_mat(vectors), len(vectors[0]))
+
+
+def seed_one_runs():
+    """(workload name, compute arguments of its seed-1 instances) for
+    every benchmark workload, from conebench/workloads.py, which
+    imports nothing of conekit."""
+    path = FIXTURES.parent.parent / "conebench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("conebench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    for w in workloads.WORKLOADS.values():
+        options = RunOptions(goals=frozenset(w.goals), subdivision=SubdivisionConfig(
+            strategy=w.strategy, volume_bound=w.volume_bound,
+            node_limit=workloads.NODE_LIMIT, time_limit_scale=None))
+        yield w.name, [(parse_input(t), options) for t in workloads.instance_texts(w, 1)]
+
+
+def test_seed_one_pivot_passes():
+    """Pivot passes and double descriptions of the seed-1 benchmark runs.
+    A description takes one pass for its initial basis and rays; with a
+    pass for each, the counts would read 89, 75, 53 and 30."""
+    counts = {}
+    for name, runs in seed_one_runs():
+        with mock.patch.object(la, "basis_forms", wraps=la.basis_forms) as bf, \
+                mock.patch.object(cone_module, "dual_description",
+                                  wraps=cone_module.dual_description) as dd, \
+                mock.patch.object(approx_module, "dual_description",
+                                  wraps=approx_module.dual_description) as dd_approx:
+            for ci, options in runs:
+                compute(ci, options)
+        counts[name] = (bf.call_count, dd.call_count + dd_approx.call_count)
+    assert counts == {"series-ip": (83, 6), "series-approx": (54, 21),
+                      "hb-ip": (45, 8), "series-polytope": (24, 6)}

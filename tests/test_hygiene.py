@@ -134,3 +134,54 @@ def test_export_scan_flags_unread_names():
     }
     assert unread_exports(sources) == ["only_tests", "recursive", "run"]
     assert unread_exports(sources, {"run"}) == ["only_tests", "recursive"]
+
+
+# The package's stages, earliest first: a module may import only modules
+# before it.  __init__ and __main__ import the stages they expose or run.
+LAYERS = ("errors", "linalg", "cone", "simplex", "subdivide", "approx", "collect",
+          "pipeline", "cli")
+ENTRY_MODULES = {"__init__", "__main__"}
+
+
+def upward_imports(sources: dict[str, str], layers=LAYERS) -> list[str]:
+    """Every import of a package module from a later (or the same) layer,
+    as "module -> imported", and every module that the layer order does
+    not list, as "module: no layer"."""
+    rank = {mod: k for k, mod in enumerate(layers)}
+    found = []
+    for mod, source in sources.items():
+        if mod in ENTRY_MODULES:
+            continue
+        if mod not in rank:
+            found.append(f"{mod}: no layer")
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["conekit" if node.level else "", node.module]))
+                names = [f"{base}.{a.name}" for a in node.names] if base == "conekit" else [base]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            targets = [name.split(".")[1] for name in names if name.startswith("conekit.")]
+            found += [f"{mod} -> {t}" for t in targets if rank.get(t, len(layers)) >= rank[mod]]
+    return sorted(found)
+
+
+def test_no_module_imports_a_later_stage():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert set(sources) - ENTRY_MODULES == set(LAYERS)
+    assert upward_imports(sources) == []
+
+
+def test_layer_scan_flags_upward_imports():
+    sources = {
+        "__init__": "from .b import g\n",
+        "a": "from . import b\nimport conekit.c\nfrom .x import y\n",
+        "b": "from __future__ import annotations\nfrom . import a\nfrom .a import f\n",
+        "c": "from conekit.b import g\nfrom .c import h\nimport os\n",
+        "d": "from conekit import a, e\nfrom numpy import array\n",
+        "stray": "from .a import f\n",
+    }
+    assert upward_imports(sources, ("a", "b", "c", "d")) == [
+        "a -> b", "a -> c", "a -> x", "c -> c", "d -> e", "stray: no layer"]

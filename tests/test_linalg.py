@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conekit.errors import DimensionError, InternalConsistencyError, SingularMatrixError
 from conekit import linalg as la
+from conekit.cone import dual_description
 
 from oracles import (frac_rank, fraction_free_independent_rows, gram_restrict,
                      gram_schmidt, lattice_index, minor_det, minors_gcd)
@@ -118,11 +119,17 @@ class TestAdjugate:
             la.facet_forms(((1, 2, 3), (4, 5, 6)))
 
     def test_exactness_check(self):
-        # a wrong elimination result is caught, not returned
-        wrong = (((5, 0), (0, 1)), 5, [(0, 0), (1, 1)])
-        with mock.patch.object(la, "_pivot_rows", return_value=wrong):
+        # a wrong elimination result is caught, not returned: with every
+        # pivot step giving the same wrong forms, the pass's check fails
+        # for facet_forms and for every other reader of the pass
+        wrong = (((5, 0), (0, 1)), 5)
+        with mock.patch.object(la, "pivot", return_value=wrong):
             with pytest.raises(InternalConsistencyError):
                 la.facet_forms(((1, 0), (3, 5)))
+            with pytest.raises(InternalConsistencyError, match="F·B"):
+                la.independent_rows(((1, 0), (2, 0), (3, 5)), 2)
+            with pytest.raises(InternalConsistencyError, match="F·B"):
+                dual_description(((1, 0), (3, 5), (1, 1)))
 
     @settings(max_examples=150, deadline=None)
     @given(adjugate_inputs())
@@ -278,6 +285,25 @@ class TestHelpers:
     def test_independent_rows_match_fraction_free_reduction(self, case):
         rows, n = case
         assert la.independent_rows(rows, n) == fraction_free_independent_rows(rows, n)
+
+    def test_basis_forms(self):
+        # (0, 3) is skipped; the forms come in the order of the kept rows
+        assert la.basis_forms(((0, 1), (0, 3), (1, 3)), 2) == ([0, 2], ((-3, 1), (1, 0)), 1)
+        # below full rank, δ is the pass's det and F·B^T = δ·I still holds
+        assert la.basis_forms(((2, 0, 0), (4, 0, 0)), 3) == ([0], ((1, 0, 0),), 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows_with_repeats())
+    def test_basis_forms_are_the_facet_forms_of_the_basis(self, case):
+        # one pass gives the greedy basis B, forms with F·B^T = δ·I and,
+        # at full rank, the (F, δ) that facet_forms(B) computes again
+        rows, n = case
+        kept, forms, det = la.basis_forms(rows, n)
+        assert kept == fraction_free_independent_rows(rows, n)
+        basis = la.as_mat([rows[k] for k in kept])
+        assert la.matmul(forms, la.transpose(basis)) == scaled_identity(len(kept), det)
+        if len(kept) == n:
+            assert (forms, det) == la.facet_forms(basis)
 
 
 @st.composite

@@ -354,3 +354,15 @@ def test_unimodular_invariance(case):
                         for j in range(len(p)))
                   for p in rows(fundamental_points(simplex(gens))))
     assert got == want
+    # the series runs its degree sums in that dtype too: gens·U under the
+    # grading U^-1·deg has the degrees of gens under deg.  The anchor
+    # sum((-1)^k·g_k) moves with U and lies off every facet hyperplane,
+    # so both simplices exclude the same (odd) facets.
+    deg = simplex(gens).height_normal
+    uinv_t, _ = la.facet_forms(la.as_mat(u))  # U^-1 = F^T
+    anchor = [tuple(sum((-1) ** k * g[j] for k, g in enumerate(m)) for j in range(len(m)))
+              for m in (gens, moved)]
+    want = series_contribution(make_simplicial_cone(gens, anchor[0]), deg)
+    moved_s = make_simplicial_cone(moved, anchor[1])
+    assert moved_s.excluded_facets == frozenset(range(1, len(gens), 2))
+    assert series_contribution(moved_s, la.vec_mat(deg, uinv_t)) == want

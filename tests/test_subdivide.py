@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -87,6 +88,22 @@ class TestSolveStarIp:
         assert out.status == "limit"
         out = solve_star_ip(simplex(((2, 1), (3, 70))))
         assert out.is_optimal and out.value == 46
+
+    def test_wall_clock_limit(self, monkeypatch):
+        # the clock is read at every 512th node: with a deadline already
+        # past and no node limit, ticks 1-511 pass and tick 512 raises
+        search = subdivide_module._Search(time.monotonic() - 1, None)
+        for _ in range(511):
+            search._tick()
+        with pytest.raises(subdivide_module._Limit):
+            search._tick()
+        assert search.nodes == 512
+
+        def limit(self):
+            raise subdivide_module._Limit
+        # a raised _Limit becomes the status "limit", never an answer
+        monkeypatch.setattr(subdivide_module._Search, "_tick", limit)
+        assert solve_star_ip(simplex(((2, 1), (3, 70)))) == IpOutcome("limit")
 
     @settings(max_examples=60, deadline=None)
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9),
