@@ -12,12 +12,15 @@ Simplicial cones are built in two ways, both by linalg.pivot, the one
 fraction-free elimination step of the package.  make_simplicial_cone
 pivots the generators into the unit basis (linalg.facet_forms); it
 builds a simplex that nothing is known about, such as the first simplex
-of a triangulation.  Every later simplex of a placing triangulation, and
-every stellar piece, differs from a known simplex in one generator, and
+of a triangulation.  Every later simplex of a triangulation, and every
+stellar piece, differs from a known simplex in one generator, and
 exchange derives its forms from that simplex by one pivot.  Both give
 the same SimplicialCone, checked by linalg.check_forms.  A cone's
-placing triangulation is recorded by its one double description, in
-`Cone.placing`, whose first simplex and rays come from one basis_forms.
+triangulation, in `Cone.triangulation`, is the pulling triangulation
+from the generator on the most facets, read off the facet masks of its
+one double description; only a non-simplicial facet without that apex
+takes a small double description of its own.  Overcones keep the
+placing triangulation that their double description records.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class Cone:
     ambient_dim: int
     rank: int
     generators: IntMat      # primitive extreme rays, input order
-    placing: tuple          # dual_description's placing triangulation of generators
+    triangulation: tuple    # pulling triangulation of generators, as placing triples
     support_forms: IntMat   # irredundant primitive forms, sorted
     lattice_basis: IntMat   # rows form a basis of E = Z^d ∩ span
     grading: IntVec | None = None
@@ -165,18 +168,19 @@ def exchange(s: SimplicialCone, i: int, x, anchor: IntVec | None = None,
     return _simplex(tuple(gens), det, tuple(forms), anchor)
 
 
-def placing_simplices(vectors, placing, anchor: IntVec | None = None):
-    """Yield the simplices of the placing that dual_description(vectors)
-    returns.  The first is built by make_simplicial_cone; every later one
-    by exchange from the earlier simplex it extends, its new vector moved
-    to the place of its index in the sorted index tuple.
+def placing_simplices(vectors, triples, anchor: IntVec | None = None):
+    """Yield the simplices of (idx, parent, drop) triples, such as the
+    placing that dual_description(vectors) returns.  A simplex without a
+    parent is built by make_simplicial_cone; every other one by exchange
+    from its parent, its new vector moved to the place of its index in
+    the sorted index tuple.
     """
     built = []
-    for idx, parent, drop in placing:
+    for idx, parent, drop in triples:
         if parent is None:
             sub = make_simplicial_cone(tuple(vectors[g] for g in idx), anchor)
         else:
-            pidx = placing[parent][0]
+            pidx = triples[parent][0]
             at = next(t for t, g in enumerate(idx) if g not in pidx)
             sub = exchange(built[parent], drop, vectors[idx[at]], anchor, at)
         built.append(sub)
@@ -186,9 +190,10 @@ def placing_simplices(vectors, placing, anchor: IntVec | None = None):
 def dual_description(vectors):
     """Extreme rays of {y : y·v >= 0 for all v}, by incremental insertion.
 
-    Returns (rays, masks, placing).  The vectors must span the space
-    (which makes the dual cone pointed).  Inserting one vector at a time
-    performs the Fourier-Motzkin step of the double-description method.
+    Returns (rays, masks, placing).  The vectors must span the space,
+    which makes the dual cone pointed; otherwise NotPointedError.
+    Inserting one vector at a time performs the Fourier-Motzkin step of
+    the double-description method.
     A pair of rays p, q on opposite sides of the new hyperplane yields a
     new ray iff it is adjacent: no third ray vanishes on every inserted
     vector that both vanish on (the combinatorial test of Fukuda-Prodon
@@ -214,7 +219,7 @@ def dual_description(vectors):
     s = len(vectors[0]) if n else 0
     init, forms, _ = la.basis_forms(vectors, s)
     if len(init) < s:
-        raise DimensionError("vectors do not span the working space")
+        raise NotPointedError("vectors do not span the working space")
     # facet form j vanishes on every basis vector but the j-th
     rays = [la.primitive(f) for f in forms]
     full = sum(1 << gi for gi in init)
@@ -301,23 +306,63 @@ def _rays_from_constraints(ci: ConeInput) -> IntMat:
         return ()
     ineq_r = tuple(tuple(la.dot(k, lam) for k in kbasis) for lam in ineqs)
     ineq_r = tuple(row for row in ineq_r if any(row))
-    if len(la.independent_rows(ineq_r, s)) < s:
+    if not ineq_r:  # nonzero rows that span less raise it in dual_description
         raise NotPointedError("constraints admit a nonzero linear subspace")
     rays_r, _, _ = dual_description(ineq_r)
     return tuple(la.vec_mat(r, kbasis) for r in rays_r)
 
 
-def build_cone(ci: ConeInput) -> Cone:
-    """Both descriptions and the placing of the cone, in restricted coordinates.
+def pulling_triangulation(generators: IntMat, masks) -> tuple:
+    """The pulling triangulation of cone(generators), as the (idx,
+    parent, drop) triples of dual_description's placing.
 
-    One double description gives the forms, the facets through each
-    generator (read off the masks) and the placing.  A primitive
-    generator p spans an extreme ray iff no generator off the ray of p
-    lies on every facet through p: those facets cut out the smallest face
-    holding p, which the generators in it span.  The generators keep
-    their input order, primitive and without repeats.  If that drops one
-    (a repeat, or a non-extreme generator, which may be a vertex of the
-    placing), a second pass records the placing of the extreme ones.
+    Bit j of masks[k] is set iff generators[j] lies on facet k.  The
+    apex is the generator on the most facets (the lowest index on a tie);
+    every facet without it is the base of one pyramid, which is the
+    simplex apex + facet when the facet has rank - 1 generators, and the
+    placing of [apex] + the facet's generators otherwise, whose every
+    simplex holds the apex, the first vector of its basis.  Each simplex
+    links to an earlier one that shares all its vertices but one, so all
+    but the first of a connected run come from one exchange pivot.  The
+    runs start at the least index tuple left and grow breadth first.
+    """
+    r, n = len(generators[0]), len(generators)
+    on = [sum(m >> j & 1 for m in masks) for j in range(n)]
+    apex = on.index(max(on))
+    cells = []
+    for m in masks:
+        if m >> apex & 1:
+            continue
+        pyramid = [apex] + [j for j in range(n) if m >> j & 1]
+        if len(pyramid) == r:
+            cells.append(tuple(sorted(pyramid)))
+        else:
+            _, _, placing = dual_description([generators[j] for j in pyramid])
+            cells.extend(tuple(sorted(pyramid[t] for t in idx)) for idx, _, _ in placing)
+    cells.sort()  # the order of the facets depends on redundant input
+    bits = {idx: sum(1 << g for g in idx) for idx in cells}
+    triples = []
+    while cells:
+        triples.append((cells.pop(0), None, None))
+        for k, (idx, _, _) in enumerate(triples):  # grows while it runs
+            for new in [c for c in cells if (bits[c] & bits[idx]).bit_count() == r - 1]:
+                cells.remove(new)
+                drop = next(p for p, g in enumerate(idx) if g not in new)
+                triples.append((new, k, drop))
+    return tuple(triples)
+
+
+def build_cone(ci: ConeInput) -> Cone:
+    """Both descriptions and the triangulation of the cone, in restricted
+    coordinates.
+
+    One double description gives the forms and the facets through each
+    generator (read off the masks).  A primitive generator p spans an
+    extreme ray iff no generator off the ray of p lies on every facet
+    through p: those facets cut out the smallest face holding p, which
+    the generators in it span.  The generators keep their input order,
+    primitive and without repeats; the facet masks, remapped onto them,
+    give the pulling triangulation.
 
     Raises NotPointedError when the input contains a line; an input with
     no nonzero generators yields the trivial (rank zero) cone.
@@ -329,8 +374,8 @@ def build_cone(ci: ConeInput) -> Cone:
         gens_amb = ci.generators
     gens_amb = tuple(g for g in gens_amb if any(g))
     if not gens_amb:
-        cone = Cone(ambient_dim=d, rank=0, generators=(), placing=(), support_forms=(),
-                    lattice_basis=(), grading=None)
+        cone = Cone(ambient_dim=d, rank=0, generators=(), triangulation=(),
+                    support_forms=(), lattice_basis=(), grading=None)
         if ci.grading is not None:
             cone = replace(cone, grading=())
         return cone
@@ -341,22 +386,23 @@ def build_cone(ci: ConeInput) -> Cone:
     else:
         basis, gens_r, _ = la.sublattice(gens_amb, d)
 
-    forms, masks, placing = dual_description(gens_r)
+    forms, masks, _ = dual_description(gens_r)
     if len(la.independent_rows(forms, r)) < r:
         raise NotPointedError("cone contains a nonzero linear subspace")
 
     prims = [la.primitive(g) for g in gens_r]
     zeros = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
              for i in range(len(prims))]
-    generators = []
-    for p, z in zip(prims, zeros):
+    generators, kept = [], []
+    for i, (p, z) in enumerate(zip(prims, zeros)):
         if p not in generators and all(z & ~zk or pk == p
                                        for pk, zk in zip(prims, zeros)):
             generators.append(p)
-    if len(generators) < len(prims):
-        _, _, placing = dual_description(generators)
+            kept.append(i)
+    masks = [sum(1 << j for j, i in enumerate(kept) if m >> i & 1) for m in masks]
 
-    cone = Cone(ambient_dim=d, rank=r, generators=tuple(generators), placing=placing,
+    cone = Cone(ambient_dim=d, rank=r, generators=tuple(generators),
+                triangulation=pulling_triangulation(generators, masks),
                 support_forms=tuple(sorted(forms)), lattice_basis=basis,
                 grading=None)
     if ci.grading is not None:
@@ -385,11 +431,11 @@ def normalize_grading(cone: Cone, deg: IntVec) -> IntVec:
 
 
 def triangulate(cone: Cone) -> tuple[SimplicialCone, ...]:
-    """Placing triangulation of the cone along its generator order.
+    """The pulling triangulation of the cone that build_cone recorded.
 
-    Built by placing_simplices from the placing build_cone recorded, with
-    no double description.  Each simplex carries excluded-facet data so
-    that the half-open simplices cover the cone disjointly.
+    Built by placing_simplices from its triples, with no double
+    description.  Each simplex carries excluded-facet data so that the
+    half-open simplices cover the cone disjointly.
     """
     anchor = tuple(sum(g[j] for g in cone.generators) for j in range(cone.rank))
-    return tuple(placing_simplices(cone.generators, cone.placing, anchor))
+    return tuple(placing_simplices(cone.generators, cone.triangulation, anchor))

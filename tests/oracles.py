@@ -10,7 +10,9 @@ sweep, the second asks build_cone, and unique_sort_reduction, the
 reference for reduce_to_hilbert_basis, which converts rows and support
 values as the package does.  fraction_free_independent_rows and
 staircase_face_vertices are earlier package versions of
-independent_rows and minimal_cube_face_vertices, kept as references.
+independent_rows and minimal_cube_face_vertices, and
+placing_triangulation the triangulation build_cone recorded before it
+pulled one from an apex, kept as references.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import floor
 
 import numpy as np
 
-from conekit.cone import ConeInput, build_cone
+from conekit.cone import ConeInput, build_cone, dual_description
 from conekit.errors import NotPointedError
 from conekit.linalg import as_rows, support_values
 from conekit.simplex import points_from_block, residue_blocks
@@ -699,3 +701,10 @@ def staircase_face_vertices(v):
         if lambdas[k] > 0:
             out.append(tuple(w))
     return tuple(out)
+
+
+def placing_triangulation(gens):
+    """The placing triangulation of cone(gens) along their order, as the
+    (idx, parent, drop) triples of dual_description: the triangulation
+    that build_cone recorded before it pulled one from an apex."""
+    return dual_description(gens)[2]

@@ -22,7 +22,8 @@ from conekit.pipeline import RunOptions, compute
 from conekit.subdivide import SubdivisionConfig
 
 from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv,
-                     frac_rank, in_cone, in_half_open, is_pointed, minor_det)
+                     frac_rank, in_cone, in_half_open, is_pointed, minor_det,
+                     placing_triangulation)
 
 
 QUADRANT = ((1, 0), (0, 1))
@@ -358,8 +359,10 @@ class TestTriangulate:
         tri = triangulate(c)
         assert len(tri) == 2
         assert [s.det for s in tri] == [1, 1]
-        assert tri[0].excluded_facets == frozenset()
-        assert len(tri[1].excluded_facets) == 1
+        # pulled from (0,0,1): the diagonal facet is the one excluded
+        assert [s.gens[0] for s in tri] == [(0, 0, 1), (0, 0, 1)]
+        assert tri[0].excluded_facets == frozenset({1})
+        assert tri[1].excluded_facets == frozenset()
 
     def test_square_cone_half_open_cover(self):
         c = build_cone(ConeInput(3, generators=SQUARE3))
@@ -516,11 +519,11 @@ class TestExchange:
             exchange(bad, 0, (1, 1))
 
 
-def check_links(vectors):
-    """Every simplex of the placing triangulation but the first differs
-    from an earlier simplex, its link, in exactly the dropped vertex, and
-    the simplices built along the links are make_simplicial_cone's."""
-    _, _, tri = dual_description(vectors)
+def check_links(vectors, tri):
+    """Every simplex of the (idx, parent, drop) triples but the first
+    differs from an earlier simplex, its link, in exactly the dropped
+    vertex, and the simplices built along the links are
+    make_simplicial_cone's."""
     assert tri[0][1:] == (None, None)
     for k, (idx, parent, drop) in enumerate(tri[1:], start=1):
         assert idx == tuple(sorted(idx))
@@ -538,22 +541,54 @@ FIXTURE_CONES = [build_cone(parse_input(p.read_text()))
                  for p in sorted(FIXTURES.glob("*.in")) + sorted(SUBLATTICE.glob("*.in"))]
 
 
+def check_placing(vectors):
+    """The placing triangulation of the vectors is linked as check_links
+    requires."""
+    check_links(vectors, dual_description(vectors)[2])
+
+
+def apex_of(c):
+    """The generator on the most facets of a built cone, the lowest index
+    on a tie, found from the brute-force facets."""
+    facets = brute_facets(c.generators)
+    on = [sum(dotv(f, g) == 0 for f in facets) for g in c.generators]
+    return on.index(max(on)), facets
+
+
+def check_pulling(c):
+    """The triangulation of a built cone of rank at least 2 is pulled from
+    its apex: every simplex holds the apex, its other vertices lie on one
+    facet without the apex, and every simplicial facet without the apex
+    is the base of one simplex."""
+    apex, facets = apex_of(c)
+    cells = {idx for idx, _, _ in c.triangulation}
+    assert all(apex in idx for idx in cells)
+    for idx in cells:
+        base = [c.generators[g] for g in idx if g != apex]
+        assert any(all(dotv(f, g) == 0 for g in base) for f in facets)
+    for f in facets:
+        face = tuple(j for j, g in enumerate(c.generators) if dotv(f, g) == 0)
+        if apex not in face and len(face) == c.rank - 1:
+            assert tuple(sorted(face + (apex,))) in cells
+
+
 class TestPlacingLinks:
     @pytest.mark.parametrize("c", FIXTURE_CONES, ids=lambda c: str(c.generators))
     def test_fixture_cones(self, c):
-        check_links(c.generators)
+        check_placing(c.generators)
+        check_links(c.generators, c.triangulation)
+        if c.rank > 1:
+            check_pulling(c)
         anchor = tuple(sum(g[j] for g in c.generators) for j in range(c.rank))
-        _, _, tri = dual_description(c.generators)
-        assert c.placing == tri
         assert triangulate(c) == tuple(make_simplicial_cone(
-            tuple(c.generators[g] for g in idx), anchor) for idx, _, _ in tri)
+            tuple(c.generators[g] for g in idx), anchor) for idx, _, _ in c.triangulation)
 
     @pytest.mark.parametrize("c", FIXTURE_CONES, ids=lambda c: str(c.generators))
     @pytest.mark.parametrize("level", [1, 2])
     def test_fixture_overcones(self, c, level):
         for s in triangulate(c):
             if s.dim > 1:
-                check_links(approximate_cone(s, level))
+                check_placing(approximate_cone(s, level))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4).flatmap(cluttered_gens))
@@ -561,9 +596,12 @@ class TestPlacingLinks:
         gens = tuple(g for g in gens if any(g))
         assume(gens and frac_rank(gens) == len(gens[0]))
         c = build_cone(ConeInput(len(gens[0]), generators=gens))
-        check_links(c.generators)
-        # one pass or two, the placing is that of the extreme generators
-        assert c.placing == dual_description(c.generators)[2]
+        check_placing(c.generators)
+        check_links(c.generators, c.triangulation)
+        check_pulling(c)
+        # redundant input or not, the triangulation is that of the extreme generators
+        assert c.triangulation == build_cone(
+            ConeInput(len(gens[0]), generators=c.generators)).triangulation
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda d: st.lists(
@@ -571,7 +609,7 @@ class TestPlacingLinks:
         min_size=d, max_size=d)), st.integers(1, 2))
     def test_random_overcones(self, gens, level):
         assume(minor_det(gens) != 0)
-        check_links(approximate_cone(make_simplicial_cone(gens), level))
+        check_placing(approximate_cone(make_simplicial_cone(gens), level))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda d: st.one_of(
@@ -585,6 +623,72 @@ class TestPlacingLinks:
         idx = [t for t, _, _ in dual_description(vectors)[2]]
         assert len(set(idx)) == len(idx)
         assert all(len(set(t)) == len(vectors[0]) for t in idx)
+
+
+@st.composite
+def pulling_cones(draw):
+    """Generators of a pointed cone in Z^d, d = 3-5: the cone over a cube
+    or a prism (non-simplicial facets for d >= 4), sheared, or random
+    generators, with repeats, multiples and sums of two generators (on a
+    shared facet when both lie on it) mixed in and shuffled."""
+    d = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from(["cube", "prism", "random"]))
+    if kind == "cube":
+        gens = [v + (1,) for v in product((0, 1), repeat=d - 1)]
+    elif kind == "prism":
+        base = [tuple(int(i == j) for j in range(d - 2)) for i in range(-1, d - 2)]
+        gens = [b + (h, 1) for b in base for h in (0, 1)]
+    else:
+        gens = draw(pointed_gens(d, min_size=d, max_size=d + 5, entry=3))
+    if kind != "random":
+        # a unimodular shear of the first d - 1 coordinates keeps the
+        # lattice polytope at height 1
+        for i in range(d - 1):
+            for j in range(i):
+                a = draw(st.integers(-1, 1))
+                gens = [g[:i] + (g[i] + a * g[j],) + g[i + 1:] for g in gens]
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        gens.append(draw(st.sampled_from([
+            a, tuple(2 * x for x in a), tuple(x + y for x, y in zip(a, b))])))
+    return draw(st.permutations(gens))
+
+
+class TestPulling:
+    @settings(max_examples=40, deadline=None)
+    @given(pulling_cones())
+    def test_pulled_triangulation(self, gens):
+        d = len(gens[0])
+        assume(frac_rank(gens) == d)
+        c = build_cone(ConeInput(d, generators=gens))
+        # each simplex differs from its parent in one generator
+        check_links(c.generators, c.triangulation)
+        # every simplex holds the apex and stands on a facet without it
+        check_pulling(c)
+        # the half-open simplices cover the cone exactly once
+        tri = triangulate(c)
+        for x in product(range(-1, 3), repeat=d):
+            inside = all(dotv(f, x) >= 0 for f in c.support_forms)
+            assert half_open_count(tri, x) == (1 if inside else 0)
+        # over a lattice polytope, the normalized volume is that of the placing
+        if all(g[-1] == 1 for g in c.generators):
+            placing = placing_triangulation(c.generators)
+            assert sum(s.det for s in tri) == sum(
+                abs(minor_det([c.generators[g] for g in idx])) for idx, _, _ in placing)
+
+    def test_simplicial_cone_is_its_one_simplex(self):
+        c = build_cone(ConeInput(3, generators=((1, 2, 0), (0, 1, 5), (3, 0, 1))))
+        assert c.triangulation == (((0, 1, 2), None, None),)
+
+    def test_apex_on_most_facets(self):
+        # the prism over a triangle at height 1: its six vertices lie on
+        # three facets each, so the first pulls; the other triangle and
+        # the one square without it carry 1 + 2 simplices, of det 1 each
+        prism = tuple(b + (h, 1) for b in ((0, 0), (1, 0), (0, 1)) for h in (0, 1))
+        c = build_cone(ConeInput(4, generators=prism))
+        assert apex_of(c)[0] == 0
+        assert [s.det for s in triangulate(c)] == [1, 1, 1]
+        assert all(0 in idx for idx, _, _ in c.triangulation)
 
 
 def polytope_cone(rng, points=16, box=5, d=6):
@@ -619,24 +723,60 @@ class TestOnePass:
         assert count == 1
 
     def test_polytope_cone(self):
+        # every facet without the apex is simplicial, so no pyramid takes
+        # a double description of its own; the placing took 125 simplices
         ci = polytope_cone(random.Random(17))
         c, tri, count = passes(ci)
         assert len(c.generators) == 16 and c.rank == 6
         assert count == 1
-        assert len(tri) == len(c.placing)
+        assert len(tri) == len(c.triangulation) == 54
+        placing = placing_triangulation(c.generators)
+        assert len(placing) == 125
+        assert sum(s.det for s in tri) == sum(
+            abs(minor_det([c.generators[g] for g in idx])) for idx, _, _ in placing) == 22348
 
-    def test_redundant_input_takes_a_second_pass(self):
+    def test_redundant_input_takes_one_pass(self):
+        # the facet masks are remapped onto the extreme generators
         c, tri, count = passes(ConeInput(2, generators=((1, 1), (1, 0), (0, 1))))
-        assert count == 2
+        assert count == 1
         extreme, tri_extreme, _ = passes(ConeInput(2, generators=((1, 0), (0, 1))))
         assert c == extreme
         assert tri == tri_extreme and len(tri) == 1
+
+    def test_non_simplicial_pyramids_take_a_pass_each(self):
+        # the cube cone pulled from (0,0,0,1): three of its six facets
+        # miss the apex, each a square with four generators
+        cube = tuple(v + (1,) for v in product((0, 1), repeat=3))
+        c, tri, count = passes(ConeInput(4, generators=cube))
+        assert count == 1 + 3
+        assert len(tri) == 6 and all(0 in idx for idx, _, _ in c.triangulation)
 
     @pytest.mark.parametrize("name, count", [("constraints", 2), ("lowdim", 2),
                                              ("sublattice/intersect", 3)])
     def test_constraint_fixtures(self, name, count):
         ci = parse_input((FIXTURES / f"{name}.in").read_text())
         assert passes(ci)[2] == count
+
+    @pytest.mark.parametrize("name, count", [("constraints", 4), ("lowdim", 6),
+                                             ("sublattice/intersect", 10)])
+    def test_constraint_pivot_passes(self, name, count):
+        # the constraint rows take one pass, that of their double
+        # description: no rank pass before it (5, 7, 11 with one)
+        ci = parse_input((FIXTURES / f"{name}.in").read_text())
+        with mock.patch.object(la, "basis_forms", wraps=la.basis_forms) as bf:
+            build_cone(ci)
+        assert bf.call_count == count
+
+    @pytest.mark.parametrize("ineqs", [((0, 0),), ((1, 0),), ((1, 1), (2, 2))])
+    def test_constraints_holding_a_line_raise(self, ineqs):
+        # no nonzero row, or rows that span less than the space: the
+        # constraint cone holds a line
+        with pytest.raises(NotPointedError):
+            build_cone(ConeInput(2, inequalities=ineqs))
+
+    def test_non_spanning_vectors_raise(self):
+        with pytest.raises(NotPointedError, match="do not span"):
+            dual_description(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
 
     @pytest.mark.parametrize("vectors", [CONE35, SQUARE3, ((1, 1), (1, 0), (2, 2), (0, 1))])
     def test_one_pivot_pass_starts_dual_description(self, vectors):
@@ -667,9 +807,12 @@ def seed_one_runs():
 
 
 def test_seed_one_pivot_passes():
-    """Pivot passes and double descriptions of the seed-1 benchmark runs.
-    A description takes one pass for its initial basis and rays; with a
-    pass for each, the counts would read 89, 75, 53 and 30."""
+    """Pivot passes, double descriptions and cone simplices of the seed-1
+    benchmark runs.  A description takes one pass for its initial basis
+    and rays.  The series-polytope cones are pulled from an apex: 358
+    simplices where their placing took 772, for nine more descriptions
+    (one per non-simplicial pyramid) and so nine more passes than the
+    24 and 6 of the placing; the other workloads build simplicial cones."""
     counts = {}
     for name, runs in seed_one_runs():
         with mock.patch.object(la, "basis_forms", wraps=la.basis_forms) as bf, \
@@ -679,6 +822,7 @@ def test_seed_one_pivot_passes():
                                   wraps=approx_module.dual_description) as dd_approx:
             for ci, options in runs:
                 compute(ci, options)
-        counts[name] = (bf.call_count, dd.call_count + dd_approx.call_count)
-    assert counts == {"series-ip": (83, 6), "series-approx": (54, 21),
-                      "hb-ip": (45, 8), "series-polytope": (24, 6)}
+        simplices = sum(len(build_cone(ci).triangulation) for ci, _ in runs)
+        counts[name] = (bf.call_count, dd.call_count + dd_approx.call_count, simplices)
+    assert counts == {"series-ip": (83, 6, 6), "series-approx": (54, 21, 6),
+                      "hb-ip": (45, 8, 8), "series-polytope": (33, 15, 358)}
