@@ -18,7 +18,7 @@ from math import floor
 import numpy as np
 
 from . import linalg as la
-from .cone import SimplicialCone, dual_description, placing_simplices
+from .cone import SimplicialCone, build_simplices, dual_description
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
 from .simplex import POINT_BUDGET, hb_candidates, points_below
@@ -80,8 +80,7 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     """Subdivision candidates found through the overcone, sorted.
 
     Builds every simplex of the overcone's placing triangulation (without
-    further subdivision): the first by linalg.facet_forms, each later one by
-    one exchange pivot from the simplex it extends.  Then it evaluates
+    further subdivision) by build_simplices.  Then it evaluates
     those of det > 1 and returns their distinct points that points_below
     keeps: the points in the simplex strictly below generator height.  A
     unimodular overcone simplex adds only its generators, which are
@@ -105,7 +104,7 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     if any(la.dot(f, g) < 0 for f in forms for g in s.gens):
         raise InternalConsistencyError("approximation is not an overcone")
     big = []
-    for sub in placing_simplices(over, placing):
+    for sub in build_simplices(over, placing):
         if sub.det >= max(2, s.det):
             return ()
         if sub.det > 1:

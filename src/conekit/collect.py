@@ -10,7 +10,7 @@ from math import lcm
 import numpy as np
 
 from . import linalg as la
-from .cone import SimplicialCone, dual_description
+from .cone import SimplicialCone, build_simplices, dual_description
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntMat, IntVec
 from .simplex import POINT_BUDGET, hb_candidates
@@ -260,6 +260,6 @@ def bottom_volume(s: SimplicialCone) -> int:
         if not all(la.dot(eta, g) > 0 for g in s.gens):
             continue
         on_facet = [p for p in points if la.dot(eta, p) + offset == 0]
-        for idx, _, _ in dual_description(on_facet)[2]:
-            total += la.facet_forms(tuple(on_facet[i] for i in idx))[1]
+        placing = dual_description(on_facet)[2]
+        total += sum(sub.det for sub in build_simplices(on_facet, placing))
     return total

@@ -8,19 +8,19 @@ LLL-reduced, so restricted entries stay small.  Full-dimensional cones
 keep the identity basis so that restricted and ambient coordinates
 coincide.
 
-Simplicial cones are built in two ways, both by linalg.pivot, the one
-fraction-free elimination step of the package.  make_simplicial_cone
-pivots the generators into the unit basis (linalg.facet_forms); it
-builds a simplex that nothing is known about, such as the first simplex
-of a triangulation.  Every later simplex of a triangulation, and every
-stellar piece, differs from a known simplex in one generator, and
-exchange derives its forms from that simplex by one pivot.  Both give
-the same SimplicialCone, checked by linalg.check_forms.  A cone's
-triangulation, in `Cone.triangulation`, is the pulling triangulation
-from the generator on the most facets, read off the facet masks of its
-one double description; only a non-simplicial facet without that apex
-takes a small double description of its own.  Overcones keep the
-placing triangulation that their double description records.
+Simplicial cones are built by linalg.pivot, the one fraction-free
+elimination step of the package: make_simplicial_cone pivots the
+generators into the unit basis (linalg.facet_forms), and exchange takes
+the forms of a simplex that differs from a known one in one generator,
+such as a stellar piece, by one pivot.  Both give the same
+SimplicialCone, checked by linalg.check_forms.  A triangulation is a
+tuple of sorted index tuples into its vectors; build_simplices builds
+its simplices breadth first across shared facets, by one exchange each
+but the first of every connected run.  `Cone.triangulation` is the
+pulling triangulation from the generator on the most facets, read off
+the facet masks of the cone's one double description; only a
+non-simplicial facet without that apex takes a small double description
+of its own.  Overcones keep the placing their double description returns.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class Cone:
     ambient_dim: int
     rank: int
     generators: IntMat      # primitive extreme rays, input order
-    triangulation: tuple    # pulling triangulation of generators, as placing triples
+    triangulation: tuple    # pulling triangulation, sorted index tuples into generators
     support_forms: IntMat   # irredundant primitive forms, sorted
     lattice_basis: IntMat   # rows form a basis of E = Z^d ∩ span
     grading: IntVec | None = None
@@ -168,23 +168,34 @@ def exchange(s: SimplicialCone, i: int, x, anchor: IntVec | None = None,
     return _simplex(tuple(gens), det, tuple(forms), anchor)
 
 
-def placing_simplices(vectors, triples, anchor: IntVec | None = None):
-    """Yield the simplices of (idx, parent, drop) triples, such as the
-    placing that dual_description(vectors) returns.  A simplex without a
-    parent is built by make_simplicial_cone; every other one by exchange
-    from its parent, its new vector moved to the place of its index in
-    the sorted index tuple.
+def build_simplices(vectors, cells, anchor: IntVec | None = None):
+    """Yield the simplex over each cell, a sorted index tuple into vectors.
+
+    The cells are visited breadth first across shared facets: the first
+    cell of each connected run is built by make_simplicial_cone, every
+    other one by exchange from a built neighbour, its new vector moved to
+    its sorted place.  The forms of a simplex are unique, so it does not
+    matter which neighbour it is pivoted from.
     """
-    built = []
-    for idx, parent, drop in triples:
-        if parent is None:
-            sub = make_simplicial_cone(tuple(vectors[g] for g in idx), anchor)
-        else:
-            pidx = triples[parent][0]
-            at = next(t for t, g in enumerate(idx) if g not in pidx)
-            sub = exchange(built[parent], drop, vectors[idx[at]], anchor, at)
-        built.append(sub)
-        yield sub
+    by_facet = {}
+    for idx in cells:
+        for k in range(len(idx)):
+            by_facet.setdefault(idx[:k] + idx[k + 1:], []).append(idx)
+    built = {}
+    for start in cells:
+        if start in built:
+            continue
+        built[start] = make_simplicial_cone(tuple(vectors[g] for g in start), anchor)
+        yield built[start]
+        queue = [start]
+        for idx in queue:  # grows while it runs
+            for k in range(len(idx)):
+                for new in by_facet[idx[:k] + idx[k + 1:]]:
+                    if new not in built:
+                        at = next(t for t, g in enumerate(new) if g not in idx)
+                        built[new] = exchange(built[idx], k, vectors[new[at]], anchor, at)
+                        yield built[new]
+                        queue.append(new)
 
 
 def dual_description(vectors):
@@ -206,13 +217,11 @@ def dual_description(vectors):
     Bit i of masks[k] is set iff rays[k]·vectors[i] == 0: every vector
     updates the masks, and a new ray a·p + b·q (a, b > 0) vanishes on an
     earlier vector iff p and q do.  placing is the placing triangulation
-    of cone(vectors), as triples (idx, parent, drop): idx is a sorted
-    index tuple; a new simplex extends the earlier simplex at position
-    `parent` of the list across one of its facets, dropping the vertex
-    at position `drop` of the parent's idx.  The first simplex has
-    parent and drop None; one linalg.basis_forms picks it and gives its
-    rays.  Each new idx arises once: the boundary facet it extends spans
-    one facet hyperplane of the current cone and lies in one simplex.
+    of cone(vectors), as sorted index tuples, kept as bitsets while it
+    grows: one linalg.basis_forms picks the first simplex and gives its
+    rays, and each vector adds a simplex over every facet of a simplex
+    on a facet hyperplane that it sees.  Each new simplex arises once:
+    the boundary facet it extends lies in one simplex.
     """
     vectors = la.as_mat(vectors)
     n = len(vectors)
@@ -225,7 +234,7 @@ def dual_description(vectors):
     full = sum(1 << gi for gi in init)
     masks = [full & ~(1 << gi) for gi in init]
 
-    simplices = [(tuple(sorted(init)), None, None)]
+    simplices = [full]
     init_set = set(init)
 
     for i in range(n):
@@ -236,14 +245,10 @@ def dual_description(vectors):
         pos = [k for k, x in enumerate(vals) if x > 0]
         neg = [k for k, x in enumerate(vals) if x < 0]
 
-        bit_cache = [(idx, sum(1 << g for g in idx)) for idx, _, _ in simplices]
+        placed = simplices[:]
         for q in neg:
             zq = masks[q]
-            for parent, (idx, bits) in enumerate(bit_cache):
-                if (bits & zq).bit_count() == s - 1:
-                    drop = next(k for k, g in enumerate(idx) if not zq >> g & 1)
-                    new_idx = tuple(sorted(idx[:drop] + idx[drop + 1:] + (i,)))
-                    simplices.append((new_idx, parent, drop))
+            simplices += [b & zq | 1 << i for b in placed if (b & zq).bit_count() == s - 1]
 
         new_rays = []
         new_masks = []
@@ -265,7 +270,8 @@ def dual_description(vectors):
         rays = [rays[k] for k in keep] + new_rays
         masks = [masks[k] | (1 << i if vals[k] == 0 else 0) for k in keep] + new_masks
 
-    return tuple(rays), tuple(masks), tuple(simplices)
+    placing = tuple(tuple(j for j in range(n) if b >> j & 1) for b in simplices)
+    return tuple(rays), tuple(masks), placing
 
 
 def ambient_support_forms(cone: Cone) -> IntMat:
@@ -313,18 +319,14 @@ def _rays_from_constraints(ci: ConeInput) -> IntMat:
 
 
 def pulling_triangulation(generators: IntMat, masks) -> tuple:
-    """The pulling triangulation of cone(generators), as the (idx,
-    parent, drop) triples of dual_description's placing.
+    """The pulling triangulation of cone(generators), as sorted index tuples.
 
     Bit j of masks[k] is set iff generators[j] lies on facet k.  The
     apex is the generator on the most facets (the lowest index on a tie);
     every facet without it is the base of one pyramid, which is the
     simplex apex + facet when the facet has rank - 1 generators, and the
     placing of [apex] + the facet's generators otherwise, whose every
-    simplex holds the apex, the first vector of its basis.  Each simplex
-    links to an earlier one that shares all its vertices but one, so all
-    but the first of a connected run come from one exchange pivot.  The
-    runs start at the least index tuple left and grow breadth first.
+    simplex holds the apex, the first vector of its basis.
     """
     r, n = len(generators[0]), len(generators)
     on = [sum(m >> j & 1 for m in masks) for j in range(n)]
@@ -338,18 +340,8 @@ def pulling_triangulation(generators: IntMat, masks) -> tuple:
             cells.append(tuple(sorted(pyramid)))
         else:
             _, _, placing = dual_description([generators[j] for j in pyramid])
-            cells.extend(tuple(sorted(pyramid[t] for t in idx)) for idx, _, _ in placing)
-    cells.sort()  # the order of the facets depends on redundant input
-    bits = {idx: sum(1 << g for g in idx) for idx in cells}
-    triples = []
-    while cells:
-        triples.append((cells.pop(0), None, None))
-        for k, (idx, _, _) in enumerate(triples):  # grows while it runs
-            for new in [c for c in cells if (bits[c] & bits[idx]).bit_count() == r - 1]:
-                cells.remove(new)
-                drop = next(p for p, g in enumerate(idx) if g not in new)
-                triples.append((new, k, drop))
-    return tuple(triples)
+            cells.extend(tuple(sorted(pyramid[t] for t in idx)) for idx in placing)
+    return tuple(sorted(cells))  # the order of the facets depends on redundant input
 
 
 def build_cone(ci: ConeInput) -> Cone:
@@ -364,8 +356,10 @@ def build_cone(ci: ConeInput) -> Cone:
     primitive and without repeats; the facet masks, remapped onto them,
     give the pulling triangulation.
 
-    Raises NotPointedError when the input contains a line; an input with
-    no nonzero generators yields the trivial (rank zero) cone.
+    Raises NotPointedError when the input contains a line: the smallest
+    face, the lineality space, is then nonzero and spanned by the
+    generators in it, which lie on every facet.  An input with no nonzero
+    generators yields the trivial (rank zero) cone.
     """
     d = ci.ambient_dim
     if ci.inequalities is not None or ci.equations is not None:
@@ -387,12 +381,11 @@ def build_cone(ci: ConeInput) -> Cone:
         basis, gens_r, _ = la.sublattice(gens_amb, d)
 
     forms, masks, _ = dual_description(gens_r)
-    if len(la.independent_rows(forms, r)) < r:
-        raise NotPointedError("cone contains a nonzero linear subspace")
-
     prims = [la.primitive(g) for g in gens_r]
     zeros = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1)
              for i in range(len(prims))]
+    if (1 << len(masks)) - 1 in zeros:  # a generator on every facet
+        raise NotPointedError("cone contains a nonzero linear subspace")
     generators, kept = [], []
     for i, (p, z) in enumerate(zip(prims, zeros)):
         if p not in generators and all(z & ~zk or pk == p
@@ -433,9 +426,9 @@ def normalize_grading(cone: Cone, deg: IntVec) -> IntVec:
 def triangulate(cone: Cone) -> tuple[SimplicialCone, ...]:
     """The pulling triangulation of the cone that build_cone recorded.
 
-    Built by placing_simplices from its triples, with no double
+    Built by build_simplices from its index tuples, with no double
     description.  Each simplex carries excluded-facet data so that the
     half-open simplices cover the cone disjointly.
     """
     anchor = tuple(sum(g[j] for g in cone.generators) for j in range(cone.rank))
-    return tuple(placing_simplices(cone.generators, cone.triangulation, anchor))
+    return tuple(build_simplices(cone.generators, cone.triangulation, anchor))

@@ -12,7 +12,8 @@ values as the package does.  fraction_free_independent_rows and
 staircase_face_vertices are earlier package versions of
 independent_rows and minimal_cube_face_vertices, and
 placing_triangulation the triangulation build_cone recorded before it
-pulled one from an apex, kept as references.
+pulled one from an apex, and rank_pointed its rank test for a line,
+kept as references.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from conekit.cone import ConeInput, build_cone, dual_description
 from conekit.errors import NotPointedError
-from conekit.linalg import as_rows, support_values
+from conekit.linalg import as_rows, sublattice, support_values
 from conekit.simplex import points_from_block, residue_blocks
 from conekit.subdivide import stellar_subdivide
 
@@ -640,6 +641,19 @@ def is_pointed(gens) -> bool:
     return True
 
 
+def rank_pointed(gens) -> bool:
+    """Whether the cone generated by gens contains no line, by the test
+    build_cone made before it read pointedness off the facet masks: the
+    support forms of the cone, in the span of its generators, have full
+    rank."""
+    gens = [tuple(g) for g in gens if any(g)]
+    if not gens:
+        return True
+    d, r = len(gens[0]), frac_rank(gens)
+    gens_r = gens if r == d else sublattice(gens, d)[1]
+    return frac_rank(dual_description(gens_r)[0]) == r
+
+
 def in_half_open(s, x) -> bool:
     """Whether x lies in the half-open simplex s: every facet form is
     nonnegative at x, and positive on the excluded facets."""
@@ -705,6 +719,6 @@ def staircase_face_vertices(v):
 
 def placing_triangulation(gens):
     """The placing triangulation of cone(gens) along their order, as the
-    (idx, parent, drop) triples of dual_description: the triangulation
-    that build_cone recorded before it pulled one from an apex."""
+    sorted index tuples of dual_description: the triangulation that
+    build_cone recorded before it pulled one from an apex."""
     return dual_description(gens)[2]

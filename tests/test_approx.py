@@ -169,7 +169,7 @@ def tuple_approx_candidates(s, level):
     over = approximate_cone(s, level)
     _, _, tri = dual_description(over)
     cands = list(over)
-    for idx, _, _ in tri:
+    for idx in tri:
         sub = make_simplicial_cone(tuple(over[i] for i in idx))
         if sub.det >= max(2, s.det):
             return ()
@@ -252,7 +252,7 @@ def overcone_points(s, level):
     """Total det of the overcone simplices approx_candidates evaluates."""
     over = approximate_cone(s, level)
     _, _, tri = dual_description(over)
-    dets = [simplex(tuple(over[i] for i in idx)).det for idx, _, _ in tri]
+    dets = [simplex(tuple(over[i] for i in idx)).det for idx in tri]
     return sum(d for d in dets if d > 1)
 
 

@@ -9,12 +9,13 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conekit import approx as approx_module, cone as cone_module, linalg as la
+from conekit import approx as approx_module, cone as cone_module, linalg as la, \
+    subdivide as subdivide_module
 from conekit.cli import parse_input
 from conekit.approx import approximate_cone
 from conekit.cone import (
     ConeInput, build_cone, dual_description, exchange, make_simplicial_cone,
-    normalize_grading, placing_simplices, triangulate, ambient_support_forms,
+    normalize_grading, build_simplices, triangulate, ambient_support_forms,
 )
 from conekit.errors import (GradingNotPositiveError, InternalConsistencyError,
                             NotPointedError, SingularMatrixError)
@@ -23,7 +24,7 @@ from conekit.subdivide import SubdivisionConfig
 
 from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv,
                      frac_rank, in_cone, in_half_open, is_pointed, minor_det,
-                     placing_triangulation)
+                     placing_triangulation, rank_pointed)
 
 
 QUADRANT = ((1, 0), (0, 1))
@@ -31,6 +32,7 @@ CONE35 = ((1, 0), (3, 5))
 SQUARE3 = ((0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1))
 FIXTURES = Path(__file__).parent / "fixtures"
 SUBLATTICE = FIXTURES / "sublattice"
+PYRAMIDS = FIXTURES / "pyramids"
 
 
 def forms_set(forms):
@@ -321,6 +323,28 @@ class TestIsPointed:
         c = build_cone(ConeInput(2, generators=CONE35))
         assert is_pointed(c.generators)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=d + 2),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=2))),
+        st.randoms(use_true_random=False))
+    def test_opposite_generators_raise(self, vectors, rng):
+        # g and -g among the generators: both lie on every facet
+        others, lines = vectors
+        assume(all(any(g) for g in lines))
+        gens = others + lines + [tuple(-x for x in g) for g in lines]
+        rng.shuffle(gens)
+        assert not rank_pointed(gens)
+        with pytest.raises(NotPointedError):
+            build_cone(ConeInput(len(gens[0]), generators=tuple(gens)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=d + 3)))
+    def test_masks_agree_with_rank_test(self, gens):
+        # build_cone's verdict, a generator on every facet, is the rank test's
+        assert is_pointed(gens) == rank_pointed(gens)
+
 
 class TestNormalizeGrading:
     def test_degenerate_rejected(self):
@@ -519,32 +543,52 @@ class TestExchange:
             exchange(bad, 0, (1, 1))
 
 
-def check_links(vectors, tri):
-    """Every simplex of the (idx, parent, drop) triples but the first
-    differs from an earlier simplex, its link, in exactly the dropped
-    vertex, and the simplices built along the links are
-    make_simplicial_cone's."""
-    assert tri[0][1:] == (None, None)
-    for k, (idx, parent, drop) in enumerate(tri[1:], start=1):
-        assert idx == tuple(sorted(idx))
-        assert 0 <= parent < k
-        pidx = tri[parent][0]
-        assert len(set(idx) - set(pidx)) == 1
-        assert set(pidx) - set(idx) == {pidx[drop]}
+def facet_runs(cells):
+    """The number of connected runs of the cells, two cells joined when
+    they share all indices but one."""
+    left, runs = set(cells), 0
+    while left:
+        runs += 1
+        todo = [left.pop()]
+        while todo:
+            idx = todo.pop()
+            near = {c for c in left if len(set(c) & set(idx)) == len(idx) - 1}
+            left -= near
+            todo.extend(near)
+    return runs
+
+
+def check_simplices(vectors, cells, rng):
+    """build_simplices over the cells, shuffled, yields every cell once as
+    make_simplicial_cone's simplex over its sorted vectors, with the same
+    anchor, and builds one simplex from scratch per connected run."""
+    cells = list(cells)
+    assert all(idx == tuple(sorted(idx)) for idx in cells)
+    rng.shuffle(cells)
+    runs = facet_runs(cells)
     anchor = tuple(sum(g[j] for g in vectors) for j in range(len(vectors[0])))
     for a in (None, anchor):
-        assert tuple(placing_simplices(vectors, tri, a)) == tuple(
-            make_simplicial_cone(tuple(vectors[g] for g in idx), a) for idx, _, _ in tri)
+        with mock.patch.object(cone_module, "make_simplicial_cone",
+                               wraps=cone_module.make_simplicial_cone) as scratch, \
+                mock.patch.object(cone_module, "exchange",
+                                  wraps=cone_module.exchange) as pivoted:
+            built = list(build_simplices(vectors, cells, a))
+        assert scratch.call_count == runs
+        assert pivoted.call_count == len(cells) - runs
+        assert sorted(s.gens for s in built) == sorted(
+            tuple(vectors[g] for g in idx) for idx in cells)
+        assert all(s == make_simplicial_cone(s.gens, a) for s in built)
 
 
 FIXTURE_CONES = [build_cone(parse_input(p.read_text()))
-                 for p in sorted(FIXTURES.glob("*.in")) + sorted(SUBLATTICE.glob("*.in"))]
+                 for p in sorted(FIXTURES.glob("*.in")) + sorted(SUBLATTICE.glob("*.in"))
+                 + sorted(PYRAMIDS.glob("*.in"))]
 
 
-def check_placing(vectors):
-    """The placing triangulation of the vectors is linked as check_links
-    requires."""
-    check_links(vectors, dual_description(vectors)[2])
+def check_placing(vectors, rng):
+    """The placing triangulation of the vectors is built as
+    check_simplices requires."""
+    check_simplices(vectors, dual_description(vectors)[2], rng)
 
 
 def apex_of(c):
@@ -561,7 +605,7 @@ def check_pulling(c):
     facet without the apex, and every simplicial facet without the apex
     is the base of one simplex."""
     apex, facets = apex_of(c)
-    cells = {idx for idx, _, _ in c.triangulation}
+    cells = set(c.triangulation)
     assert all(apex in idx for idx in cells)
     for idx in cells:
         base = [c.generators[g] for g in idx if g != apex]
@@ -575,29 +619,31 @@ def check_pulling(c):
 class TestPlacingLinks:
     @pytest.mark.parametrize("c", FIXTURE_CONES, ids=lambda c: str(c.generators))
     def test_fixture_cones(self, c):
-        check_placing(c.generators)
-        check_links(c.generators, c.triangulation)
+        check_placing(c.generators, random.Random(0))
+        check_simplices(c.generators, c.triangulation, random.Random(1))
         if c.rank > 1:
             check_pulling(c)
         anchor = tuple(sum(g[j] for g in c.generators) for j in range(c.rank))
-        assert triangulate(c) == tuple(make_simplicial_cone(
-            tuple(c.generators[g] for g in idx), anchor) for idx, _, _ in c.triangulation)
+        tri = triangulate(c)
+        assert len(tri) == len(c.triangulation)
+        assert set(tri) == {make_simplicial_cone(
+            tuple(c.generators[g] for g in idx), anchor) for idx in c.triangulation}
 
     @pytest.mark.parametrize("c", FIXTURE_CONES, ids=lambda c: str(c.generators))
     @pytest.mark.parametrize("level", [1, 2])
     def test_fixture_overcones(self, c, level):
         for s in triangulate(c):
             if s.dim > 1:
-                check_placing(approximate_cone(s, level))
+                check_placing(approximate_cone(s, level), random.Random(level))
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 4).flatmap(cluttered_gens))
-    def test_random_cones(self, gens):
+    @given(st.integers(2, 4).flatmap(cluttered_gens), st.randoms(use_true_random=False))
+    def test_random_cones(self, gens, rng):
         gens = tuple(g for g in gens if any(g))
         assume(gens and frac_rank(gens) == len(gens[0]))
         c = build_cone(ConeInput(len(gens[0]), generators=gens))
-        check_placing(c.generators)
-        check_links(c.generators, c.triangulation)
+        check_placing(c.generators, rng)
+        check_simplices(c.generators, c.triangulation, rng)
         check_pulling(c)
         # redundant input or not, the triangulation is that of the extreme generators
         assert c.triangulation == build_cone(
@@ -606,10 +652,10 @@ class TestPlacingLinks:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda d: st.lists(
         st.tuples(*[st.integers(-30, 30)] * (d - 1), st.integers(1, 30)),
-        min_size=d, max_size=d)), st.integers(1, 2))
-    def test_random_overcones(self, gens, level):
+        min_size=d, max_size=d)), st.integers(1, 2), st.randoms(use_true_random=False))
+    def test_random_overcones(self, gens, level, rng):
         assume(minor_det(gens) != 0)
-        check_placing(approximate_cone(make_simplicial_cone(gens), level))
+        check_placing(approximate_cone(make_simplicial_cone(gens), level), rng)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda d: st.one_of(
@@ -620,7 +666,7 @@ class TestPlacingLinks:
         # so none arises twice, also for repeated, non-extreme and
         # non-pointed input vectors
         assume(frac_rank(vectors) == len(vectors[0]))
-        idx = [t for t, _, _ in dual_description(vectors)[2]]
+        idx = dual_description(vectors)[2]
         assert len(set(idx)) == len(idx)
         assert all(len(set(t)) == len(vectors[0]) for t in idx)
 
@@ -656,13 +702,13 @@ def pulling_cones(draw):
 
 class TestPulling:
     @settings(max_examples=40, deadline=None)
-    @given(pulling_cones())
-    def test_pulled_triangulation(self, gens):
+    @given(pulling_cones(), st.randoms(use_true_random=False))
+    def test_pulled_triangulation(self, gens, rng):
         d = len(gens[0])
         assume(frac_rank(gens) == d)
         c = build_cone(ConeInput(d, generators=gens))
-        # each simplex differs from its parent in one generator
-        check_links(c.generators, c.triangulation)
+        # one simplex from scratch, every other one pivoted from a neighbour
+        check_simplices(c.generators, c.triangulation, rng)
         # every simplex holds the apex and stands on a facet without it
         check_pulling(c)
         # the half-open simplices cover the cone exactly once
@@ -674,11 +720,11 @@ class TestPulling:
         if all(g[-1] == 1 for g in c.generators):
             placing = placing_triangulation(c.generators)
             assert sum(s.det for s in tri) == sum(
-                abs(minor_det([c.generators[g] for g in idx])) for idx, _, _ in placing)
+                abs(minor_det([c.generators[g] for g in idx])) for idx in placing)
 
     def test_simplicial_cone_is_its_one_simplex(self):
         c = build_cone(ConeInput(3, generators=((1, 2, 0), (0, 1, 5), (3, 0, 1))))
-        assert c.triangulation == (((0, 1, 2), None, None),)
+        assert c.triangulation == ((0, 1, 2),)
 
     def test_apex_on_most_facets(self):
         # the prism over a triangle at height 1: its six vertices lie on
@@ -688,7 +734,7 @@ class TestPulling:
         c = build_cone(ConeInput(4, generators=prism))
         assert apex_of(c)[0] == 0
         assert [s.det for s in triangulate(c)] == [1, 1, 1]
-        assert all(0 in idx for idx, _, _ in c.triangulation)
+        assert all(0 in idx for idx in c.triangulation)
 
 
 def polytope_cone(rng, points=16, box=5, d=6):
@@ -733,7 +779,7 @@ class TestOnePass:
         placing = placing_triangulation(c.generators)
         assert len(placing) == 125
         assert sum(s.det for s in tri) == sum(
-            abs(minor_det([c.generators[g] for g in idx])) for idx, _, _ in placing) == 22348
+            abs(minor_det([c.generators[g] for g in idx])) for idx in placing) == 22348
 
     def test_redundant_input_takes_one_pass(self):
         # the facet masks are remapped onto the extreme generators
@@ -749,7 +795,7 @@ class TestOnePass:
         cube = tuple(v + (1,) for v in product((0, 1), repeat=3))
         c, tri, count = passes(ConeInput(4, generators=cube))
         assert count == 1 + 3
-        assert len(tri) == 6 and all(0 in idx for idx, _, _ in c.triangulation)
+        assert len(tri) == 6 and all(0 in idx for idx in c.triangulation)
 
     @pytest.mark.parametrize("name, count", [("constraints", 2), ("lowdim", 2),
                                              ("sublattice/intersect", 3)])
@@ -757,11 +803,12 @@ class TestOnePass:
         ci = parse_input((FIXTURES / f"{name}.in").read_text())
         assert passes(ci)[2] == count
 
-    @pytest.mark.parametrize("name, count", [("constraints", 4), ("lowdim", 6),
-                                             ("sublattice/intersect", 10)])
+    @pytest.mark.parametrize("name, count", [("constraints", 3), ("lowdim", 5),
+                                             ("sublattice/intersect", 8)])
     def test_constraint_pivot_passes(self, name, count):
         # the constraint rows take one pass, that of their double
-        # description: no rank pass before it (5, 7, 11 with one)
+        # description: no rank pass before it (5, 7, 11 with one), and
+        # none over the cone's forms, as pointedness is read off its masks
         ci = parse_input((FIXTURES / f"{name}.in").read_text())
         with mock.patch.object(la, "basis_forms", wraps=la.basis_forms) as bf:
             build_cone(ci)
@@ -807,22 +854,33 @@ def seed_one_runs():
 
 
 def test_seed_one_pivot_passes():
-    """Pivot passes, double descriptions and cone simplices of the seed-1
-    benchmark runs.  A description takes one pass for its initial basis
-    and rays.  The series-polytope cones are pulled from an apex: 358
+    """Pivot passes, double descriptions, cone simplices and simplex
+    builds (from scratch, by exchange) of the seed-1 benchmark runs.  A
+    description takes one pass for its initial basis and rays, and a
+    cone reads pointedness off its masks.  The series-polytope cones are pulled from an apex: 358
     simplices where their placing took 772, for nine more descriptions
-    (one per non-simplicial pyramid) and so nine more passes than the
-    24 and 6 of the placing; the other workloads build simplicial cones."""
+    (one per non-simplicial pyramid) and so nine more passes; the other
+    workloads build simplicial cones.  Each triangulation and overcone
+    placing takes one simplex from scratch; exchange also builds the
+    stellar pieces."""
     counts = {}
     for name, runs in seed_one_runs():
         with mock.patch.object(la, "basis_forms", wraps=la.basis_forms) as bf, \
                 mock.patch.object(cone_module, "dual_description",
                                   wraps=cone_module.dual_description) as dd, \
                 mock.patch.object(approx_module, "dual_description",
-                                  wraps=approx_module.dual_description) as dd_approx:
+                                  wraps=approx_module.dual_description) as dd_approx, \
+                mock.patch.object(cone_module, "make_simplicial_cone",
+                                  wraps=cone_module.make_simplicial_cone) as scratch, \
+                mock.patch.object(cone_module, "exchange",
+                                  wraps=cone_module.exchange) as pivoted, \
+                mock.patch.object(subdivide_module, "exchange", pivoted):
             for ci, options in runs:
                 compute(ci, options)
         simplices = sum(len(build_cone(ci).triangulation) for ci, _ in runs)
-        counts[name] = (bf.call_count, dd.call_count + dd_approx.call_count, simplices)
-    assert counts == {"series-ip": (83, 6, 6), "series-approx": (54, 21, 6),
-                      "hb-ip": (45, 8, 8), "series-polytope": (33, 15, 358)}
+        counts[name] = (bf.call_count, dd.call_count + dd_approx.call_count, simplices,
+                        scratch.call_count, pivoted.call_count)
+    assert counts == {"series-ip": (77, 6, 6, 6, 295),
+                      "series-approx": (48, 21, 6, 21, 1610),
+                      "hb-ip": (37, 8, 8, 8, 50),
+                      "series-polytope": (27, 15, 358, 6, 352)}

@@ -5,11 +5,16 @@ a volume bound that makes the IP and the approximation subdivide.
 `--time-limit-scale 0` turns the wall-clock IP limit off, so the whole
 `.out`, `stats:` lines included, depends on the input alone.  A change
 that is meant to alter a report shows up as a diff of its file under
-fixtures/golden/.  The fixtures under fixtures/sublattice/ have cones in
-a proper sublattice of Z^d reached from generators: rank-deficient
-generators, and generators cut by constraints.
+fixtures/golden/; a report that differs fails with a unified diff
+against its golden file.  The fixtures under fixtures/sublattice/ have
+cones in a proper sublattice of Z^d reached from generators:
+rank-deficient generators, and generators cut by constraints.  Those
+under fixtures/pyramids/ have facets with more generators than rank - 1
+that miss the apex of the pulling triangulation, so their pyramids take
+a double description each.
 """
 
+import difflib
 import shutil
 from pathlib import Path
 
@@ -20,6 +25,7 @@ from conekit.cli import main
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 SUBLATTICE = FIXTURES / "sublattice"
+PYRAMIDS = FIXTURES / "pyramids"
 STRATEGIES = ("none", "ip", "approx", "ip-then-approx")
 
 CASES = [(p.stem, strategy, "", []) for p in sorted(FIXTURES.glob("*.in"))
@@ -35,7 +41,13 @@ def check_report(tmp_path, source, stem, strategy, flags=()):
     assert main([str(work), "--strategy", strategy,
                  "--time-limit-scale", "0", *flags]) == 0
     expected = (GOLDEN / f"{stem}.out").read_bytes()
-    assert work.with_suffix(".out").read_bytes() == expected
+    got = work.with_suffix(".out").read_bytes()
+    if got != expected:
+        diff = difflib.unified_diff(
+            expected.decode(errors="replace").splitlines(keepends=True),
+            got.decode(errors="replace").splitlines(keepends=True),
+            f"golden/{stem}.out", "report")
+        pytest.fail("report differs from its golden file:\n" + "".join(diff), pytrace=False)
 
 
 @pytest.mark.parametrize("name, strategy, tag, flags", CASES)
@@ -49,3 +61,9 @@ def test_report_matches_golden(tmp_path, name, strategy, tag, flags):
     for strategy in STRATEGIES])
 def test_sublattice_report_matches_golden(tmp_path, name, strategy):
     check_report(tmp_path, SUBLATTICE / f"{name}.in", f"{name}.{strategy}", strategy)
+
+
+@pytest.mark.parametrize("name, strategy", [
+    (p.stem, strategy) for p in sorted(PYRAMIDS.glob("*.in")) for strategy in STRATEGIES])
+def test_pyramid_report_matches_golden(tmp_path, name, strategy):
+    check_report(tmp_path, PYRAMIDS / f"{name}.in", f"{name}.{strategy}", strategy)
