@@ -13,7 +13,8 @@ elimination step of the package: make_simplicial_cone pivots the
 generators into the unit basis (linalg.facet_forms), and exchange takes
 the forms of a simplex that differs from a known one in one generator,
 such as a stellar piece, by one pivot.  Both give the same
-SimplicialCone, checked by linalg.check_forms.  A triangulation is a
+SimplicialCone, checked by linalg.check_forms: generators, det and facet
+forms, all that subdivision and evaluation read.  A triangulation is a
 tuple of sorted index tuples into its vectors; build_simplices builds
 its simplices breadth first across shared facets, by one exchange each
 but the first of every connected run.  `Cone.triangulation` is the
@@ -82,27 +83,28 @@ class Cone:
 
 @dataclass(frozen=True)
 class SimplicialCone:
-    """Linearly independent generators plus half-open decomposition data.
+    """Linearly independent generators, their det and facet forms.
 
     facet_forms[i] is the (non-primitive) inner normal of the facet
     opposite gens[i], scaled so facet_forms[i]·gens[i] = det.  The i-th
-    q-coordinate of a point x is (facet_forms[i]·x) / det.  `anchor` is
-    the generic reference point of the enclosing triangulation; facets
-    whose form is lexicographically negative at the (perturbed) anchor
-    are excluded, making the half-open simplices of any nested
-    triangulation disjoint.
+    q-coordinate of a point x is (facet_forms[i]·x) / det.  Which facets
+    a half-open simplex excludes depends on the anchor of the enclosing
+    triangulation, so simplex.series_contribution takes it as an argument.
     """
 
     gens: IntMat
     det: int
     facet_forms: IntMat
-    excluded_facets: frozenset[int]
-    anchor: IntVec
-    height_normal: IntVec
 
     @property
     def dim(self) -> int:
         return len(self.gens)
+
+    @property
+    def height_normal(self) -> IntVec:
+        """Primitive normal of the generators' affine hull: the facet forms
+        sum to a form that takes the value det on every generator."""
+        return la.primitive(tuple(map(sum, zip(*self.facet_forms))))
 
     @property
     def gen_height(self) -> int:
@@ -114,41 +116,14 @@ class SimplicialCone:
         return tuple(la.dot(f, x) for f in self.facet_forms)
 
 
-def lex_sign(form: IntVec, anchor: IntVec) -> int:
-    """Sign of form at anchor - sum(eps^j e_j) for infinitesimal eps."""
-    v = la.dot(form, anchor)
-    if v:
-        return 1 if v > 0 else -1
-    for e in form:
-        if e:
-            return -1 if e > 0 else 1
-    return 0
-
-
-def _simplex(gens: IntMat, det: int, forms: IntMat,
-             anchor: IntVec | None) -> SimplicialCone:
-    """The simplex with these facet forms, its exclusions and height normal."""
-    r = len(gens)
-    if anchor is None:
-        anchor = tuple(sum(g[j] for g in gens) for j in range(r))
-    excluded = frozenset(i for i in range(r) if lex_sign(forms[i], anchor) < 0)
-    # the sum of the facet forms takes the value det on every generator,
-    # so its primitive part is the normal of their affine hull
-    normal = la.primitive(tuple(sum(f[j] for f in forms) for j in range(r)))
-    return SimplicialCone(gens=gens, det=det, facet_forms=forms,
-                          excluded_facets=excluded, anchor=la.as_vec(anchor),
-                          height_normal=normal)
-
-
-def make_simplicial_cone(gens, anchor: IntVec | None = None) -> SimplicialCone:
+def make_simplicial_cone(gens) -> SimplicialCone:
     """The simplicial cone over `gens`, its facet forms from linalg.facet_forms."""
     gens = la.as_mat(gens)
     forms, det = la.facet_forms(gens)
-    return _simplex(gens, det, forms, anchor)
+    return SimplicialCone(gens, det, forms)
 
 
-def exchange(s: SimplicialCone, i: int, x, anchor: IntVec | None = None,
-             at: int | None = None) -> SimplicialCone:
+def exchange(s: SimplicialCone, i: int, x, at: int | None = None) -> SimplicialCone:
     """S with gens[i] replaced by x, by one fraction-free pivot.
 
     linalg.pivot takes the new det and facet forms from those of S for
@@ -165,10 +140,10 @@ def exchange(s: SimplicialCone, i: int, x, anchor: IntVec | None = None,
         gens.insert(at, gens.pop(i))
         forms.insert(at, forms.pop(i))
     la.check_forms(forms, gens, det, "exchanged facet forms failed F'·g' = det'·I")
-    return _simplex(tuple(gens), det, tuple(forms), anchor)
+    return SimplicialCone(tuple(gens), det, tuple(forms))
 
 
-def build_simplices(vectors, cells, anchor: IntVec | None = None):
+def build_simplices(vectors, cells):
     """Yield the simplex over each cell, a sorted index tuple into vectors.
 
     The cells are visited breadth first across shared facets: the first
@@ -185,7 +160,7 @@ def build_simplices(vectors, cells, anchor: IntVec | None = None):
     for start in cells:
         if start in built:
             continue
-        built[start] = make_simplicial_cone(tuple(vectors[g] for g in start), anchor)
+        built[start] = make_simplicial_cone(tuple(vectors[g] for g in start))
         yield built[start]
         queue = [start]
         for idx in queue:  # grows while it runs
@@ -193,7 +168,7 @@ def build_simplices(vectors, cells, anchor: IntVec | None = None):
                 for new in by_facet[idx[:k] + idx[k + 1:]]:
                     if new not in built:
                         at = next(t for t, g in enumerate(new) if g not in idx)
-                        built[new] = exchange(built[idx], k, vectors[new[at]], anchor, at)
+                        built[new] = exchange(built[idx], k, vectors[new[at]], at)
                         yield built[new]
                         queue.append(new)
 
@@ -424,11 +399,7 @@ def normalize_grading(cone: Cone, deg: IntVec) -> IntVec:
 
 
 def triangulate(cone: Cone) -> tuple[SimplicialCone, ...]:
-    """The pulling triangulation of the cone that build_cone recorded.
-
-    Built by build_simplices from its index tuples, with no double
-    description.  Each simplex carries excluded-facet data so that the
-    half-open simplices cover the cone disjointly.
-    """
-    anchor = tuple(sum(g[j] for g in cone.generators) for j in range(cone.rank))
-    return tuple(build_simplices(cone.generators, cone.triangulation, anchor))
+    """The simplices of the pulling triangulation that build_cone recorded,
+    built by build_simplices from its index tuples, with no double
+    description."""
+    return tuple(build_simplices(cone.generators, cone.triangulation))

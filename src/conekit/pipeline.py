@@ -113,7 +113,9 @@ def compute(ci: ConeInput, options: RunOptions = RunOptions()) -> ComputationRes
     stats.volume_used = sum(s.det for s in leaves)
 
     t0 = time.monotonic()
-    contribs = ([series_contribution(leaf, cone.grading) for leaf in leaves]
+    # every leaf is half-open by the anchor of the cone's triangulation
+    anchor = tuple(map(sum, zip(*cone.generators)))
+    contribs = ([series_contribution(leaf, cone.grading, anchor) for leaf in leaves]
                 if want_series else [])
     cands = [hb_candidates(leaf) for leaf in leaves] if want_hb else []
     times["evaluate"] = time.monotonic() - t0

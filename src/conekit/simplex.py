@@ -7,7 +7,10 @@ Hermite form of that lattice modulo det sweeps each class once in mixed
 radix.  Everything is streamed in fixed-size blocks so that simplices
 with determinants near the subdivision bound never materialize E at
 once.  Blocks use int64 arithmetic when a pre-computed bound proves it
-exact, and Python big-int (object dtype) arrays otherwise.
+exact, and Python big-int (object dtype) arrays otherwise.  A simplex
+is only its generators, det and facet forms; the facets a half-open
+simplex excludes are read off the triangulation's anchor when its
+series is counted, the one place that needs them.
 """
 
 from __future__ import annotations
@@ -110,23 +113,40 @@ def points_below(s: SimplicialCone, rows: np.ndarray) -> np.ndarray:
     return rows[np.all(vals >= 0, axis=1) & (aux > 0) & (aux < s.det)]
 
 
-def series_contribution(s: SimplicialCone, deg: IntVec) -> SeriesContribution:
+def lex_sign(form: IntVec, anchor: IntVec) -> int:
+    """Sign of form at anchor - sum(eps^j e_j) for infinitesimal eps."""
+    v = la.dot(form, anchor)
+    if v:
+        return 1 if v > 0 else -1
+    for e in form:
+        if e:
+            return -1 if e > 0 else 1
+    return 0
+
+
+def series_contribution(s: SimplicialCone, deg: IntVec,
+                        anchor: IntVec) -> SeriesContribution:
     """Graded count of the half-open simplex's fundamental domain.
 
-    numerator[k] = #{p in E : deg(shift(p)) = k}; together with the
-    denominator product of (1 - t^deg(gen)) this is the Hilbert series
-    of the half-open simplicial cone.
+    The simplex excludes the facets whose form is negative at the anchor
+    perturbed by lex_sign; the half-open simplices of a triangulation and
+    of its stellar refinements cover the cone disjointly when they share
+    an anchor inside it (Köppe and Verdoolaege 2008).  shift(p) adds the
+    generator opposite each excluded facet that p lies on, and
+    numerator[k] = #{p in E : deg(shift(p)) = k}; over the product of
+    (1 - t^deg(gen)) it is the Hilbert series of the half-open simplex.
     """
     degs = tuple(la.dot(g, deg) for g in s.gens)
     if any(x <= 0 for x in degs):
         raise GradingNotPositiveError("grading is not positive on a generator")
+    excluded = [i for i, f in enumerate(s.facet_forms) if lex_sign(f, anchor) < 0]
     det = s.det
     top = sum(degs)
     counts = np.zeros(top, dtype=np.int64)
     w = np.array(degs, dtype=np.int64)
     for v in residue_blocks(s):
         dv = v.dot(w if v.dtype == np.int64 else w.astype(object)) // det
-        for i in s.excluded_facets:
+        for i in excluded:
             dv = dv + degs[i] * (v[:, i] == 0)
         if dv.dtype == object:
             dv = dv.astype(np.int64)

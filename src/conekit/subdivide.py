@@ -272,8 +272,8 @@ def solve_star_ip(s: SimplicialCone,
 def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, ...]:
     """Replace S by the simplices over its facets not containing xhat.
 
-    The pieces inherit the anchor of the enclosing triangulation, so
-    their half-open exclusions keep the refined union disjoint.  The
+    Half-open by the anchor of the enclosing triangulation, the pieces
+    cover the half-open S disjointly (series_contribution).  The
     total determinant satisfies sum det(T_i) = det(S)·(N·xhat)/(N·gen).
     A point inside a non-primitive ray gives one piece: that generator
     shortened to xhat.  Piece i is S with gens[i] replaced by xhat, so
@@ -289,12 +289,10 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     if len(support) == 1 and u[support[0]] >= s.det:
         raise DomainError("subdivision point lies on a ray of the simplex, "
                           "at or beyond its generator")
-    pieces = []
-    for i in support:
-        pieces.append(exchange(s, i, xhat, anchor=s.anchor))
+    pieces = tuple(exchange(s, i, xhat) for i in support)
     if sum(p.det for p in pieces) != sum(u[i] for i in support):
         raise InternalConsistencyError("stellar volume identity failed")
-    return tuple(pieces)
+    return pieces
 
 
 def best_candidate(s: SimplicialCone, cands) -> IntVec | None:

@@ -654,12 +654,31 @@ def rank_pointed(gens) -> bool:
     return frac_rank(dual_description(gens_r)[0]) == r
 
 
-def in_half_open(s, x) -> bool:
+def generator_sum(gens):
+    """The sum of the generators: the anchor at which the pipeline reads
+    the half-open exclusions of a triangulation of their cone."""
+    return tuple(map(sum, zip(*gens)))
+
+
+def lex_negative(form, anchor) -> bool:
+    """Whether the form is negative at anchor - sum(eps^j e_j) for an
+    infinitesimal eps > 0.  Its value there is f·anchor - sum(eps^j f_j),
+    so the sign is that of the first nonzero of (f·anchor, -f_0, -f_1, ...)."""
+    key = (dotv(form, anchor), *(-c for c in form))
+    return key < (0,) * len(key)
+
+
+def excluded_facets(s, anchor) -> frozenset:
+    """The facets that the simplex s, half-open at the anchor, excludes."""
+    return frozenset(i for i, f in enumerate(s.facet_forms) if lex_negative(f, anchor))
+
+
+def in_half_open(s, x, anchor) -> bool:
     """Whether x lies in the half-open simplex s: every facet form is
-    nonnegative at x, and positive on the excluded facets."""
-    for i, f in enumerate(s.facet_forms):
+    nonnegative at x, and positive on the facets excluded at the anchor."""
+    for f in s.facet_forms:
         v = dotv(f, x)
-        if v < 0 or (v == 0 and i in s.excluded_facets):
+        if v < 0 or (v == 0 and lex_negative(f, anchor)):
             return False
     return True
 

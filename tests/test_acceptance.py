@@ -22,8 +22,8 @@ from conekit.pipeline import RunOptions, compute
 from conekit.subdivide import SubdivisionConfig, recursive_subdivide, solve_star_ip
 
 from oracles import (brute_degree_counts, brute_hilbert_basis, brute_star_minimum,
-                     dotv, frac_rank, fundamental_points, in_half_open, is_pointed,
-                     minor_det, oracle_cost_estimate, stellar_tree)
+                     dotv, frac_rank, fundamental_points, generator_sum, in_half_open,
+                     is_pointed, minor_det, oracle_cost_estimate, stellar_tree)
 
 HB = frozenset({"hilbert_basis"})
 SERIES = frozenset({"hilbert_series"})
@@ -192,10 +192,12 @@ def test_criterion_4_and_6_subdivision_soundness_and_stellar_identity(monkeypatc
             leaves = recursive_subdivide(s, cfg, ip_finder(cfg))
             assert sum(p.det for p in leaves) <= s.det
             if s.det <= 2500:
+                # half-open at the anchor the pipeline gives the cone over gens
+                anchor = generator_sum(s.gens)
                 span = 10 if d == 2 else 5
                 for x in product(range(-span, span + 1), repeat=d):
-                    inside = in_half_open(s, x)
-                    hits = sum(in_half_open(p, x) for p in leaves)
+                    inside = in_half_open(s, x, anchor)
+                    hits = sum(in_half_open(p, x, anchor) for p in leaves)
                     assert hits == (1 if inside else 0), (gens, bound, x)
                 covered += 1
         # pipeline equality, subdivided vs not (grading = height normal)
@@ -231,8 +233,8 @@ def test_ip_subdivision_matches_one_point_loop():
             find = ip_finder(cfg)
             pooled = recursive_subdivide(s, cfg, find)
             oracle = stellar_tree(s, cfg, lambda t: next(iter(find(t)), None))
-            assert [(p.gens, p.det, p.anchor) for p in pooled] == \
-                [(p.gens, p.det, p.anchor) for p in oracle], (gens, bound)
+            assert [(p.gens, p.det, p.facet_forms) for p in pooled] == \
+                [(p.gens, p.det, p.facet_forms) for p in oracle], (gens, bound)
             split += len(pooled) > 1
     assert split == 72  # every case is cut at every bound
 

@@ -1,7 +1,7 @@
 import importlib.util
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -23,8 +23,8 @@ from conekit.pipeline import RunOptions, compute
 from conekit.subdivide import SubdivisionConfig
 
 from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv,
-                     frac_rank, in_cone, in_half_open, is_pointed, minor_det,
-                     placing_triangulation, rank_pointed)
+                     excluded_facets, frac_rank, generator_sum, in_cone, in_half_open,
+                     is_pointed, minor_det, placing_triangulation, rank_pointed)
 
 
 QUADRANT = ((1, 0), (0, 1))
@@ -366,8 +366,8 @@ class TestNormalizeGrading:
         assert normalize_grading(c, (1, 1)) == (1,)
 
 
-def half_open_count(simplices, x):
-    return sum(1 for s in simplices if in_half_open(s, x))
+def half_open_count(simplices, x, anchor):
+    return sum(1 for s in simplices if in_half_open(s, x, anchor))
 
 
 class TestTriangulate:
@@ -376,7 +376,7 @@ class TestTriangulate:
         tri = triangulate(c)
         assert len(tri) == 1
         assert tri[0].det == 5
-        assert tri[0].excluded_facets == frozenset()
+        assert excluded_facets(tri[0], generator_sum(c.generators)) == frozenset()
 
     def test_square_cone(self):
         c = build_cone(ConeInput(3, generators=SQUARE3))
@@ -385,23 +385,26 @@ class TestTriangulate:
         assert [s.det for s in tri] == [1, 1]
         # pulled from (0,0,1): the diagonal facet is the one excluded
         assert [s.gens[0] for s in tri] == [(0, 0, 1), (0, 0, 1)]
-        assert tri[0].excluded_facets == frozenset({1})
-        assert tri[1].excluded_facets == frozenset()
+        anchor = generator_sum(c.generators)
+        assert excluded_facets(tri[0], anchor) == frozenset({1})
+        assert excluded_facets(tri[1], anchor) == frozenset()
 
     def test_square_cone_half_open_cover(self):
         c = build_cone(ConeInput(3, generators=SQUARE3))
         tri = triangulate(c)
+        anchor = generator_sum(c.generators)  # the pipeline's anchor
         for x in product(range(0, 4), range(0, 4), range(0, 4)):
             inside = all(dotv(f, x) >= 0 for f in c.support_forms)
-            assert half_open_count(tri, x) == (1 if inside else 0)
+            assert half_open_count(tri, x, anchor) == (1 if inside else 0)
 
     def test_redundant_generator(self):
         # (1,1) is not extreme, so the stored generators drop it
         c = build_cone(ConeInput(2, generators=((1, 0), (0, 1), (1, 1))))
         tri = triangulate(c)
+        anchor = generator_sum(c.generators)
         total = 0
         for x in product(range(-2, 8), repeat=2):
-            cnt = half_open_count(tri, x)
+            cnt = half_open_count(tri, x, anchor)
             inside = x[0] >= 0 and x[1] >= 0
             assert cnt == (1 if inside else 0)
             total += cnt
@@ -416,9 +419,10 @@ class TestTriangulate:
             return
         c = build_cone(ConeInput(2, generators=gens))
         tri = triangulate(c)
+        anchor = generator_sum(c.generators)
         for x in product(range(-12, 13), repeat=2):
             inside = all(dotv(f, x) >= 0 for f in c.support_forms)
-            assert half_open_count(tri, x) == (1 if inside else 0)
+            assert half_open_count(tri, x, anchor) == (1 if inside else 0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
@@ -429,9 +433,10 @@ class TestTriangulate:
             return
         c = build_cone(ConeInput(3, generators=gens))
         tri = triangulate(c)
+        anchor = generator_sum(c.generators)
         for x in product(range(-6, 7), repeat=3):
             inside = all(dotv(f, x) >= 0 for f in c.support_forms)
-            assert half_open_count(tri, x) == (1 if inside else 0)
+            assert half_open_count(tri, x, anchor) == (1 if inside else 0)
 
     def test_cross_section_volume(self):
         # both square-cone simplices have all generators at degree 1;
@@ -454,7 +459,13 @@ class TestSimplicialCone:
 
     def test_standalone_simplex_is_closed(self):
         s = make_simplicial_cone(((2, 1), (3, 7)))
-        assert s.excluded_facets == frozenset()
+        assert excluded_facets(s, generator_sum(s.gens)) == frozenset()
+
+    def test_fields_are_gens_det_and_forms(self):
+        # the half-open exclusions and the height normal are not stored:
+        # series_contribution derives the one, a property computes the other
+        s = make_simplicial_cone(CONE35)
+        assert [f.name for f in fields(s)] == ["gens", "det", "facet_forms"]
 
 
 class TestAmbientSupportForms:
@@ -484,8 +495,7 @@ def exchange_case(draw):
     r = draw(st.integers(1, 6))
     gens = draw(st.lists(st.tuples(*[ENTRY] * r), min_size=r, max_size=r))
     assume(minor_det(gens) != 0)
-    anchor = draw(st.none() | st.tuples(*[st.integers(-5, 5)] * r))
-    s = make_simplicial_cone(gens, anchor)
+    s = make_simplicial_cone(gens)
     i = draw(st.integers(0, r - 1))
     if draw(st.booleans()):
         coeffs = draw(st.lists(st.integers(0, 3), min_size=r, max_size=r))
@@ -506,7 +516,6 @@ class TestExchange:
     @given(exchange_case())
     def test_equals_adjugate_route(self, case):
         s, i, x = case
-        assert exchange(s, i, x, s.anchor) == make_simplicial_cone(replaced(s, i, x), s.anchor)
         assert exchange(s, i, x) == make_simplicial_cone(replaced(s, i, x))
 
     @settings(max_examples=50, deadline=None)
@@ -516,7 +525,7 @@ class TestExchange:
         at = data.draw(st.integers(0, s.dim - 1))
         gens = list(s.gens[:i] + s.gens[i + 1:])
         gens.insert(at, x)
-        assert exchange(s, i, x, s.anchor, at) == make_simplicial_cone(gens, s.anchor)
+        assert exchange(s, i, x, at) == make_simplicial_cone(gens)
 
     def test_point_on_opposite_facet(self):
         s = make_simplicial_cone(CONE35)
@@ -560,24 +569,22 @@ def facet_runs(cells):
 
 def check_simplices(vectors, cells, rng):
     """build_simplices over the cells, shuffled, yields every cell once as
-    make_simplicial_cone's simplex over its sorted vectors, with the same
-    anchor, and builds one simplex from scratch per connected run."""
+    make_simplicial_cone's simplex over its sorted vectors, and builds one
+    simplex from scratch per connected run."""
     cells = list(cells)
     assert all(idx == tuple(sorted(idx)) for idx in cells)
     rng.shuffle(cells)
     runs = facet_runs(cells)
-    anchor = tuple(sum(g[j] for g in vectors) for j in range(len(vectors[0])))
-    for a in (None, anchor):
-        with mock.patch.object(cone_module, "make_simplicial_cone",
-                               wraps=cone_module.make_simplicial_cone) as scratch, \
-                mock.patch.object(cone_module, "exchange",
-                                  wraps=cone_module.exchange) as pivoted:
-            built = list(build_simplices(vectors, cells, a))
-        assert scratch.call_count == runs
-        assert pivoted.call_count == len(cells) - runs
-        assert sorted(s.gens for s in built) == sorted(
-            tuple(vectors[g] for g in idx) for idx in cells)
-        assert all(s == make_simplicial_cone(s.gens, a) for s in built)
+    with mock.patch.object(cone_module, "make_simplicial_cone",
+                           wraps=cone_module.make_simplicial_cone) as scratch, \
+            mock.patch.object(cone_module, "exchange",
+                              wraps=cone_module.exchange) as pivoted:
+        built = list(build_simplices(vectors, cells))
+    assert scratch.call_count == runs
+    assert pivoted.call_count == len(cells) - runs
+    assert sorted(s.gens for s in built) == sorted(
+        tuple(vectors[g] for g in idx) for idx in cells)
+    assert all(s == make_simplicial_cone(s.gens) for s in built)
 
 
 FIXTURE_CONES = [build_cone(parse_input(p.read_text()))
@@ -623,11 +630,10 @@ class TestPlacingLinks:
         check_simplices(c.generators, c.triangulation, random.Random(1))
         if c.rank > 1:
             check_pulling(c)
-        anchor = tuple(sum(g[j] for g in c.generators) for j in range(c.rank))
         tri = triangulate(c)
         assert len(tri) == len(c.triangulation)
-        assert set(tri) == {make_simplicial_cone(
-            tuple(c.generators[g] for g in idx), anchor) for idx in c.triangulation}
+        assert set(tri) == {make_simplicial_cone(tuple(c.generators[g] for g in idx))
+                            for idx in c.triangulation}
 
     @pytest.mark.parametrize("c", FIXTURE_CONES, ids=lambda c: str(c.generators))
     @pytest.mark.parametrize("level", [1, 2])
@@ -713,9 +719,10 @@ class TestPulling:
         check_pulling(c)
         # the half-open simplices cover the cone exactly once
         tri = triangulate(c)
+        anchor = generator_sum(c.generators)
         for x in product(range(-1, 3), repeat=d):
             inside = all(dotv(f, x) >= 0 for f in c.support_forms)
-            assert half_open_count(tri, x) == (1 if inside else 0)
+            assert half_open_count(tri, x, anchor) == (1 if inside else 0)
         # over a lattice polytope, the normalized volume is that of the placing
         if all(g[-1] == 1 for g in c.generators):
             placing = placing_triangulation(c.generators)

@@ -94,6 +94,47 @@ def test_dead_scan_flags_unreferenced_definitions():
     assert dead_definitions(sources) == ["a:Dead", "a:only_recursive"]
 
 
+def unread_parameters(source: str) -> list[str]:
+    """Parameters, as "function(name)", that the body of their function
+    (nested functions included) never reads.  The first parameter of a
+    method, its instance or class, is exempt: an override must take it."""
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                  if p is not None]
+        if id(node) in methods:
+            params = params[1:]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [f"{node.name}({p})" for p in params if p not in read]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_parameter_scan_flags_unread_parameters():
+    source = ("def passed_on(a, b, *rest, c=None, **kw):\n"
+              "    def inner(x):\n"
+              "        return a + c\n"
+              "    return inner\n"
+              "class K:\n"
+              "    def method(self, used, unused):\n"
+              "        return used\n"
+              "    @classmethod\n"
+              "    def make(cls):\n"
+              "        return 0\n")
+    assert unread_parameters(source) == [
+        "inner(x)", "method(unused)", "passed_on(b)", "passed_on(kw)", "passed_on(rest)"]
+
+
 # The documented entry points: exported although no package module
 # reads them.  bottom_volume stays until the pipeline's bottom
 # triangulation (ROADMAP item 9) calls it.

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from math import prod
 from unittest import mock
 
@@ -13,8 +12,8 @@ from conekit.simplex import (
     _block_dtype, _residue_axes, hb_candidates, residue_blocks, series_contribution,
 )
 
-from oracles import (brute_fundamental_points, dotv, fundamental_points, minor_det,
-                     residue_classes)
+from oracles import (brute_fundamental_points, dotv, excluded_facets, fundamental_points,
+                     generator_sum, minor_det, residue_classes)
 
 
 def simplex(gens):
@@ -26,15 +25,15 @@ def rows(points):
     return sorted(tuple(int(x) for x in p) for p in points)
 
 
-def half_open_shift(p, s):
-    """Representative of the fundamental-domain point p in the half-open
-    simplex: p plus the generator opposite every excluded facet on which
-    p lies.  The shifted points are the Stanley-decomposition offsets of
-    the half-open cone, the reference for series_contribution."""
+def half_open_shift(p, s, anchor):
+    """Representative of the fundamental-domain point p in the simplex
+    half-open at the anchor: p plus the generator opposite every excluded
+    facet on which p lies.  The shifted points are the Stanley-decomposition
+    offsets of the half-open cone, the reference for series_contribution."""
     u = s.q_numerators(p)
     assert all(0 <= x < s.det for x in u), "point is not in the fundamental domain"
     out = list(p)
-    for i in s.excluded_facets:
+    for i in excluded_facets(s, anchor):
         if u[i] == 0:
             out = [a + b for a, b in zip(out, s.gens[i])]
     return tuple(out)
@@ -64,9 +63,11 @@ class TestFundamentalPoints:
         for gens, deg in [(((2, 1), (3, 17)), (1, 0)),
                           (((2, 0, 1), (0, 2, 1), (0, 0, 4)), (0, 0, 1))]:
             s = simplex(gens)
-            big = fundamental_points(s), series_contribution(s, deg), hb_candidates(s)
+            anchor = generator_sum(s.gens)
+            big = (fundamental_points(s), series_contribution(s, deg, anchor),
+                   hb_candidates(s))
             with mock.patch.object(simplex_module, "DEFAULT_BLOCK", 3):
-                small = (fundamental_points(s), series_contribution(s, deg),
+                small = (fundamental_points(s), series_contribution(s, deg, anchor),
                          hb_candidates(s))
                 assert len(list(residue_blocks(s))) == -(-s.det // 3)
             assert np.array_equal(small[0], big[0])
@@ -103,36 +104,43 @@ class TestFundamentalPoints:
 class TestHalfOpenShift:
     def test_closed_simplex_unchanged(self):
         s = simplex(((1, 0), (1, 2)))
-        assert half_open_shift((1, 1), s) == (1, 1)
-        assert half_open_shift((0, 0), s) == (0, 0)
+        assert half_open_shift((1, 1), s, generator_sum(s.gens)) == (1, 1)
+        assert half_open_shift((0, 0), s, generator_sum(s.gens)) == (0, 0)
 
     def test_shift_on_excluded_facet(self):
-        base = simplex(((1, 0), (1, 2)))
-        s = replace(base, excluded_facets=frozenset({0}))
-        assert half_open_shift((0, 0), s) == (1, 0)
-        assert half_open_shift((1, 1), s) == (1, 1)
+        s = simplex(((1, 0), (1, 2)))
+        anchor = (0, 2)  # Σg - 2·g_0 lies beyond facet 0 alone
+        assert excluded_facets(s, anchor) == frozenset({0})
+        assert half_open_shift((0, 0), s, anchor) == (1, 0)
+        assert half_open_shift((1, 1), s, anchor) == (1, 1)
 
     def test_outside_domain_rejected(self):
         s = simplex(((1, 0), (1, 2)))
         with pytest.raises(AssertionError, match="fundamental domain"):
-            half_open_shift((5, 0), s)
+            half_open_shift((5, 0), s, generator_sum(s.gens))
         with pytest.raises(AssertionError, match="fundamental domain"):
-            half_open_shift((-1, 0), s)
+            half_open_shift((-1, 0), s, generator_sum(s.gens))
+
+
+def closed_series(gens, deg):
+    """series_contribution at the simplex's own generator sum, which lies
+    inside it and so excludes no facet."""
+    return series_contribution(simplex(gens), deg, generator_sum(gens))
 
 
 class TestSeriesContribution:
     def test_unimodular_orthant(self):
-        c = series_contribution(simplex(((1, 0), (0, 1))), (1, 1))
+        c = closed_series(((1, 0), (0, 1)), (1, 1))
         assert c.numerator == (1,)
         assert c.denom_degrees == (1, 1)
 
     def test_det_two(self):
-        c = series_contribution(simplex(((1, 0), (1, 2))), (1, 0))
+        c = closed_series(((1, 0), (1, 2)), (1, 0))
         assert c.numerator == (1, 1)
         assert c.denom_degrees == (1, 1)
 
     def test_cone35(self):
-        c = series_contribution(simplex(((1, 0), (3, 5))), (1, 0))
+        c = closed_series(((1, 0), (3, 5)), (1, 0))
         assert c.numerator == (1, 1, 2, 1)
         assert c.denom_degrees == (1, 3)
 
@@ -142,21 +150,50 @@ class TestSeriesContribution:
             deg = (1,) * len(gens)
             if any(dotv(g, deg) <= 0 for g in gens):
                 continue
-            c = series_contribution(s, deg)
+            c = series_contribution(s, deg, generator_sum(gens))
             assert sum(c.numerator) == s.det
 
     def test_half_open_counts_match_shift(self):
-        base = simplex(((1, 0), (3, 5)))
-        s = replace(base, excluded_facets=frozenset({1}))
+        s = simplex(((1, 0), (3, 5)))
+        anchor = (-2, -5)  # Σg - 2·g_1 lies beyond facet 1 alone
+        assert excluded_facets(s, anchor) == frozenset({1})
         deg = (1, 0)
-        c = series_contribution(s, deg)
+        c = series_contribution(s, deg, anchor)
         # brute: shift each fundamental point, histogram its degree
         hist = {}
         for p in rows(fundamental_points(s)):
-            d = dotv(half_open_shift(p, s), deg)
+            d = dotv(half_open_shift(p, s, anchor), deg)
             hist[d] = hist.get(d, 0) + 1
         got = {i: x for i, x in enumerate(c.numerator) if x}
         assert got == hist
+
+    @pytest.mark.parametrize("gens, deg", [
+        (((1, 0), (3, 5)), (1, 0)),
+        (((2, 0, 1), (0, 2, 1), (0, 0, 4)), (0, 0, 1)),
+        (((1, 0, 0), (1, 2, 0), (1, 1, 3)), (1, 0, 0)),
+    ])
+    def test_anchor_selects_the_excluded_facets(self, gens, deg):
+        # Σg - 2·g_i takes the value -det on facet form i and det on the
+        # others: exactly facet i is excluded, so every point of E with
+        # u_i = 0 (the origin among them) moves up by deg(g_i)
+        s = simplex(gens)
+        points = rows(fundamental_points(s))
+
+        def shifted(out):
+            hist = [0] * (sum(dotv(g, deg) for g in gens) + 1)
+            for p in points:
+                u = s.q_numerators(p)
+                hist[dotv(p, deg) + sum(dotv(gens[i], deg) for i in out if u[i] == 0)] += 1
+            while hist[-1] == 0:
+                hist.pop()
+            return tuple(hist)
+
+        total = generator_sum(gens)
+        assert closed_series(gens, deg).numerator == shifted(())
+        for i, g in enumerate(gens):
+            anchor = tuple(a - 2 * b for a, b in zip(total, g))
+            assert excluded_facets(s, anchor) == frozenset({i})
+            assert series_contribution(s, deg, anchor).numerator == shifted((i,))
 
 
 class TestHbCandidates:
@@ -362,7 +399,7 @@ def test_unimodular_invariance(case):
     uinv_t, _ = la.facet_forms(la.as_mat(u))  # U^-1 = F^T
     anchor = [tuple(sum((-1) ** k * g[j] for k, g in enumerate(m)) for j in range(len(m)))
               for m in (gens, moved)]
-    want = series_contribution(make_simplicial_cone(gens, anchor[0]), deg)
-    moved_s = make_simplicial_cone(moved, anchor[1])
-    assert moved_s.excluded_facets == frozenset(range(1, len(gens), 2))
-    assert series_contribution(moved_s, la.vec_mat(deg, uinv_t)) == want
+    want = series_contribution(simplex(gens), deg, anchor[0])
+    moved_s = simplex(moved)
+    assert excluded_facets(moved_s, anchor[1]) == frozenset(range(1, len(gens), 2))
+    assert series_contribution(moved_s, la.vec_mat(deg, uinv_t), anchor[1]) == want

@@ -19,8 +19,8 @@ from conekit.subdivide import (
     solve_star_ip, stellar_subdivide,
 )
 
-from oracles import (brute_star_minimum, dotv, fundamental_points, in_half_open,
-                     minor_det, stellar_tree, sweep_propagate)
+from oracles import (brute_star_minimum, dotv, fundamental_points, generator_sum,
+                     in_half_open, minor_det, stellar_tree, sweep_propagate)
 
 
 def simplex(gens):
@@ -302,9 +302,10 @@ class TestStellarSubdivide:
     def test_half_open_cover_preserved(self):
         s = simplex(((2, 1), (3, 7)))
         pieces = stellar_subdivide(s, (1, 1))
+        anchor = generator_sum(s.gens)
         for x in product(range(0, 15), repeat=2):
-            inside = in_half_open(s, x)
-            assert sum(in_half_open(p, x) for p in pieces) == (1 if inside else 0)
+            inside = in_half_open(s, x, anchor)
+            assert sum(in_half_open(p, x, anchor) for p in pieces) == (1 if inside else 0)
 
 
 def ip_finder(cfg):
@@ -361,9 +362,10 @@ class TestRecursiveSubdivide:
         cfg = SubdivisionConfig(volume_bound=bound, strategy="ip")
         leaves = recursive_subdivide(s, cfg, ip_finder(cfg))
         assert sum(p.det for p in leaves) <= s.det
+        anchor = generator_sum(s.gens)
         for x in product(range(-10, 11), repeat=2):
-            inside = in_half_open(s, x)
-            assert sum(in_half_open(p, x) for p in leaves) == (1 if inside else 0)
+            inside = in_half_open(s, x, anchor)
+            assert sum(in_half_open(p, x, anchor) for p in leaves) == (1 if inside else 0)
 
 
 def test_subdivision_node_counts(monkeypatch):
