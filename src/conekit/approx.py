@@ -7,7 +7,8 @@ the staircase (braid-arrangement) triangulation of its surrounding unit
 cube.  The overcone is cheap to evaluate; its fundamental-domain points
 falling inside the original simplex and strictly below generator height
 are returned as subdivision candidates, all of which recursive_subdivide
-hands down its stellar tree.
+hands down its stellar tree.  An overcone simplex that a facet form
+separates from the simplex holds none of them and is not swept.
 """
 
 from __future__ import annotations
@@ -76,20 +77,35 @@ def approximate_cone(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     return tuple(gens)
 
 
+def separated(s: SimplicialCone, subs) -> np.ndarray:
+    """Mask of the simplices in `subs` that a facet form separates from
+    s: a form of s negative on all of their generators, or one of their
+    forms negative on all of s's.  Either is a Gordan certificate that
+    the two simplicial cones meet only at 0."""
+    gens = la.stack([sub.gens for sub in subs])
+    forms = la.stack([sub.facet_forms for sub in subs])
+    by_s = la.products(gens, la.stack(s.facet_forms).T)  # [k, gen, form of s]
+    by_sub = la.products(forms, la.stack(s.gens).T)  # [k, form, gen of s]
+    return (by_s < 0).all(axis=1).any(axis=1) | (by_sub < 0).all(axis=2).any(axis=1)
+
+
 def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     """Subdivision candidates found through the overcone, sorted.
 
     Builds every simplex of the overcone's placing triangulation (without
-    further subdivision) by build_simplices.  Then it evaluates
-    those of det > 1 and returns their distinct points that points_below
-    keeps: the points in the simplex strictly below generator height.  A
-    unimodular overcone simplex adds only its generators, which are
-    overcone generators already.  Empty output means the approximation
-    found nothing at this level; it is also the result when an overcone
-    simplex is at least as big as the simplex itself, in which case
-    approximating cannot pay off, and when the simplices to evaluate hold
-    more than POINT_BUDGET points together, which keeps the enumeration's
-    memory bounded.
+    further subdivision) by build_simplices.  Empty output means the
+    approximation found nothing at this level; it is also the result
+    when an overcone simplex is at least as big as the simplex itself,
+    in which case approximating cannot pay off, and when the overcone
+    simplices of det > 1 hold more than POINT_BUDGET points together,
+    which keeps the enumeration's memory bounded.  Both tests count
+    every overcone simplex of det > 1.  Of those, the ones that no facet
+    form separates from the simplex (see separated) are swept, and
+    their distinct points that points_below keeps are returned: the
+    points in the simplex strictly below generator height.  A separated
+    overcone simplex meets the simplex only at 0, so none of its points
+    can pass, and a unimodular one adds only its generators, which are
+    overcone generators already.
 
     Every candidate goes into recursive_subdivide's pool, so they are
     not reduced to their minimal elements.  Stellar subdivision at any
@@ -111,5 +127,7 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
             big.append(sub)
     if sum(sub.det for sub in big) > POINT_BUDGET:
         return ()
+    if big:
+        big = [sub for sub, out in zip(big, separated(s, big)) if not out]
     cands = np.vstack([la.as_rows(over)] + [hb_candidates(sub) for sub in big])
     return tuple(sorted({la.as_vec(row) for row in points_below(s, cands)}))

@@ -8,16 +8,17 @@ LLL-reduced, so restricted entries stay small.  Full-dimensional cones
 keep the identity basis so that restricted and ambient coordinates
 coincide.
 
-Simplicial cones are built by linalg.pivot, the one fraction-free
-elimination step of the package: make_simplicial_cone pivots the
-generators into the unit basis (linalg.facet_forms), and exchange takes
-the forms of a simplex that differs from a known one in one generator,
-such as a stellar piece, by one pivot.  Both give the same
+Simplicial cones are built by fraction-free pivots:
+make_simplicial_cone pivots the generators into the unit basis
+(linalg.facet_forms), and exchange takes the forms of simplices that
+each differ from a known one in one generator, such as the stellar
+pieces of a cut, by one linalg.pivot on their stack.  Both give the same
 SimplicialCone, checked by linalg.check_forms: generators, det and facet
 forms, all that subdivision and evaluation read.  A triangulation is a
 tuple of sorted index tuples into its vectors; build_simplices builds
-its simplices breadth first across shared facets, by one exchange each
-but the first of every connected run.  `Cone.triangulation` is the
+its simplices breadth first across shared facets, the first of every
+connected run from scratch and then one stacked pivot per breadth-first
+level.  `Cone.triangulation` is the
 pulling triangulation from the generator on the most facets, read off
 the facet masks of the cone's one double description; only a
 non-simplicial facet without that apex takes a small double description
@@ -27,6 +28,8 @@ of its own.  Overcones keep the placing their double description returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from . import linalg as la
 from .errors import DimensionError, GradingNotPositiveError, NotPointedError
@@ -123,24 +126,37 @@ def make_simplicial_cone(gens) -> SimplicialCone:
     return SimplicialCone(gens, det, forms)
 
 
-def exchange(s: SimplicialCone, i: int, x, at: int | None = None) -> SimplicialCone:
-    """S with gens[i] replaced by x, by one fraction-free pivot.
+def exchange(jobs) -> list[SimplicialCone]:
+    """For each job (S, i, x, at): S with gens[i] replaced by x, all by
+    one stacked fraction-free pivot.
 
-    linalg.pivot takes the new det and facet forms from those of S for
-    r² products, where make_simplicial_cone pivots r times from the unit
-    basis; both give the same forms, since the inverse is unique.  x
-    moves to position `at` (default i), the other generators keep their
-    order.  F'·g'_k = det'·e_k must hold for every generator g'_k.
+    linalg.pivot takes the new dets and facet forms from those of the
+    S for r² products each, where make_simplicial_cone pivots r times
+    from the unit basis; both give the same forms, since the inverse is
+    unique.  x, a tuple of ints, moves to position `at`, the other
+    generators keep their order.  F'·g'_k = det'·e_k must hold for every
+    generator g'_k.
     """
-    x = la.as_vec(x)
-    forms, det = la.pivot(s.facet_forms, s.det, s.q_numerators(x), i)
-    forms, gens = list(forms), list(s.gens)
-    gens[i] = x
-    if at is not None:
-        gens.insert(at, gens.pop(i))
-        forms.insert(at, forms.pop(i))
-    la.check_forms(forms, gens, det, "exchanged facet forms failed F'·g' = det'·I")
-    return SimplicialCone(tuple(gens), det, tuple(forms))
+    parents, idx, _, ats = zip(*jobs)
+    r = parents[0].dim
+    gens, perm = [], []
+    for s, i, x, at in jobs:
+        g, order = list(s.gens), list(range(r))
+        del g[i], order[i]
+        g.insert(at, x)
+        order.insert(at, i)
+        gens.append(tuple(g))
+        perm.append(order)
+    k = np.arange(len(jobs))
+    g = la.stack(gens)
+    forms = la.stack([s.facet_forms for s in parents])
+    u = la.products(forms, g[k, ats, :, None])[:, :, 0]
+    forms, det = la.pivot(forms, la.stack([s.det for s in parents]), u, idx)
+    if idx != ats:
+        forms = forms[k[:, None], perm]
+    la.check_forms(forms, g, det, "exchanged facet forms failed F'·g' = det'·I")
+    return [SimplicialCone(gs, d, tuple(map(tuple, f)))
+            for gs, d, f in zip(gens, det.tolist(), forms.tolist())]
 
 
 def build_simplices(vectors, cells):
@@ -148,9 +164,10 @@ def build_simplices(vectors, cells):
 
     The cells are visited breadth first across shared facets: the first
     cell of each connected run is built by make_simplicial_cone, every
-    other one by exchange from a built neighbour, its new vector moved to
-    its sorted place.  The forms of a simplex are unique, so it does not
-    matter which neighbour it is pivoted from.
+    other one from its first discoverer, its new vector moved to its
+    sorted place, by one exchange per breadth-first level.  The forms of
+    a simplex are unique, so it does not matter which neighbour it is
+    pivoted from.
     """
     by_facet = {}
     for idx in cells:
@@ -162,15 +179,21 @@ def build_simplices(vectors, cells):
             continue
         built[start] = make_simplicial_cone(tuple(vectors[g] for g in start))
         yield built[start]
-        queue = [start]
-        for idx in queue:  # grows while it runs
-            for k in range(len(idx)):
-                for new in by_facet[idx[:k] + idx[k + 1:]]:
-                    if new not in built:
-                        at = next(t for t, g in enumerate(new) if g not in idx)
-                        built[new] = exchange(built[idx], k, vectors[new[at]], at)
-                        yield built[new]
-                        queue.append(new)
+        level = [start]
+        while level:
+            jobs = {}
+            for idx in level:
+                for k in range(len(idx)):
+                    for new in by_facet[idx[:k] + idx[k + 1:]]:
+                        if new not in built and new not in jobs:
+                            at = next(t for t, g in enumerate(new) if g not in idx)
+                            jobs[new] = (built[idx], k, vectors[new[at]], at)
+            if not jobs:
+                break
+            level = list(jobs)
+            for new, s in zip(level, exchange(list(jobs.values()))):
+                built[new] = s
+                yield s
 
 
 def dual_description(vectors):

@@ -3,10 +3,14 @@
 Vectors are tuples of Python ints, matrices are tuples of such rows.
 Everything here is exact; no floating point is used anywhere.
 
-Every exact inverse comes from one checked pass of fraction-free pivots,
-basis_forms: the greedy basis among some rows and its facet forms.  The
-array helpers as_rows and support_values hold the package's one
-int64-or-object policy, int_dtype.
+Every exact inverse comes from checked fraction-free pivots.  pivot
+takes one step on a whole stack of simplices in arrays, and check_forms
+checks the stack.  basis_forms, the greedy basis among some rows and
+its facet forms, takes the same step and check on one simplex in Python
+ints (_pivot_one): for r = 5 an array step on a stack of one costs
+about four times as much.  The array helpers as_rows, stack, products
+and support_values hold the package's one int64-or-object policy,
+int_dtype.
 """
 
 from __future__ import annotations
@@ -34,10 +38,8 @@ def int_dtype(bound: int) -> object:
 def as_rows(rows) -> np.ndarray:
     """Integer rows as an int64 array when every entry is below
     INT64_SAFE in magnitude, else object."""
-    out = np.array([tuple(r) for r in rows], dtype=object)
-    if not out.size:
-        return out
-    return out.astype(int_dtype(max(abs(int(x)) for x in out.flat)))
+    out = stack([tuple(r) for r in rows])
+    return out.astype(int_dtype(magnitude(out) if out.size else INT64_SAFE))
 
 
 def support_values(cands: np.ndarray, forms: IntMat) -> np.ndarray:
@@ -47,11 +49,38 @@ def support_values(cands: np.ndarray, forms: IntMat) -> np.ndarray:
     sum over all forms, the aux degree, proves it exact; Python ints
     otherwise.
     """
-    bound = (int(np.abs(cands).max(initial=0)) *
-             max((abs(x) for f in forms for x in f), default=0) *
+    bound = (magnitude(cands) * max((abs(x) for f in forms for x in f), default=0) *
              cands.shape[1] * len(forms))
     dtype = object if cands.dtype == object else int_dtype(bound)
     return cands.astype(dtype, copy=False) @ np.array(forms, dtype=dtype).T
+
+
+def stack(blocks) -> np.ndarray:
+    """Nested integer sequences of one shape as an array: int64 when
+    every entry fits, Python ints (object) otherwise."""
+    try:
+        return np.array(blocks, dtype=np.int64)
+    except OverflowError:
+        return np.array(blocks, dtype=object)
+
+
+def magnitude(a: np.ndarray) -> int:
+    """The largest absolute entry of an integer array, 0 if it is empty."""
+    if not a.size:
+        return 0
+    if a.dtype == object:
+        return max(a.max(), -a.min())
+    # as uint64, |-2^63| is exact too
+    return int(np.maximum.reduce(np.abs(a).view(np.uint64), axis=None))
+
+
+def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact a @ b: int64 when the inner dimension times the largest
+    entries of a and b, and those entries, are below INT64_SAFE, Python
+    ints otherwise."""
+    ma, mb = magnitude(a), magnitude(b)
+    dtype = int_dtype(max(a.shape[-1] * ma * mb, ma, mb))
+    return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 
 def as_vec(entries) -> IntVec:
@@ -106,41 +135,44 @@ def primitive(v) -> IntVec:
     return tuple(x // g for x in v)
 
 
-def pivot(forms: IntMat, delta: int, u: IntVec, i: int) -> tuple[IntMat, int]:
-    """(F', δ') after generator i of a simplex is exchanged for x.
+def pivot(forms: np.ndarray, delta: np.ndarray, u: np.ndarray,
+          i) -> tuple[np.ndarray, np.ndarray]:
+    """(F', δ') of a stack of simplices, generator i[k] of simplex k
+    exchanged for a point x_k.
 
-    F are the simplex's facet forms and δ its det, so F·g_k = δ·e_k for
-    its generators g_k, and u = F·x.  Then δ' = |u_i|, F'_i = sgn(u_i)·F_i
-    and F'_j = sgn(u_i)·(u_i·F_j - u_j·F_i)/δ: one fraction-free pivot
-    (Edmonds 1967; Bareiss 1968), whose divisions are exact.  Each one is
-    checked to leave remainder 0.
+    forms (k, r, r) hold the simplices' facet forms and delta (k) their
+    dets, so F·g_j = δ·e_j for the generators g_j, and u (k, r) = F·x.
+    Then δ' = |u_i|, F'_i = sgn(u_i)·F_i and F'_j = sgn(u_i)·(u_i·F_j -
+    u_j·F_i)/δ with i = i[k]: one fraction-free pivot (Edmonds 1967;
+    Bareiss 1968), whose divisions are exact.  Each one is checked to
+    leave remainder 0.  The whole stack is pivoted in int64 when a bound
+    from its maxima proves that exact, else in Python ints (object).
     """
-    if not u[i]:
+    k = np.arange(len(i))
+    ui = u[k, i]
+    if not ui.all():
         raise SingularMatrixError("pivot on zero: x lies on the facet opposite g_i")
-    sg = 1 if u[i] > 0 else -1
-    det = abs(u[i])
-    fi = forms[i]
-    out = []
-    for j, (fj, uj) in enumerate(zip(forms, u)):
-        if j == i:
-            out.append(tuple(sg * c for c in fi))
-            continue
-        vj = sg * uj
-        row = []
-        for a, b in zip(fj, fi):
-            q, rem = divmod(det * a - vj * b, delta)
-            if rem:
-                raise InternalConsistencyError("pivot division left a remainder")
-            row.append(q)
-        out.append(tuple(row))
-    return tuple(out), det
+    dtype = int_dtype(2 * magnitude(u) * magnitude(forms) + magnitude(delta))
+    forms, delta, u, ui = (a.astype(dtype, copy=False) for a in (forms, delta, u, ui))
+    sg, det = np.sign(ui), np.abs(ui)
+    fi = forms[k, i]
+    num = det[:, None, None] * forms - (sg[:, None] * u)[:, :, None] * fi[:, None, :]
+    d = delta[:, None, None]
+    # np.divmod has no loop for object arrays
+    out, rem = (num // d, num % d) if dtype is object else np.divmod(num, d)
+    if rem.any():
+        raise InternalConsistencyError("pivot division left a remainder")
+    out[k, i] = sg[:, None] * fi
+    return out, det
 
 
-def check_forms(forms, rows, det: int, message: str) -> None:
-    """Raise InternalConsistencyError(message) unless forms·rows^T = det·I."""
-    n = len(rows)
-    if [[dot(f, r) for r in rows] for f in forms] != \
-            [[det if j == k else 0 for k in range(n)] for j in range(n)]:
+def check_forms(forms: np.ndarray, rows: np.ndarray, det: np.ndarray,
+                message: str) -> None:
+    """Raise InternalConsistencyError(message) unless forms·rows^T =
+    det·I for every simplex of the stacks forms, rows (k, r, r) and det
+    (k)."""
+    eye = np.eye(forms.shape[1], dtype=np.int64)
+    if (products(forms, rows.transpose(0, 2, 1)) != det[:, None, None] * eye).any():
         raise InternalConsistencyError(message)
 
 
@@ -164,13 +196,38 @@ def basis_forms(rows, n: int) -> tuple[list[int], IntMat, int]:
         u = mat_vec(forms, r)
         i = next((p for p in free if u[p]), None)
         if i is not None:
-            forms, det = pivot(forms, det, u, i)
+            forms, det = _pivot_one(forms, det, u, i)
             free.remove(i)
             kept.append(k)
             at.append(i)
     forms = tuple(forms[i] for i in at)
-    check_forms(forms, [rows[k] for k in kept], det, "facet forms failed F·B^T = δ·I")
+    m = len(kept)
+    if [[dot(f, rows[k]) for k in kept] for f in forms] != \
+            [[det if j == k else 0 for k in range(m)] for j in range(m)]:
+        raise InternalConsistencyError("facet forms failed F·B^T = δ·I")
     return kept, forms, det
+
+
+def _pivot_one(forms: IntMat, delta: int, u: IntVec, i: int) -> tuple[IntMat, int]:
+    """pivot's step on one simplex, in Python ints: forms, u and the
+    result are tuples, delta and i ints."""
+    sg = 1 if u[i] > 0 else -1
+    det = abs(u[i])
+    fi = forms[i]
+    out = []
+    for j, (fj, uj) in enumerate(zip(forms, u)):
+        if j == i:
+            out.append(tuple(sg * c for c in fi))
+            continue
+        vj = sg * uj
+        row = []
+        for a, b in zip(fj, fi):
+            q, rem = divmod(det * a - vj * b, delta)
+            if rem:
+                raise InternalConsistencyError("pivot division left a remainder")
+            row.append(q)
+        out.append(tuple(row))
+    return tuple(out), det
 
 
 def independent_rows(rows, ncols: int) -> list[int]:

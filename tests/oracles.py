@@ -6,9 +6,10 @@ package internals beyond tuples of ints.  The exceptions are
 stellar_tree, which checks recursive_subdivide's loop and so reuses the
 package's single stellar step, fundamental_points and is_pointed,
 which only the tests need: the first collects the package's residue
-sweep, the second asks build_cone, and unique_sort_reduction, the
+sweep, the second asks build_cone, unique_sort_reduction, the
 reference for reduce_to_hilbert_basis, which converts rows and support
-values as the package does.  fraction_free_independent_rows and
+values as the package does, and sweep_all_approx_candidates, the
+package's overcone pass with every overcone simplex of det > 1 swept.  fraction_free_independent_rows and
 staircase_face_vertices are earlier package versions of
 independent_rows and minimal_cube_face_vertices, and
 placing_triangulation the triangulation build_cone recorded before it
@@ -24,10 +25,12 @@ from math import floor
 
 import numpy as np
 
-from conekit.cone import ConeInput, build_cone, dual_description
+from conekit.approx import approximate_cone
+from conekit.cone import ConeInput, build_cone, build_simplices, dual_description
 from conekit.errors import NotPointedError
-from conekit.linalg import as_rows, sublattice, support_values
-from conekit.simplex import points_from_block, residue_blocks
+from conekit.linalg import as_rows, as_vec, sublattice, support_values
+from conekit.simplex import (POINT_BUDGET, hb_candidates, points_below,
+                             points_from_block, residue_blocks)
 from conekit.subdivide import stellar_subdivide
 
 
@@ -741,3 +744,21 @@ def placing_triangulation(gens):
     sorted index tuples of dual_description: the triangulation that
     build_cone recorded before it pulled one from an apex."""
     return dual_description(gens)[2]
+
+
+def sweep_all_approx_candidates(s, level=1):
+    """approx_candidates with the fundamental domain of every overcone
+    simplex of det > 1 swept, also of those a facet form separates from
+    s; the same early return and POINT_BUDGET test."""
+    over = approximate_cone(s, level)
+    _, _, placing = dual_description(over)
+    big = []
+    for sub in build_simplices(over, placing):
+        if sub.det >= max(2, s.det):
+            return ()
+        if sub.det > 1:
+            big.append(sub)
+    if sum(sub.det for sub in big) > POINT_BUDGET:
+        return ()
+    cands = np.vstack([as_rows(over)] + [hb_candidates(sub) for sub in big])
+    return tuple(sorted({as_vec(row) for row in points_below(s, cands)}))

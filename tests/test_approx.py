@@ -16,15 +16,15 @@ from conekit.approx import (
     minimal_cube_face_vertices,
 )
 from conekit.collect import StatsRecord, reduce_to_hilbert_basis
-from conekit.cone import dual_description, make_simplicial_cone
+from conekit.cone import build_simplices, dual_description, make_simplicial_cone
 from conekit.errors import InternalConsistencyError
 from conekit.simplex import POINT_BUDGET, hb_candidates
 from conekit.pipeline import make_finder
 from conekit.subdivide import (APPROX_LEVEL_CAP, HUGE_DET, SubdivisionConfig,
                                best_candidate, recursive_subdivide, solve_star_ip)
 
-from oracles import (dotv, filter_approx_candidates, minor_det,
-                     staircase_face_vertices)
+from oracles import (dotv, filter_approx_candidates, fundamental_points, minor_det,
+                     staircase_face_vertices, sweep_all_approx_candidates)
 
 
 def simplex(gens):
@@ -216,6 +216,83 @@ class TestApproxFilterProperty:
                                lambda v: ((1, 0), (1, 1))):
             with pytest.raises(InternalConsistencyError, match="overcone"):
                 approx_candidates(s)
+
+
+def separating_form(s, sub):
+    """Whether a form of s is negative on every generator of sub, or a
+    form of sub on every generator of s."""
+    return any(all(dotv(f, g) < 0 for g in b.gens) for a, b in ((s, sub), (sub, s))
+               for f in a.facet_forms)
+
+
+def lattice_simplex_cone(rng, d, h, entry, det_lo, det_hi):
+    """A cone over a lattice (d-1)-simplex at height h, primitive rows,
+    drawn as acceptance criterion 8 draws its instances."""
+    while True:
+        rows = []
+        for _ in range(d):
+            v = [rng.randint(-entry, entry) for _ in range(d - 1)]
+            rows.append(tuple(v) + (h - sum(v),))
+        if all(gcd(*r) == 1 for r in rows) and det_lo <= abs(minor_det(rows)) <= det_hi:
+            return simplex(rows)
+
+
+class TestSeparatedSkip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 5).flatmap(lambda d: st.lists(
+               st.lists(st.integers(-(12 // d), 12 // d), min_size=d, max_size=d),
+               min_size=d, max_size=d)),
+           st.sampled_from([1, 2]))
+    def test_matches_full_sweep(self, rows, level):
+        assume(minor_det(rows) != 0)
+        s = simplex(rows)
+        assert approx_candidates(s, level) == sweep_all_approx_candidates(s, level)
+
+    def test_criterion_8_tiny_instances(self):
+        # cones of d = 5 over simplices at height 10, as criterion 8 draws
+        # them, with det in [10^3, 10^4] instead of [2·10^7, 7·10^7]
+        rng = random.Random(108)
+        found = 0
+        for _ in range(5):
+            s = lattice_simplex_cone(rng, 5, 10, 4, 10**3, 10**4)
+            for level in (1, 2, 3):
+                cands = approx_candidates(s, level)
+                assert cands == sweep_all_approx_candidates(s, level)
+                found += bool(cands)
+        assert found
+
+    def test_separated_simplex_is_not_swept(self):
+        # det 12: four simplices of the level-1 overcone have det > 1; the
+        # last, of det 2, has the form (-6, -6, 6) of s at -6, -6, -12 on
+        # its generators, and its one nonzero fundamental point (0, 1, 1)
+        # lies outside s
+        s = simplex(((2, -4, 1), (-3, 5, 5), (-2, 4, 5)))
+        over = approximate_cone(s)
+        big = [t for t in build_simplices(over, dual_description(over)[2]) if t.det > 1]
+        assert [t.det for t in big] == [2, 4, 2, 2]
+        assert [separating_form(s, t) for t in big] == [False, False, False, True]
+        outside = big[-1]
+        assert outside.gens == ((1, -1, 0), (-1, 2, 2), (0, 2, 2))
+        point = tuple(fundamental_points(outside)[1])
+        assert point == (0, 1, 1) and min(s.q_numerators(point)) < 0
+        with mock.patch.object(approx, "hb_candidates",
+                               wraps=approx.hb_candidates) as swept:
+            cands = approx_candidates(s)
+        assert [t.gens for t in (c.args[0] for c in swept.call_args_list)] == \
+            [t.gens for t in big[:3]]
+        assert cands == sweep_all_approx_candidates(s) == ((0, 0, 1),)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda d: st.lists(
+               st.lists(st.integers(-9, 9), min_size=d, max_size=d),
+               min_size=d, max_size=d)),
+           st.sampled_from([1, 2]))
+    def test_separated_mask_matches_forms(self, rows, level):
+        assume(minor_det(rows) != 0)
+        s = simplex(rows)
+        over = approximate_cone(s, level)
+        subs = list(build_simplices(over, dual_description(over)[2]))
+        assert approx.separated(s, subs).tolist() == [separating_form(s, t) for t in subs]
 
 
 def approx_finder(cfg):

@@ -6,6 +6,7 @@ from itertools import product
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -484,16 +485,17 @@ class TestAmbientSupportForms:
 
 
 # entries of up to 70 bits, so that some simplices leave int64 range
-ENTRY = st.one_of(st.integers(-9, 9), st.integers(-(1 << 70), 1 << 70))
+SMALL = st.integers(-9, 9)
+ENTRY = st.one_of(SMALL, st.integers(-(1 << 70), 1 << 70))
 
 
 @st.composite
-def exchange_case(draw):
+def exchange_case(draw, r=None, entry=ENTRY):
     """(s, i, x): a simplex of rank r <= 6, an index and a point x with
     u_i != 0, drawn as a nonnegative combination of the generators (a
     point of the simplex) or freely (mostly outside it)."""
-    r = draw(st.integers(1, 6))
-    gens = draw(st.lists(st.tuples(*[ENTRY] * r), min_size=r, max_size=r))
+    r = r or draw(st.integers(1, 6))
+    gens = draw(st.lists(st.tuples(*[entry] * r), min_size=r, max_size=r))
     assume(minor_det(gens) != 0)
     s = make_simplicial_cone(gens)
     i = draw(st.integers(0, r - 1))
@@ -502,7 +504,7 @@ def exchange_case(draw):
         coeffs[i] = draw(st.integers(1, 3))
         x = tuple(sum(c * g[j] for c, g in zip(coeffs, s.gens)) for j in range(r))
     else:
-        x = draw(st.tuples(*[ENTRY] * r))
+        x = draw(st.tuples(*[entry] * r))
     assume(s.q_numerators(x)[i] != 0)
     return s, i, x
 
@@ -511,26 +513,86 @@ def replaced(s, i, x):
     return s.gens[:i] + (x,) + s.gens[i + 1:]
 
 
+def moved(s, i, x, at):
+    gens = list(s.gens[:i] + s.gens[i + 1:])
+    gens.insert(at, x)
+    return tuple(gens)
+
+
+@st.composite
+def mixed_level(draw):
+    """Jobs (s, i, x, at) of one rank r in 2-4 with small entries, one
+    of them scaled by 2^64, so that its facet forms, the (r-1)-minors,
+    leave int64 range."""
+    r = draw(st.integers(2, 4))
+    cases = draw(st.lists(exchange_case(r, SMALL), min_size=2, max_size=5))
+    k = draw(st.integers(0, len(cases) - 1))
+    s, i, x = cases[k]
+    cases[k] = (make_simplicial_cone([[c << 64 for c in g] for g in s.gens]), i,
+                tuple(c << 64 for c in x))
+    return [(s, i, x, draw(st.integers(0, r - 1))) for s, i, x in cases]
+
+
+def pivot_dtypes():
+    """A wrapper of linalg.pivot that records the dtype of every stack
+    of forms it returns."""
+    dtypes, pivot = [], la.pivot
+
+    def spy(*args):
+        out = pivot(*args)
+        dtypes.append(out[0].dtype)
+        return out
+    return spy, dtypes
+
+
 class TestExchange:
     @settings(max_examples=200, deadline=None)
     @given(exchange_case())
     def test_equals_adjugate_route(self, case):
         s, i, x = case
-        assert exchange(s, i, x) == make_simplicial_cone(replaced(s, i, x))
+        assert exchange([(s, i, x, i)]) == [make_simplicial_cone(replaced(s, i, x))]
 
     @settings(max_examples=50, deadline=None)
     @given(exchange_case(), st.data())
     def test_moves_new_generator(self, case, data):
         s, i, x = case
         at = data.draw(st.integers(0, s.dim - 1))
-        gens = list(s.gens[:i] + s.gens[i + 1:])
-        gens.insert(at, x)
-        assert exchange(s, i, x, at) == make_simplicial_cone(gens)
+        assert exchange([(s, i, x, at)]) == [make_simplicial_cone(moved(s, i, x, at))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_level())
+    def test_mixed_level_falls_back_to_object(self, jobs):
+        # one job of big forms puts the whole stack in Python ints; every
+        # job still gets the forms of its own simplex
+        spy, dtypes = pivot_dtypes()
+        with mock.patch.object(la, "pivot", spy):
+            out = exchange(jobs)
+        assert dtypes == [object]
+        assert out == [make_simplicial_cone(moved(*job)) for job in jobs]
+
+    def test_small_level_stays_int64(self):
+        s = make_simplicial_cone(((2, 1), (3, 7)))
+        spy, dtypes = pivot_dtypes()
+        with mock.patch.object(la, "pivot", spy):
+            out = exchange([(s, 0, (1, 1), 0), (s, 1, (1, 1), 1)])
+        assert dtypes == [np.int64]
+        assert out == [make_simplicial_cone(((1, 1), (3, 7))),
+                       make_simplicial_cone(((2, 1), (1, 1)))]
 
     def test_point_on_opposite_facet(self):
+        # u_0 = 0 for (3, 5), a generator of the facet opposite g_0
         s = make_simplicial_cone(CONE35)
         with pytest.raises(SingularMatrixError):
-            exchange(s, 0, (3, 5))
+            exchange([(s, 0, (3, 5), 0)])
+        with pytest.raises(SingularMatrixError):
+            exchange([(s, 1, (1, 1), 1), (s, 0, (3, 5), 0)])
+
+    @staticmethod
+    def corrupted(s, forms):
+        """A stack of good jobs around one job on s with wrong forms."""
+        good = make_simplicial_cone(((1, 2), (4, 1)))
+        return [(good, 0, (1, 1), 0), (replace(s, facet_forms=forms), 0, (1, 1), 0),
+                (good, 1, (1, 1), 1)]
 
     def test_inexact_division_raises(self):
         # det 11 and u = (4, 1) at x = (1, 1); one more on an entry of
@@ -538,18 +600,16 @@ class TestExchange:
         s = make_simplicial_cone(((2, 1), (3, 7)))
         assert s.det == 11 and s.q_numerators((1, 1)) == (4, 1)
         forms = (s.facet_forms[0], (s.facet_forms[1][0] + 1, s.facet_forms[1][1]))
-        bad = replace(s, facet_forms=forms)
         with pytest.raises(InternalConsistencyError, match="remainder"):
-            exchange(bad, 0, (1, 1))
+            exchange(self.corrupted(s, forms))
 
     def test_wrong_form_row_raises(self):
         # det added to an entry of the pivot row keeps every division
         # exact, but that row no longer vanishes on the other generator
         s = make_simplicial_cone(((2, 1), (3, 7)))
         pivot = (s.facet_forms[0][0] + s.det, s.facet_forms[0][1])
-        bad = replace(s, facet_forms=(pivot, s.facet_forms[1]))
         with pytest.raises(InternalConsistencyError, match="F'"):
-            exchange(bad, 0, (1, 1))
+            exchange(self.corrupted(s, (pivot, s.facet_forms[1])))
 
 
 def facet_runs(cells):
@@ -567,9 +627,37 @@ def facet_runs(cells):
     return runs
 
 
+def queue_order(cells):
+    """(cell, parent) for every cell in the order of a breadth-first
+    queue across shared facets that takes one cell at a time; parent is
+    the cell that first reached it, None for the first of a run."""
+    out, seen = [], set()
+    for start in cells:
+        if start in seen:
+            continue
+        seen.add(start)
+        out.append((start, None))
+        queue = [start]
+        for idx in queue:  # grows while it runs
+            for k in range(len(idx)):
+                facet = idx[:k] + idx[k + 1:]
+                for new in cells:
+                    if new not in seen and set(facet) <= set(new):
+                        seen.add(new)
+                        out.append((new, idx))
+                        queue.append(new)
+    return out
+
+
+def pivoted_simplices(exchange_mock) -> int:
+    """The number of simplices pivoted through a wrapped exchange."""
+    return sum(len(c.args[0]) for c in exchange_mock.call_args_list)
+
+
 def check_simplices(vectors, cells, rng):
     """build_simplices over the cells, shuffled, yields every cell once as
-    make_simplicial_cone's simplex over its sorted vectors, and builds one
+    make_simplicial_cone's simplex over its sorted vectors, in
+    queue_order, each pivoted from its parent there, and builds one
     simplex from scratch per connected run."""
     cells = list(cells)
     assert all(idx == tuple(sorted(idx)) for idx in cells)
@@ -581,9 +669,13 @@ def check_simplices(vectors, cells, rng):
                               wraps=cone_module.exchange) as pivoted:
         built = list(build_simplices(vectors, cells))
     assert scratch.call_count == runs
-    assert pivoted.call_count == len(cells) - runs
-    assert sorted(s.gens for s in built) == sorted(
-        tuple(vectors[g] for g in idx) for idx in cells)
+    assert pivoted_simplices(pivoted) == len(cells) - runs
+    order = queue_order(cells)
+    def gens(idx):
+        return tuple(vectors[g] for g in idx)
+    assert [s.gens for s in built] == [gens(idx) for idx, _ in order]
+    parents = [job[0].gens for c in pivoted.call_args_list for job in c.args[0]]
+    assert parents == [gens(p) for _, p in order if p is not None]
     assert all(s == make_simplicial_cone(s.gens) for s in built)
 
 
@@ -861,15 +953,18 @@ def seed_one_runs():
 
 
 def test_seed_one_pivot_passes():
-    """Pivot passes, double descriptions, cone simplices and simplex
-    builds (from scratch, by exchange) of the seed-1 benchmark runs.  A
-    description takes one pass for its initial basis and rays, and a
-    cone reads pointedness off its masks.  The series-polytope cones are pulled from an apex: 358
-    simplices where their placing took 772, for nine more descriptions
-    (one per non-simplicial pyramid) and so nine more passes; the other
-    workloads build simplicial cones.  Each triangulation and overcone
-    placing takes one simplex from scratch; exchange also builds the
-    stellar pieces."""
+    """Pivot passes, double descriptions, cone simplices, simplex builds
+    (from scratch, pivoted by exchange) and overcone sweeps of the
+    seed-1 benchmark runs.  A description takes one pass for its initial
+    basis and rays, and a cone reads pointedness off its masks.  The
+    series-polytope cones are pulled from an apex: 358 simplices where
+    their placing took 772, for nine more descriptions (one per
+    non-simplicial pyramid) and so nine more passes; the other workloads
+    build simplicial cones.  Each triangulation and overcone placing
+    takes one simplex from scratch; exchange also pivots the stellar
+    pieces.  Of the 942 series-approx overcone simplices of det > 1,
+    the 291 that a facet form separates from their simplex are not
+    swept, which leaves 651 hb_candidates calls."""
     counts = {}
     for name, runs in seed_one_runs():
         with mock.patch.object(la, "basis_forms", wraps=la.basis_forms) as bf, \
@@ -881,13 +976,15 @@ def test_seed_one_pivot_passes():
                                   wraps=cone_module.make_simplicial_cone) as scratch, \
                 mock.patch.object(cone_module, "exchange",
                                   wraps=cone_module.exchange) as pivoted, \
-                mock.patch.object(subdivide_module, "exchange", pivoted):
+                mock.patch.object(subdivide_module, "exchange", pivoted), \
+                mock.patch.object(approx_module, "hb_candidates",
+                                  wraps=approx_module.hb_candidates) as swept:
             for ci, options in runs:
                 compute(ci, options)
         simplices = sum(len(build_cone(ci).triangulation) for ci, _ in runs)
         counts[name] = (bf.call_count, dd.call_count + dd_approx.call_count, simplices,
-                        scratch.call_count, pivoted.call_count)
-    assert counts == {"series-ip": (77, 6, 6, 6, 295),
-                      "series-approx": (48, 21, 6, 21, 1610),
-                      "hb-ip": (37, 8, 8, 8, 50),
-                      "series-polytope": (27, 15, 358, 6, 352)}
+                        scratch.call_count, pivoted_simplices(pivoted), swept.call_count)
+    assert counts == {"series-ip": (77, 6, 6, 6, 295, 0),
+                      "series-approx": (48, 21, 6, 21, 1610, 651),
+                      "hb-ip": (37, 8, 8, 8, 50, 0),
+                      "series-polytope": (27, 15, 358, 6, 352, 0)}

@@ -123,7 +123,7 @@ class TestAdjugate:
         # pivot step giving the same wrong forms, the pass's check fails
         # for facet_forms and for every other reader of the pass
         wrong = (((5, 0), (0, 1)), 5)
-        with mock.patch.object(la, "pivot", return_value=wrong):
+        with mock.patch.object(la, "_pivot_one", return_value=wrong):
             with pytest.raises(InternalConsistencyError):
                 la.facet_forms(((1, 0), (3, 5)))
             with pytest.raises(InternalConsistencyError, match="F·B"):
@@ -423,3 +423,40 @@ class TestIntDtype:
         assert la.int_dtype(0) is np.int64
         assert la.int_dtype(2**62 - 1) is np.int64
         assert la.int_dtype(2**62) is object
+
+
+class TestStacks:
+    def test_stack_falls_back_to_object(self):
+        assert la.stack([[(1, 2), (3, 4)]]).dtype == np.int64
+        big = la.stack([[(1, 2), (3, 2**63)]])
+        assert big.dtype == object and big.shape == (1, 2, 2)
+        assert big.tolist() == [[[1, 2], [3, 2**63]]]
+
+    def test_magnitude(self):
+        assert la.magnitude(np.array([], dtype=np.int64)) == 0
+        assert la.magnitude(np.array([[3, -7], [5, 0]])) == 7
+        # |-2^63| does not fit int64, but is read exactly
+        assert la.magnitude(np.array([-2**63, 5])) == 2**63
+        assert la.magnitude(np.array([2**70, -2**71], dtype=object)) == 2**71
+
+    def test_products_leave_int64_when_the_bound_does(self):
+        a = np.array([[2**30, 2**30]])
+        assert la.products(a, a.T).dtype == np.int64
+        wide = np.array([[2**31, 2**31]])
+        out = la.products(wide, wide.T)
+        assert out.dtype == object and out.tolist() == [[2**63]]
+
+    def test_pivot_on_zero_raises(self):
+        forms = np.array([[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
+        u = np.array([[2, 1], [0, 3]])
+        with pytest.raises(SingularMatrixError):
+            la.pivot(forms, np.ones(2, dtype=np.int64), u, (0, 0))
+
+    def test_check_forms_checks_every_simplex(self):
+        # facet forms of ((1, 3), (0, 5)) and of the unit basis; a wrong
+        # det on the second simplex alone fails the stack
+        forms = np.array([[[5, 0], [-3, 1]], [[1, 0], [0, 1]]])
+        rows = np.array([[[1, 3], [0, 5]], [[1, 0], [0, 1]]])
+        la.check_forms(forms, rows, np.array([5, 1]), "unused")
+        with pytest.raises(InternalConsistencyError, match="wrong det"):
+            la.check_forms(forms, rows, np.array([5, 2]), "wrong det")
