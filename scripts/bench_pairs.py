@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Paired conebench runs of two checkouts, written as one BENCH_<n>.json.
 
-    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json \
-        [--workloads NAME[,NAME...]]
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --out BENCH_<n>.json
 
-For every workload of the change's BENCHMARK.json (or those named by
---workloads, all four by default) and every seed
+For every workload of the change's BENCHMARK.json and every seed
 101-110, `conebench/run.py --trace 0` runs once in each checkout for
 the benchmark's `run_seconds`; which checkout goes first alternates
 from seed to seed.  The file holds, per workload and end-to-end metric,
@@ -105,32 +103,15 @@ def compare(spec: dict, trees: dict, seeds: list[int], seconds: float) -> dict:
     return out
 
 
-def select_workloads(workloads: list[dict], names: str | None) -> list[dict]:
-    """The workloads named in the comma-separated `names`, in benchmark
-    order; all of them when `names` is None or empty."""
-    if not names:
-        return workloads
-    wanted = names.split(",")
-    unknown = set(wanted) - {w["name"] for w in workloads}
-    if unknown:
-        raise ValueError(f"unknown workloads: {', '.join(sorted(unknown))}")
-    return [w for w in workloads if w["name"] in wanted]
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--workloads", help="comma-separated workload names; all by default")
     args = ap.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    try:
-        spec["workloads"] = select_workloads(spec["workloads"], args.workloads)
-    except ValueError as exc:
-        ap.error(str(exc))
     seconds = spec["run_seconds"]
     record = {
         "machine": {"cpus": os.cpu_count(), "processor": platform.processor(),

@@ -11,11 +11,12 @@ coincide.
 Simplicial cones are built by fraction-free pivots:
 make_simplicial_cone pivots the generators into the unit basis
 (linalg.facet_forms), and exchange takes the forms of simplices that
-each differ from a known one in one generator, such as the stellar
-pieces of a cut, by one linalg.pivot on their stack.  Both give the same
-SimplicialCone, checked by linalg.check_forms: generators, det and facet
-forms, all that subdivision and evaluation read.  A triangulation is a
-tuple of sorted index tuples into its vectors; build_simplices builds
+each differ from a known one in one generator by one linalg.pivot on
+their stack; star does so for the stellar pieces of a cut, which share
+one parent, one point and so one u = F·x.  All give the same
+SimplicialCone, checked by linalg.check_forms: generators, det and
+facet forms, all that subdivision and evaluation read.  A triangulation
+is a tuple of sorted index tuples into its vectors; build_simplices builds
 its simplices breadth first across shared facets, the first of every
 connected run from scratch and then one stacked pivot per breadth-first
 level.  `Cone.triangulation` is the
@@ -154,6 +155,26 @@ def exchange(jobs) -> list[SimplicialCone]:
     forms, det = la.pivot(forms, la.stack([s.det for s in parents]), u, idx)
     if idx != ats:
         forms = forms[k[:, None], perm]
+    return _checked(gens, g, forms, det)
+
+
+def star(s: SimplicialCone, x: IntVec, u: IntVec, support) -> list[SimplicialCone]:
+    """For each i in support: S with gens[i] replaced by x, where u =
+    S.q_numerators(x).  The pieces share S's forms, det and u, so they
+    are converted once and repeated down linalg.pivot's stack, not
+    restacked and multiplied per piece; exchange's check holds for each
+    piece."""
+    gens = [s.gens[:i] + (x,) + s.gens[i + 1:] for i in support]
+    same = np.zeros(len(support), dtype=np.intp)
+    forms, det = la.pivot(la.stack([s.facet_forms])[same], la.stack([s.det])[same],
+                          la.stack([u])[same], support)
+    return _checked(gens, la.stack(gens), forms, det)
+
+
+def _checked(gens, g: np.ndarray, forms: np.ndarray,
+             det: np.ndarray) -> list[SimplicialCone]:
+    """The simplices over gens (stacked as g) with the pivoted forms and
+    dets, once F'·g'_k = det'·e_k holds for each."""
     la.check_forms(forms, g, det, "exchanged facet forms failed F'·g' = det'·I")
     return [SimplicialCone(gs, d, tuple(map(tuple, f)))
             for gs, d, f in zip(gens, det.tolist(), forms.tolist())]

@@ -70,8 +70,8 @@ def magnitude(a: np.ndarray) -> int:
         return 0
     if a.dtype == object:
         return max(a.max(), -a.min())
-    # as uint64, |-2^63| is exact too
-    return int(np.maximum.reduce(np.abs(a).view(np.uint64), axis=None))
+    # as the unsigned type of its width, |-2^(w-1)| is exact too
+    return int(np.maximum.reduce(np.abs(a).view(f"u{a.itemsize}"), axis=None))
 
 
 def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

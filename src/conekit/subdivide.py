@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
-from .cone import SimplicialCone, exchange
+from .cone import SimplicialCone, star
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
 from .simplex import points_below
@@ -277,8 +277,8 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     total determinant satisfies sum det(T_i) = det(S)·(N·xhat)/(N·gen).
     A point inside a non-primitive ray gives one piece: that generator
     shortened to xhat.  Piece i is S with gens[i] replaced by xhat, so
-    all pieces come from S by one stacked exchange pivot, not by pivoting
-    from scratch.
+    all pieces come from S's forms, det and u by one pivot (cone.star),
+    not by pivoting from scratch.
     """
     xhat = la.as_vec(xhat)
     u = s.q_numerators(xhat)
@@ -290,7 +290,7 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     if len(support) == 1 and u[support[0]] >= s.det:
         raise DomainError("subdivision point lies on a ray of the simplex, "
                           "at or beyond its generator")
-    pieces = tuple(exchange([(s, i, xhat, i) for i in support]))
+    pieces = tuple(star(s, xhat, u, support))
     if sum(p.det for p in pieces) != sum(u[i] for i in support):
         raise InternalConsistencyError("stellar volume identity failed")
     return pieces

@@ -3,12 +3,9 @@
 time_limit_scale=None)`; its self-test fails when a library change
 breaks those calls."""
 
-import json
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,28 +16,12 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
-def load_bench_pairs():
+def test_bench_pairs_verdict():
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    return bench
-
-
-def test_bench_pairs_selects_workloads():
-    bench = load_bench_pairs()
-    workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-    names = [w["name"] for w in workloads]
-    assert bench.select_workloads(workloads, None) == workloads
-    assert [w["name"] for w in bench.select_workloads(
-        workloads, f"{names[3]},{names[1]}")] == [names[1], names[3]]
-    with pytest.raises(ValueError, match="nope"):
-        bench.select_workloads(workloads, "series-approx,nope")
-
-
-def test_bench_pairs_verdict():
-    bench = load_bench_pairs()
     lower = {"better": "lower", "bound": 0.25}
     higher = {"better": "higher", "bound": 0.1}
     parent = bench.summary([1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0])

@@ -68,6 +68,16 @@ class TestReduce:
             got = set(reduce_to_hilbert_basis(cands, c.support_forms))
             assert got == set(brute_hilbert_basis(list(c.generators)))
 
+    @pytest.mark.parametrize("gens", [((1, 0), (3, 5)), ((1, 0, 0), (0, 1, 0), (1, 1, 2))])
+    def test_narrow_integer_arrays(self, gens):
+        # int32 rows (numpy's default integer on some platforms) of even
+        # and odd width reduce as their int64 copies do
+        c = build_cone(ConeInput(len(gens), generators=gens))
+        cands = np.vstack([hb_candidates(s) for s in triangulate(c)])
+        got = reduce_to_hilbert_basis(cands.astype(np.int32), c.support_forms)
+        assert got == reduce_to_hilbert_basis(cands, c.support_forms)
+        assert set(got) == set(brute_hilbert_basis(list(c.generators)))
+
     def test_duplicates_and_zero_dropped(self):
         got = reduce_to_hilbert_basis([(0, 0), (1, 0), (1, 0)], QUADRANT_FORMS)
         assert got == ((1, 0),)

@@ -16,7 +16,7 @@ from conekit.cli import parse_input
 from conekit.approx import approximate_cone
 from conekit.cone import (
     ConeInput, build_cone, dual_description, exchange, make_simplicial_cone,
-    normalize_grading, build_simplices, triangulate, ambient_support_forms,
+    normalize_grading, build_simplices, star, triangulate, ambient_support_forms,
 )
 from conekit.errors import (GradingNotPositiveError, InternalConsistencyError,
                             NotPointedError, SingularMatrixError)
@@ -612,6 +612,61 @@ class TestExchange:
             exchange(self.corrupted(s, (pivot, s.facet_forms[1])))
 
 
+@st.composite
+def star_case(draw):
+    """(s, x, support): a simplex, a point of it and the indices where
+    its q-numerators u are positive, as stellar_subdivide passes them."""
+    s, i, _ = draw(exchange_case())
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=s.dim, max_size=s.dim))
+    coeffs[i] = draw(st.integers(1, 3))
+    x = tuple(sum(c * g[j] for c, g in zip(coeffs, s.gens)) for j in range(s.dim))
+    return s, x, [j for j, v in enumerate(s.q_numerators(x)) if v > 0]
+
+
+class TestStar:
+    @settings(max_examples=200, deadline=None)
+    @given(star_case())
+    def test_equals_adjugate_route(self, case):
+        s, x, support = case
+        assert star(s, x, s.q_numerators(x), support) == \
+            [make_simplicial_cone(replaced(s, i, x)) for i in support]
+
+    def test_one_pivot_on_the_given_u(self):
+        # every piece is pivoted on the parent's forms, det and the u
+        # passed in; the one array product left is the F'·g' check
+        s = make_simplicial_cone(((1, 0, 0), (0, 1, 0), (1, 1, 3)))
+        x = (1, 1, 1)
+        calls, pivot = [], la.pivot
+
+        def spy(forms, delta, u, i):
+            calls.append((forms.tolist(), delta.tolist(), u.tolist(), list(i)))
+            return pivot(forms, delta, u, i)
+        with mock.patch.object(la, "pivot", spy), \
+                mock.patch.object(la, "products", wraps=la.products) as products:
+            out = star(s, x, s.q_numerators(x), [0, 1, 2])
+        forms = [list(f) for f in s.facet_forms]
+        assert calls == [([forms] * 3, [s.det] * 3, [list(s.q_numerators(x))] * 3, [0, 1, 2])]
+        assert products.call_count == 1
+        assert out == [make_simplicial_cone(replaced(s, i, x)) for i in range(3)]
+
+    def test_point_on_opposite_facet(self):
+        s = make_simplicial_cone(CONE35)
+        with pytest.raises(SingularMatrixError):
+            star(s, (3, 5), s.q_numerators((3, 5)), [0, 1])
+
+    def test_wrong_forms_raise(self):
+        # as TestExchange: a remainder, or exact divisions but F'·g' != δ'·I
+        s = make_simplicial_cone(((2, 1), (3, 7)))
+        bad = replace(s, facet_forms=(s.facet_forms[0],
+                                      (s.facet_forms[1][0] + 1, s.facet_forms[1][1])))
+        with pytest.raises(InternalConsistencyError, match="remainder"):
+            star(bad, (1, 1), (4, 1), [0, 1])
+        bad = replace(s, facet_forms=((s.facet_forms[0][0] + s.det, s.facet_forms[0][1]),
+                                      s.facet_forms[1]))
+        with pytest.raises(InternalConsistencyError, match="F'"):
+            star(bad, (1, 1), (4, 1), [0])
+
+
 def facet_runs(cells):
     """The number of connected runs of the cells, two cells joined when
     they share all indices but one."""
@@ -961,8 +1016,8 @@ def test_seed_one_pivot_passes():
     their placing took 772, for nine more descriptions (one per
     non-simplicial pyramid) and so nine more passes; the other workloads
     build simplicial cones.  Each triangulation and overcone placing
-    takes one simplex from scratch; exchange also pivots the stellar
-    pieces.  Of the 942 series-approx overcone simplices of det > 1,
+    takes one simplex from scratch; star pivots the stellar pieces, which
+    count as pivoted too.  Of the 942 series-approx overcone simplices of det > 1,
     the 291 that a facet form separates from their simplex are not
     swept, which leaves 651 hb_candidates calls."""
     counts = {}
@@ -976,14 +1031,17 @@ def test_seed_one_pivot_passes():
                                   wraps=cone_module.make_simplicial_cone) as scratch, \
                 mock.patch.object(cone_module, "exchange",
                                   wraps=cone_module.exchange) as pivoted, \
-                mock.patch.object(subdivide_module, "exchange", pivoted), \
+                mock.patch.object(subdivide_module, "star",
+                                  wraps=subdivide_module.star) as starred, \
                 mock.patch.object(approx_module, "hb_candidates",
                                   wraps=approx_module.hb_candidates) as swept:
             for ci, options in runs:
                 compute(ci, options)
         simplices = sum(len(build_cone(ci).triangulation) for ci, _ in runs)
         counts[name] = (bf.call_count, dd.call_count + dd_approx.call_count, simplices,
-                        scratch.call_count, pivoted_simplices(pivoted), swept.call_count)
+                        scratch.call_count, pivoted_simplices(pivoted) + sum(
+                            len(c.args[3]) for c in starred.call_args_list),
+                        swept.call_count)
     assert counts == {"series-ip": (77, 6, 6, 6, 295, 0),
                       "series-approx": (48, 21, 6, 21, 1610, 651),
                       "hb-ip": (37, 8, 8, 8, 50, 0),

@@ -439,6 +439,15 @@ class TestStacks:
         assert la.magnitude(np.array([-2**63, 5])) == 2**63
         assert la.magnitude(np.array([2**70, -2**71], dtype=object)) == 2**71
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint64])
+    def test_magnitude_of_other_integer_types(self, dtype):
+        # odd widths too: each entry is read on its own, never fused with
+        # a neighbour
+        info = np.iinfo(dtype)
+        assert la.magnitude(np.array([[3, 1, 7], [5, 0, 2]], dtype=dtype)) == 7
+        assert la.magnitude(np.array([info.min, 1, 0], dtype=dtype)) == max(-int(info.min), 1)
+        assert la.magnitude(np.array([1, info.max, 0], dtype=dtype)) == info.max
+
     def test_products_leave_int64_when_the_bound_does(self):
         a = np.array([[2**30, 2**30]])
         assert la.products(a, a.T).dtype == np.int64
