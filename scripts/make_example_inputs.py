@@ -52,7 +52,7 @@ def random_height_cone(rng, d, h, entry):
             rows.append(tuple(v))
         if any(la.content(r) != 1 for r in rows):
             continue
-        if len(la.independent_rows(rows, d)) == d:
+        if len(la.basis_forms(rows, d)[0]) == d:
             return rows
 
 

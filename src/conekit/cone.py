@@ -12,14 +12,14 @@ Simplicial cones are built by fraction-free pivots:
 make_simplicial_cone pivots the generators into the unit basis
 (linalg.facet_forms), and exchange takes the forms of simplices that
 each differ from a known one in one generator by one linalg.pivot on
-their stack; star does so for the stellar pieces of a cut, which share
-one parent, one point and so one u = F·x.  All give the same
-SimplicialCone, checked by linalg.check_forms: generators, det and
-facet forms, all that subdivision and evaluation read.  A triangulation
-is a tuple of sorted index tuples into its vectors; build_simplices builds
-its simplices breadth first across shared facets, the first of every
-connected run from scratch and then one stacked pivot per breadth-first
-level.  `Cone.triangulation` is the
+their stack, for a breadth-first level of a triangulation as for the
+pieces of a stellar cut.  Both give the same SimplicialCone, checked by
+linalg.check_forms: generators, det and facet forms, all that
+subdivision and evaluation read.  A triangulation is a tuple of sorted
+index tuples into its vectors; build_simplices builds its simplices
+breadth first across shared facets, the first of every connected run
+from scratch and then one exchange per breadth-first level, on the
+arrays the previous level's exchange returned.  `Cone.triangulation` is the
 pulling triangulation from the generator on the most facets, read off
 the facet masks of the cone's one double description; only a
 non-simplicial facet without that apex takes a small double description
@@ -127,57 +127,28 @@ def make_simplicial_cone(gens) -> SimplicialCone:
     return SimplicialCone(gens, det, forms)
 
 
-def exchange(jobs) -> list[SimplicialCone]:
-    """For each job (S, i, x, at): S with gens[i] replaced by x, all by
-    one stacked fraction-free pivot.
+def exchange(forms: np.ndarray, det: np.ndarray, u: np.ndarray, i: list, gens,
+             at: list) -> tuple[list[SimplicialCone], np.ndarray, np.ndarray]:
+    """The simplices over gens, and their facet forms and dets as arrays,
+    by one stacked fraction-free pivot.
 
-    linalg.pivot takes the new dets and facet forms from those of the
-    S for r² products each, where make_simplicial_cone pivots r times
+    Simplex k is a known simplex S_k, of det det[k] and facet forms
+    forms[k], with generator i[k] exchanged for the point x_k =
+    gens[k][at[k]], and u[k] = F·x_k; i and at are lists of ints.  The
+    other generators keep their order.  linalg.pivot takes the new dets and forms from those of S_k
+    for r² products each, where make_simplicial_cone pivots r times
     from the unit basis; both give the same forms, since the inverse is
-    unique.  x, a tuple of ints, moves to position `at`, the other
-    generators keep their order.  F'·g'_k = det'·e_k must hold for every
-    generator g'_k.
+    unique.  F'·g'_k = det'·e_k must hold for every generator.
     """
-    parents, idx, _, ats = zip(*jobs)
-    r = parents[0].dim
-    gens, perm = [], []
-    for s, i, x, at in jobs:
-        g, order = list(s.gens), list(range(r))
-        del g[i], order[i]
-        g.insert(at, x)
-        order.insert(at, i)
-        gens.append(tuple(g))
-        perm.append(order)
-    k = np.arange(len(jobs))
-    g = la.stack(gens)
-    forms = la.stack([s.facet_forms for s in parents])
-    u = la.products(forms, g[k, ats, :, None])[:, :, 0]
-    forms, det = la.pivot(forms, la.stack([s.det for s in parents]), u, idx)
-    if idx != ats:
-        forms = forms[k[:, None], perm]
-    return _checked(gens, g, forms, det)
-
-
-def star(s: SimplicialCone, x: IntVec, u: IntVec, support) -> list[SimplicialCone]:
-    """For each i in support: S with gens[i] replaced by x, where u =
-    S.q_numerators(x).  The pieces share S's forms, det and u, so they
-    are converted once and repeated down linalg.pivot's stack, not
-    restacked and multiplied per piece; exchange's check holds for each
-    piece."""
-    gens = [s.gens[:i] + (x,) + s.gens[i + 1:] for i in support]
-    same = np.zeros(len(support), dtype=np.intp)
-    forms, det = la.pivot(la.stack([s.facet_forms])[same], la.stack([s.det])[same],
-                          la.stack([u])[same], support)
-    return _checked(gens, la.stack(gens), forms, det)
-
-
-def _checked(gens, g: np.ndarray, forms: np.ndarray,
-             det: np.ndarray) -> list[SimplicialCone]:
-    """The simplices over gens (stacked as g) with the pivoted forms and
-    dets, once F'·g'_k = det'·e_k holds for each."""
-    la.check_forms(forms, g, det, "exchanged facet forms failed F'·g' = det'·I")
+    forms, det = la.pivot(forms, det, u, i)
+    if i != at:
+        perm = [list(range(forms.shape[1])) for _ in i]
+        for order, ik, ak in zip(perm, i, at):
+            order.insert(ak, order.pop(ik))
+        forms = forms[np.arange(len(i))[:, None], perm]
+    la.check_forms(forms, la.stack(gens), det, "exchanged facet forms failed F'·g' = det'·I")
     return [SimplicialCone(gs, d, tuple(map(tuple, f)))
-            for gs, d, f in zip(gens, det.tolist(), forms.tolist())]
+            for gs, d, f in zip(gens, det.tolist(), forms.tolist())], forms, det
 
 
 def build_simplices(vectors, cells):
@@ -186,35 +157,42 @@ def build_simplices(vectors, cells):
     The cells are visited breadth first across shared facets: the first
     cell of each connected run is built by make_simplicial_cone, every
     other one from its first discoverer, its new vector moved to its
-    sorted place, by one exchange per breadth-first level.  The forms of
-    a simplex are unique, so it does not matter which neighbour it is
-    pivoted from.
+    sorted place, by one exchange per breadth-first level on the rows of
+    the previous level's forms and dets.  The forms of a simplex are
+    unique, so it does not matter which neighbour it is pivoted from.
     """
     by_facet = {}
     for idx in cells:
         for k in range(len(idx)):
             by_facet.setdefault(idx[:k] + idx[k + 1:], []).append(idx)
-    built = {}
+    vecs = la.stack(vectors)
+    built = set()
     for start in cells:
         if start in built:
             continue
-        built[start] = make_simplicial_cone(tuple(vectors[g] for g in start))
-        yield built[start]
-        level = [start]
-        while level:
+        built.add(start)
+        s = make_simplicial_cone(tuple(vectors[g] for g in start))
+        yield s
+        level, forms, det = [start], la.stack([s.facet_forms]), la.stack([s.det])
+        while True:
             jobs = {}
-            for idx in level:
+            for row, idx in enumerate(level):
                 for k in range(len(idx)):
                     for new in by_facet[idx[:k] + idx[k + 1:]]:
                         if new not in built and new not in jobs:
                             at = next(t for t, g in enumerate(new) if g not in idx)
-                            jobs[new] = (built[idx], k, vectors[new[at]], at)
+                            jobs[new] = (row, k, at)
             if not jobs:
                 break
             level = list(jobs)
-            for new, s in zip(level, exchange(list(jobs.values()))):
-                built[new] = s
-                yield s
+            built.update(level)
+            rows, i, at = map(list, zip(*jobs.values()))
+            forms, det = forms[rows], det[rows]
+            x = vecs[[new[a] for new, a in zip(level, at)]]
+            u = la.products(forms, x[:, :, None])[:, :, 0]
+            out, forms, det = exchange(forms, det, u, i,
+                                       [tuple(vectors[g] for g in new) for new in level], at)
+            yield from out
 
 
 def dual_description(vectors):
@@ -393,7 +371,7 @@ def build_cone(ci: ConeInput) -> Cone:
             cone = replace(cone, grading=())
         return cone
 
-    r = len(la.independent_rows(gens_amb, d))
+    r = len(la.basis_forms(gens_amb, d)[0])
     if r == d:
         basis, gens_r = la.identity(d), gens_amb
     else:

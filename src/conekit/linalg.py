@@ -1,7 +1,8 @@
 """Exact arbitrary-precision integer/rational linear algebra.
 
-Vectors are tuples of Python ints, matrices are tuples of such rows.
-Everything here is exact; no floating point is used anywhere.
+Vectors are tuples of Python ints, matrices are tuples of such rows;
+stacks of simplices are int64 or object arrays (below).  Everything
+here is exact; no floating point is used anywhere.
 
 Every exact inverse comes from checked fraction-free pivots.  pivot
 takes one step on a whole stack of simplices in arrays, and check_forms
@@ -228,12 +229,6 @@ def _pivot_one(forms: IntMat, delta: int, u: IntVec, i: int) -> tuple[IntMat, in
             row.append(q)
         out.append(tuple(row))
     return tuple(out), det
-
-
-def independent_rows(rows, ncols: int) -> list[int]:
-    """Indices of the greedy (first-come) maximal independent subset: a
-    row is kept iff it is independent of the rows kept before it."""
-    return basis_forms(rows, ncols)[0]
 
 
 def facet_forms(m: IntMat) -> tuple[IntMat, int]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
-from .cone import SimplicialCone, star
+from .cone import SimplicialCone, exchange
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
 from .simplex import points_below
@@ -290,10 +290,13 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     if len(support) == 1 and u[support[0]] >= s.det:
         raise DomainError("subdivision point lies on a ray of the simplex, "
                           "at or beyond its generator")
-    pieces = tuple(star(s, xhat, u, support))
+    same = [0] * len(support)  # row 0 once per piece
+    pieces, _, _ = exchange(la.stack([s.facet_forms])[same], la.stack([s.det])[same],
+                            la.stack([u])[same], support,
+                            [s.gens[:i] + (xhat,) + s.gens[i + 1:] for i in support], support)
     if sum(p.det for p in pieces) != sum(u[i] for i in support):
         raise InternalConsistencyError("stellar volume identity failed")
-    return pieces
+    return tuple(pieces)
 
 
 def best_candidate(s: SimplicialCone, cands) -> IntVec | None:

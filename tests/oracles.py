@@ -10,8 +10,8 @@ sweep, the second asks build_cone, unique_sort_reduction, the
 reference for reduce_to_hilbert_basis, which converts rows and support
 values as the package does, and sweep_all_approx_candidates, the
 package's overcone pass with every overcone simplex of det > 1 swept.  fraction_free_independent_rows and
-staircase_face_vertices are earlier package versions of
-independent_rows and minimal_cube_face_vertices, and
+staircase_face_vertices are earlier package versions of the
+greedy basis of linalg.basis_forms and of minimal_cube_face_vertices, and
 placing_triangulation the triangulation build_cone recorded before it
 pulled one from an apex, and rank_pointed its rank test for a line,
 kept as references.

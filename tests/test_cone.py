@@ -16,12 +16,12 @@ from conekit.cli import parse_input
 from conekit.approx import approximate_cone
 from conekit.cone import (
     ConeInput, build_cone, dual_description, exchange, make_simplicial_cone,
-    normalize_grading, build_simplices, star, triangulate, ambient_support_forms,
+    normalize_grading, build_simplices, triangulate, ambient_support_forms,
 )
 from conekit.errors import (GradingNotPositiveError, InternalConsistencyError,
                             NotPointedError, SingularMatrixError)
 from conekit.pipeline import RunOptions, compute
-from conekit.subdivide import SubdivisionConfig
+from conekit.subdivide import SubdivisionConfig, stellar_subdivide
 
 from oracles import (brute_extreme_rays, brute_facets, brute_support_forms, dotv,
                      excluded_facets, frac_rank, generator_sum, in_cone, in_half_open,
@@ -545,19 +545,70 @@ def pivot_dtypes():
     return spy, dtypes
 
 
+def exchange_jobs(jobs):
+    """cone.exchange on the jobs (s, i, x, at), s with gens[i] replaced by
+    x at position at, their parents' forms, dets and u = F·x stacked."""
+    parents, i, xs, at = map(list, zip(*jobs))
+    return exchange(la.stack([s.facet_forms for s in parents]),
+                    la.stack([s.det for s in parents]),
+                    la.stack([s.q_numerators(x) for s, x in zip(parents, xs)]),
+                    i, [moved(*job) for job in jobs], at)
+
+
+@st.composite
+def star_case(draw):
+    """(s, x, support): a simplex, a point of it and the indices where
+    its q-numerators u are positive, as stellar_subdivide passes them."""
+    s, i, _ = draw(exchange_case())
+    coeffs = draw(st.lists(st.integers(0, 3), min_size=s.dim, max_size=s.dim))
+    coeffs[i] = draw(st.integers(1, 3))
+    x = tuple(sum(c * g[j] for c, g in zip(coeffs, s.gens)) for j in range(s.dim))
+    return s, x, [j for j, v in enumerate(s.q_numerators(x)) if v > 0]
+
+
 class TestExchange:
     @settings(max_examples=200, deadline=None)
     @given(exchange_case())
     def test_equals_adjugate_route(self, case):
         s, i, x = case
-        assert exchange([(s, i, x, i)]) == [make_simplicial_cone(replaced(s, i, x))]
+        assert exchange_jobs([(s, i, x, i)])[0] == [make_simplicial_cone(replaced(s, i, x))]
 
     @settings(max_examples=50, deadline=None)
     @given(exchange_case(), st.data())
     def test_moves_new_generator(self, case, data):
         s, i, x = case
         at = data.draw(st.integers(0, s.dim - 1))
-        assert exchange([(s, i, x, at)]) == [make_simplicial_cone(moved(s, i, x, at))]
+        out, forms, det = exchange_jobs([(s, i, x, at)])
+        assert out == [make_simplicial_cone(moved(s, i, x, at))]
+        # the arrays handed to the next level hold the moved forms too
+        assert forms.tolist() == [list(map(list, out[0].facet_forms))]
+        assert det.tolist() == [out[0].det]
+
+    @settings(max_examples=200, deadline=None)
+    @given(star_case())
+    def test_shared_parent_equals_adjugate_route(self, case):
+        # the pieces of a stellar cut: one parent repeated down the stack
+        s, x, support = case
+        assert exchange_jobs([(s, i, x, i) for i in support])[0] == \
+            [make_simplicial_cone(replaced(s, i, x)) for i in support]
+
+    def test_one_pivot_on_the_given_u(self):
+        # a stellar cut pivots every piece on the parent's forms, det and
+        # its u; the one array product left is the F'·g' check
+        s = make_simplicial_cone(((1, 0, 0), (0, 1, 0), (1, 1, 3)))
+        x = (1, 1, 1)
+        calls, pivot = [], la.pivot
+
+        def spy(forms, delta, u, i):
+            calls.append((forms.tolist(), delta.tolist(), u.tolist(), list(i)))
+            return pivot(forms, delta, u, i)
+        with mock.patch.object(la, "pivot", spy), \
+                mock.patch.object(la, "products", wraps=la.products) as products:
+            out = stellar_subdivide(s, x)
+        forms = [list(f) for f in s.facet_forms]
+        assert calls == [([forms] * 3, [s.det] * 3, [list(s.q_numerators(x))] * 3, [0, 1, 2])]
+        assert products.call_count == 1
+        assert out == tuple(make_simplicial_cone(replaced(s, i, x)) for i in range(3))
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_level())
@@ -566,7 +617,7 @@ class TestExchange:
         # job still gets the forms of its own simplex
         spy, dtypes = pivot_dtypes()
         with mock.patch.object(la, "pivot", spy):
-            out = exchange(jobs)
+            out = exchange_jobs(jobs)[0]
         assert dtypes == [object]
         assert out == [make_simplicial_cone(moved(*job)) for job in jobs]
 
@@ -574,18 +625,49 @@ class TestExchange:
         s = make_simplicial_cone(((2, 1), (3, 7)))
         spy, dtypes = pivot_dtypes()
         with mock.patch.object(la, "pivot", spy):
-            out = exchange([(s, 0, (1, 1), 0), (s, 1, (1, 1), 1)])
+            out = exchange_jobs([(s, 0, (1, 1), 0), (s, 1, (1, 1), 1)])[0]
         assert dtypes == [np.int64]
         assert out == [make_simplicial_cone(((1, 1), (3, 7))),
                        make_simplicial_cone(((2, 1), (1, 1)))]
+
+    def test_dtype_changes_across_levels(self):
+        # a chain of 2-cells over the rays (1, k), k = 0..6, with rays 1
+        # and 5 scaled by 2^64: each level pivots the previous level's
+        # arrays, and the dtype of a level follows its own entries, not
+        # those of the level before (object forms of (2, 3) pivot in
+        # int64 to (3, 4); int64 forms of (3, 4) in objects to (4, 5))
+        vectors = [(1 << 64, k << 64) if k in (1, 5) else (1, k) for k in range(7)]
+        cells = [(k, k + 1) for k in range(6)]
+        spy, dtypes = pivot_dtypes()
+        with mock.patch.object(la, "pivot", spy):
+            built = list(build_simplices(vectors, cells))
+        assert dtypes == [object, object, np.int64, object, object]
+        assert built == [make_simplicial_cone([vectors[g] for g in idx]) for idx in cells]
 
     def test_point_on_opposite_facet(self):
         # u_0 = 0 for (3, 5), a generator of the facet opposite g_0
         s = make_simplicial_cone(CONE35)
         with pytest.raises(SingularMatrixError):
-            exchange([(s, 0, (3, 5), 0)])
+            exchange_jobs([(s, 0, (3, 5), 0)])
         with pytest.raises(SingularMatrixError):
-            exchange([(s, 1, (1, 1), 1), (s, 0, (3, 5), 0)])
+            exchange_jobs([(s, 1, (1, 1), 1), (s, 0, (3, 5), 0)])
+
+    def test_shared_parent_point_on_opposite_facet(self):
+        s = make_simplicial_cone(CONE35)
+        with pytest.raises(SingularMatrixError):
+            exchange_jobs([(s, 0, (3, 5), 0), (s, 1, (3, 5), 1)])
+
+    def test_shared_parent_wrong_forms_raise(self):
+        # as below, with one corrupted parent repeated down the stack
+        s = make_simplicial_cone(((2, 1), (3, 7)))
+        bad = replace(s, facet_forms=(s.facet_forms[0],
+                                      (s.facet_forms[1][0] + 1, s.facet_forms[1][1])))
+        with pytest.raises(InternalConsistencyError, match="remainder"):
+            exchange_jobs([(bad, 0, (1, 1), 0), (bad, 1, (1, 1), 1)])
+        bad = replace(s, facet_forms=((s.facet_forms[0][0] + s.det, s.facet_forms[0][1]),
+                                      s.facet_forms[1]))
+        with pytest.raises(InternalConsistencyError, match="F'"):
+            exchange_jobs([(bad, 0, (1, 1), 0), (bad, 0, (1, 1), 0)])
 
     @staticmethod
     def corrupted(s, forms):
@@ -601,7 +683,7 @@ class TestExchange:
         assert s.det == 11 and s.q_numerators((1, 1)) == (4, 1)
         forms = (s.facet_forms[0], (s.facet_forms[1][0] + 1, s.facet_forms[1][1]))
         with pytest.raises(InternalConsistencyError, match="remainder"):
-            exchange(self.corrupted(s, forms))
+            exchange_jobs(self.corrupted(s, forms))
 
     def test_wrong_form_row_raises(self):
         # det added to an entry of the pivot row keeps every division
@@ -609,62 +691,7 @@ class TestExchange:
         s = make_simplicial_cone(((2, 1), (3, 7)))
         pivot = (s.facet_forms[0][0] + s.det, s.facet_forms[0][1])
         with pytest.raises(InternalConsistencyError, match="F'"):
-            exchange(self.corrupted(s, (pivot, s.facet_forms[1])))
-
-
-@st.composite
-def star_case(draw):
-    """(s, x, support): a simplex, a point of it and the indices where
-    its q-numerators u are positive, as stellar_subdivide passes them."""
-    s, i, _ = draw(exchange_case())
-    coeffs = draw(st.lists(st.integers(0, 3), min_size=s.dim, max_size=s.dim))
-    coeffs[i] = draw(st.integers(1, 3))
-    x = tuple(sum(c * g[j] for c, g in zip(coeffs, s.gens)) for j in range(s.dim))
-    return s, x, [j for j, v in enumerate(s.q_numerators(x)) if v > 0]
-
-
-class TestStar:
-    @settings(max_examples=200, deadline=None)
-    @given(star_case())
-    def test_equals_adjugate_route(self, case):
-        s, x, support = case
-        assert star(s, x, s.q_numerators(x), support) == \
-            [make_simplicial_cone(replaced(s, i, x)) for i in support]
-
-    def test_one_pivot_on_the_given_u(self):
-        # every piece is pivoted on the parent's forms, det and the u
-        # passed in; the one array product left is the F'·g' check
-        s = make_simplicial_cone(((1, 0, 0), (0, 1, 0), (1, 1, 3)))
-        x = (1, 1, 1)
-        calls, pivot = [], la.pivot
-
-        def spy(forms, delta, u, i):
-            calls.append((forms.tolist(), delta.tolist(), u.tolist(), list(i)))
-            return pivot(forms, delta, u, i)
-        with mock.patch.object(la, "pivot", spy), \
-                mock.patch.object(la, "products", wraps=la.products) as products:
-            out = star(s, x, s.q_numerators(x), [0, 1, 2])
-        forms = [list(f) for f in s.facet_forms]
-        assert calls == [([forms] * 3, [s.det] * 3, [list(s.q_numerators(x))] * 3, [0, 1, 2])]
-        assert products.call_count == 1
-        assert out == [make_simplicial_cone(replaced(s, i, x)) for i in range(3)]
-
-    def test_point_on_opposite_facet(self):
-        s = make_simplicial_cone(CONE35)
-        with pytest.raises(SingularMatrixError):
-            star(s, (3, 5), s.q_numerators((3, 5)), [0, 1])
-
-    def test_wrong_forms_raise(self):
-        # as TestExchange: a remainder, or exact divisions but F'·g' != δ'·I
-        s = make_simplicial_cone(((2, 1), (3, 7)))
-        bad = replace(s, facet_forms=(s.facet_forms[0],
-                                      (s.facet_forms[1][0] + 1, s.facet_forms[1][1])))
-        with pytest.raises(InternalConsistencyError, match="remainder"):
-            star(bad, (1, 1), (4, 1), [0, 1])
-        bad = replace(s, facet_forms=((s.facet_forms[0][0] + s.det, s.facet_forms[0][1]),
-                                      s.facet_forms[1]))
-        with pytest.raises(InternalConsistencyError, match="F'"):
-            star(bad, (1, 1), (4, 1), [0])
+            exchange_jobs(self.corrupted(s, (pivot, s.facet_forms[1])))
 
 
 def facet_runs(cells):
@@ -704,16 +731,16 @@ def queue_order(cells):
     return out
 
 
-def pivoted_simplices(exchange_mock) -> int:
-    """The number of simplices pivoted through a wrapped exchange."""
-    return sum(len(c.args[0]) for c in exchange_mock.call_args_list)
+def pivoted_simplices(*exchange_mocks) -> int:
+    """The number of simplices pivoted through wrapped exchanges."""
+    return sum(len(c.args[3]) for m in exchange_mocks for c in m.call_args_list)
 
 
 def check_simplices(vectors, cells, rng):
     """build_simplices over the cells, shuffled, yields every cell once as
     make_simplicial_cone's simplex over its sorted vectors, in
-    queue_order, each pivoted from its parent there, and builds one
-    simplex from scratch per connected run."""
+    queue_order, each pivoted from the forms and det of its parent there,
+    and builds one simplex from scratch per connected run."""
     cells = list(cells)
     assert all(idx == tuple(sorted(idx)) for idx in cells)
     rng.shuffle(cells)
@@ -729,8 +756,10 @@ def check_simplices(vectors, cells, rng):
     def gens(idx):
         return tuple(vectors[g] for g in idx)
     assert [s.gens for s in built] == [gens(idx) for idx, _ in order]
-    parents = [job[0].gens for c in pivoted.call_args_list for job in c.args[0]]
-    assert parents == [gens(p) for _, p in order if p is not None]
+    parents = [(f, d) for c in pivoted.call_args_list
+               for f, d in zip(c.args[0].tolist(), c.args[1].tolist())]
+    expected = [make_simplicial_cone(gens(p)) for _, p in order if p is not None]
+    assert parents == [(list(map(list, s.facet_forms)), s.det) for s in expected]
     assert all(s == make_simplicial_cone(s.gens) for s in built)
 
 
@@ -1016,8 +1045,8 @@ def test_seed_one_pivot_passes():
     their placing took 772, for nine more descriptions (one per
     non-simplicial pyramid) and so nine more passes; the other workloads
     build simplicial cones.  Each triangulation and overcone placing
-    takes one simplex from scratch; star pivots the stellar pieces, which
-    count as pivoted too.  Of the 942 series-approx overcone simplices of det > 1,
+    takes one simplex from scratch; the stellar pieces, pivoted by
+    subdivide's exchange, count as pivoted too.  Of the 942 series-approx overcone simplices of det > 1,
     the 291 that a facet form separates from their simplex are not
     swept, which leaves 651 hb_candidates calls."""
     counts = {}
@@ -1031,16 +1060,15 @@ def test_seed_one_pivot_passes():
                                   wraps=cone_module.make_simplicial_cone) as scratch, \
                 mock.patch.object(cone_module, "exchange",
                                   wraps=cone_module.exchange) as pivoted, \
-                mock.patch.object(subdivide_module, "star",
-                                  wraps=subdivide_module.star) as starred, \
+                mock.patch.object(subdivide_module, "exchange",
+                                  wraps=subdivide_module.exchange) as stellar, \
                 mock.patch.object(approx_module, "hb_candidates",
                                   wraps=approx_module.hb_candidates) as swept:
             for ci, options in runs:
                 compute(ci, options)
         simplices = sum(len(build_cone(ci).triangulation) for ci, _ in runs)
         counts[name] = (bf.call_count, dd.call_count + dd_approx.call_count, simplices,
-                        scratch.call_count, pivoted_simplices(pivoted) + sum(
-                            len(c.args[3]) for c in starred.call_args_list),
+                        scratch.call_count, pivoted_simplices(pivoted, stellar),
                         swept.call_count)
     assert counts == {"series-ip": (77, 6, 6, 6, 295, 0),
                       "series-approx": (48, 21, 6, 21, 1610, 651),

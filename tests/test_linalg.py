@@ -127,7 +127,7 @@ class TestAdjugate:
             with pytest.raises(InternalConsistencyError):
                 la.facet_forms(((1, 0), (3, 5)))
             with pytest.raises(InternalConsistencyError, match="F·B"):
-                la.independent_rows(((1, 0), (2, 0), (3, 5)), 2)
+                la.basis_forms(((1, 0), (2, 0), (3, 5)), 2)
             with pytest.raises(InternalConsistencyError, match="F·B"):
                 dual_description(((1, 0), (3, 5), (1, 1)))
 
@@ -262,7 +262,7 @@ class TestHelpers:
         assert all(la.dot(x, b) == 0 for x in kernel for b in tuple(basis) + tuple(rows))
 
     def test_independent_rows(self):
-        idx = la.independent_rows(((1, 0), (2, 0), (0, 1)), 2)
+        idx = la.basis_forms(((1, 0), (2, 0), (0, 1)), 2)[0]
         assert idx == [0, 2]
 
     @settings(max_examples=100, deadline=None)
@@ -272,7 +272,7 @@ class TestHelpers:
     def test_independent_rows_greedy_and_maximal(self, case):
         # a row is kept iff it raises the rank of the rows kept before it
         n, rows = case
-        kept = la.independent_rows(rows, n)
+        kept = la.basis_forms(rows, n)[0]
         so_far = []
         for i, r in enumerate(rows):
             raises = frac_rank(so_far + [r]) > frac_rank(so_far)
@@ -284,7 +284,7 @@ class TestHelpers:
     @given(rows_with_repeats())
     def test_independent_rows_match_fraction_free_reduction(self, case):
         rows, n = case
-        assert la.independent_rows(rows, n) == fraction_free_independent_rows(rows, n)
+        assert la.basis_forms(rows, n)[0] == fraction_free_independent_rows(rows, n)
 
     def test_basis_forms(self):
         # (0, 3) is skipped; the forms come in the order of the kept rows
