@@ -12,8 +12,10 @@ of pairs the change won, and the verdict: `gain` (at least nine tenths
 of the pairs won and a median gap wider than the parent's quartile
 spread), `regressed` (the median worse by more than the metric's
 bound) and `unresolved` (the parent's quartile spread wider than that
-bound, unless every change run beats every parent run).  Then seed 1 runs once per checkout with `--trace 1`, and its
-per-layer metrics (the stage split among them) are stored as they are.
+bound, unless every change run beats every parent run).  Then seed 1
+runs TRACE_RUNS times per checkout with `--trace 1`, alternating, and
+the median of each per-layer metric (the stage split among them) is
+stored: one traced run can differ from the next by a quarter.
 
 A parent checkout is made with `git archive <rev> | tar -x -C DIR`.
 """
@@ -32,6 +34,7 @@ from pathlib import Path
 SIDES = ("parent", "change")
 SEEDS = list(range(101, 111))
 TRACE_SEED = 1
+TRACE_RUNS = 3
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -45,10 +48,16 @@ def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dic
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
-def traced(tree: Path, workload: str, seconds: float) -> dict:
-    """Per-layer metric values of one `--trace 1` run of TRACE_SEED."""
-    metrics = run(tree, workload, TRACE_SEED, seconds, 1)["metrics"]
-    return {k: v["value"] for k, v in metrics.items()}
+def traced(trees: dict, workload: str, seconds: float) -> dict:
+    """Per side, the median value of each per-layer metric over
+    TRACE_RUNS `--trace 1` runs of TRACE_SEED, the sides alternating."""
+    runs = {side: [] for side in SIDES}
+    for k in range(TRACE_RUNS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run(trees[side], workload, TRACE_SEED, seconds, 1)["metrics"])
+    return {side: {name: statistics.median(m[name]["value"] for m in runs[side])
+                   for name in runs[side][0]}
+            for side in SIDES}
 
 
 def summary(values: list[float]) -> dict:
@@ -120,8 +129,8 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "workloads": compare(spec, trees, SEEDS, seconds),
         "trace_seed": TRACE_SEED,
-        "trace": {w["name"]: {side: traced(trees[side], w["name"], seconds)
-                              for side in SIDES}
+        "trace_runs": TRACE_RUNS,
+        "trace": {w["name"]: traced(trees, w["name"], seconds)
                   for w in spec["workloads"]},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")

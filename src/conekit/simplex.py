@@ -2,9 +2,11 @@
 
 The fundamental domain E (all lattice points with generator coordinates
 in [0,1)) is enumerated through its q numerators: they are the classes
-of the lattice facet_forms·Z^r modulo det·Z^r, and an upper-triangular
-Hermite form of that lattice modulo det sweeps each class once in mixed
-radix.  Everything is streamed in fixed-size blocks so that simplices
+of the lattice facet_forms·Z^r modulo det·Z^r.  When E is cyclic with
+a unit point of order det, that point's facet-form column sweeps each
+class once by its multiples; otherwise an upper-triangular Hermite form
+of the lattice modulo det sweeps each class once in mixed radix.
+Everything is streamed in fixed-size blocks so that simplices
 with determinants near the subdivision bound never materialize E at
 once.  Blocks use int64 arithmetic when a pre-computed bound proves it
 exact, and Python big-int (object dtype) arrays otherwise.  A simplex
@@ -16,7 +18,7 @@ series is counted, the one place that needs them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -46,19 +48,28 @@ def _residue_axes(s: SimplicialCone):
 
     The q numerators of the lattice points are the lattice
     L = facet_forms·Z^r, which contains det·Z^r; its classes modulo
-    det·Z^r are the points of E.  Row i of the Hermite form of L modulo
-    det, with pivot t_i, is an axis of range det/t_i; rows with t_i = det
-    add nothing.
+    det·Z^r are the points of E.  Column j of the facet forms is the q
+    numerator vector of the unit point e_j; when gcd(column, det) = 1 it
+    has order det, and it alone is an axis of range det.  Otherwise row
+    i of the Hermite form of L modulo det, with pivot t_i, is an axis of
+    range det/t_i; rows with t_i = det add nothing, so det 1 has no axis.
     """
     det = s.det
-    h = la.hermite_mod(la.transpose(s.facet_forms), det)
-    axes = [(det // row[i], row, i) for i, row in enumerate(h) if row[i] < det]
+    cols = la.transpose(s.facet_forms)
+    j = next((j for j, c in enumerate(cols) if gcd(*c, det) == 1), None)
+    if det > 1 and j is not None:
+        axes = [(det, tuple(x % det for x in cols[j]), j)]
+    else:
+        h = la.hermite_mod(cols, det)
+        axes = [(det // row[i], row, i) for i, row in enumerate(h) if row[i] < det]
     if prod(m for m, _, _ in axes) != det:
         raise InternalConsistencyError("residue ranges do not multiply to det")
-    # triangular rows with pivot·range = det make the mixed radix
-    # injective; entries below det keep digits·rows below det²
-    if any(any(row[:i]) or row[i] * m != det or not 0 <= min(row) <= max(row) < det
-           for m, row, i in axes):
+    # one axis of order det, or triangular rows with pivot·range = det,
+    # make the mixed radix injective; entries below det keep digits·rows
+    # below det²
+    if any(not 0 <= min(row) <= max(row) < det for _, row, _ in axes) or (
+            gcd(*axes[0][1], det) != 1 if len(axes) == 1 else
+            any(any(row[:i]) or row[i] * m != det for m, row, i in axes)):
         raise InternalConsistencyError("residue axis is not triangular modulo det")
     # each row must be the q-numerator vector of a lattice point
     if any(x % det for _, t, _ in axes for x in la.vec_mat(t, s.gens)):
@@ -67,8 +78,9 @@ def _residue_axes(s: SimplicialCone):
 
 
 def _block_dtype(s: SimplicialCone) -> object:
-    # bounds the residue sums digits·rows (at most Σ(m-1)(det-1) < det²),
-    # the generator entries and the products v · gens of points_from_block
+    # bounds the residue sums digits·rows (at most Σ(m-1)(det-1) < det²
+    # for ranges m multiplying to det, one axis or Hermite rows), the
+    # generator entries and the products v · gens of points_from_block
     det = s.det
     max_a = max((abs(x) for g in s.gens for x in g), default=1)
     return la.int_dtype(max(det * det + det, s.dim * det * max_a))

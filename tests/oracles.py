@@ -14,21 +14,23 @@ staircase_face_vertices are earlier package versions of the
 greedy basis of linalg.basis_forms and of minimal_cube_face_vertices, and
 placing_triangulation the triangulation build_cone recorded before it
 pulled one from an apex, and rank_pointed its rank test for a line,
-kept as references.
+kept as references, as is hermite_residue_axes, the residue axes of
+every simplex from the Hermite form, cyclic ones included.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor
+from math import floor, prod
 
 import numpy as np
 
 from conekit.approx import approximate_cone
 from conekit.cone import ConeInput, build_cone, build_simplices, dual_description
-from conekit.errors import NotPointedError
-from conekit.linalg import as_rows, as_vec, sublattice, support_values
+from conekit.errors import InternalConsistencyError, NotPointedError
+from conekit.linalg import (as_rows, as_vec, hermite_mod, sublattice, support_values,
+                            transpose, vec_mat)
 from conekit.simplex import (POINT_BUDGET, hb_candidates, points_below,
                              points_from_block, residue_blocks)
 from conekit.subdivide import stellar_subdivide
@@ -191,6 +193,23 @@ def residue_classes(gens):
         frontier = nxt
     assert len(seen) == det
     return sorted(seen)
+
+
+def hermite_residue_axes(s):
+    """simplex._residue_axes by the Hermite form alone: row i of the
+    Hermite form of facet_forms·Z^r modulo det, with pivot t_i < det, is
+    an axis of range det/t_i, checked as the package checked it."""
+    det = s.det
+    h = hermite_mod(transpose(s.facet_forms), det)
+    axes = [(det // row[i], row, i) for i, row in enumerate(h) if row[i] < det]
+    if prod(m for m, _, _ in axes) != det:
+        raise InternalConsistencyError("residue ranges do not multiply to det")
+    if any(any(row[:i]) or row[i] * m != det or not 0 <= min(row) <= max(row) < det
+           for m, row, i in axes):
+        raise InternalConsistencyError("residue axis is not triangular modulo det")
+    if any(x % det for _, t, _ in axes for x in vec_mat(t, s.gens)):
+        raise InternalConsistencyError("residue axis is not a lattice point")
+    return [(m, row) for m, row, _ in axes]
 
 
 def cross_normal(rows):

@@ -1074,3 +1074,18 @@ def test_seed_one_pivot_passes():
                       "series-approx": (48, 21, 6, 21, 1610, 651),
                       "hb-ip": (37, 8, 8, 8, 50, 0),
                       "series-polytope": (27, 15, 358, 6, 352, 0)}
+
+
+def test_seed_one_hermite_calls():
+    """Residue sweeps of the seed-1 benchmark runs that take the Hermite
+    form: 256 of 1,538, those of det > 1 with no facet-form column of
+    gcd 1 with det (none has det 1).  The other 83% sweep the multiples
+    of one unit column."""
+    counts = {}
+    for name, runs in seed_one_runs():
+        with mock.patch.object(la, "hermite_mod", wraps=la.hermite_mod) as hermite:
+            for ci, options in runs:
+                compute(ci, options)
+        counts[name] = hermite.call_count
+    assert counts == {"series-ip": 45, "series-approx": 139, "hb-ip": 9,
+                      "series-polytope": 63}

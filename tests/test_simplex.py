@@ -1,9 +1,10 @@
-from math import prod
+from dataclasses import replace
+from math import gcd, prod
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conekit import linalg as la, simplex as simplex_module
 from conekit.cone import make_simplicial_cone
@@ -13,7 +14,7 @@ from conekit.simplex import (
 )
 
 from oracles import (brute_fundamental_points, dotv, excluded_facets, fundamental_points,
-                     generator_sum, minor_det, residue_classes)
+                     generator_sum, hermite_residue_axes, minor_det, residue_classes)
 
 
 def simplex(gens):
@@ -257,28 +258,94 @@ big_square = st.integers(1, 6).flatmap(
         min_size=n, max_size=n))
 
 
+def unit_column(s):
+    """A facet-form column of gcd 1 with det > 1, the one-axis route."""
+    return s.det > 1 and any(gcd(*c, s.det) == 1 for c in zip(*s.facet_forms))
+
+
+# upper-triangular gens of det at most 6^4, off-diagonal entries up to 2^70
+small_det_big_entries = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*(st.tuples(*(
+        st.integers(1, 6) if j == i else
+        st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)) if j > i else
+        st.just(0) for j in range(n))) for i in range(n))))
+
+
+def swept_rows(s):
+    return {tuple(int(x) for x in v) for b in residue_blocks(s) for v in b}
+
+
 class TestResidueAxes:
     @settings(max_examples=80, deadline=None)
     @given(big_square)
     def test_axes_are_triangular_lattice_points(self, gens):
+        # one axis of range det whose row has order det on the column
+        # route, triangular Hermite rows otherwise
         assume(minor_det(gens) != 0)
         s = simplex(gens)
         det = s.det
         axes = _residue_axes(s)
         assert prod(m for m, _ in axes) == det
-        pivots = []
+        if unit_column(s):
+            [(m, row)] = axes
+            assert m == det and gcd(*row, det) == 1
+            assert row in {tuple(x % det for x in c) for c in zip(*s.facet_forms)}
+        else:
+            pivots = [next(j for j, x in enumerate(row) if x) for _, row in axes]
+            assert pivots == sorted(set(pivots))
+            assert all(row[p] * m == det for (m, row), p in zip(axes, pivots))
         for m, row in axes:
             assert m > 1 and all(0 <= x < det for x in row)
-            p = next(j for j, x in enumerate(row) if x)
-            assert row[p] * m == det
-            pivots.append(p)
             # row·gens / det is a lattice point whose q numerators are row
             point = [sum(row[k] * gens[k][j] for k in range(len(gens)))
                      for j in range(len(gens))]
             assert all(x % det == 0 for x in point)
             x = tuple(c // det for c in point)
             assert tuple(q % det for q in s.q_numerators(x)) == row
-        assert pivots == sorted(set(pivots))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(small_det_big_entries, st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+                           min_size=n, max_size=n))))
+    @example(((1, 0), (2**70, 1)))  # det 1
+    @example(((1, 2**70), (0, 5)))  # object dtype, one axis
+    @example(((2, 2**70, 0), (0, 2, 2**66), (0, 0, 4)))  # object dtype, Hermite
+    def test_routes_sweep_the_same_rows(self, gens):
+        # the unit column and the Hermite form sweep the same det classes
+        assume(0 < abs(minor_det(gens)) <= 4000)
+        s = simplex(gens)
+        got = swept_rows(s)
+        assert sum(len(b) for b in residue_blocks(s)) == len(got) == s.det
+        with mock.patch.object(simplex_module, "_residue_axes", hermite_residue_axes):
+            assert swept_rows(s) == got
+
+    def test_both_routes_are_taken(self):
+        patch, calls = patched_hermite(lambda h: h)
+        with patch:
+            assert _residue_axes(simplex(((1, 0), (3, 5)))) == [(5, (2, 1))]
+            assert _residue_axes(simplex(((1, 0), (2**70, 1)))) == []
+            assert len(_residue_axes(simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4))))) == 3
+        assert calls == [1, 16]
+
+    def test_corrupted_facet_form_rejected(self):
+        # column 1 of the forms ((5, -3), (0, 1)) is the unit axis (2, 1);
+        # form 1 doubled makes it (2, 2), of order 5 but off the lattice
+        s = simplex(((1, 0), (3, 5)))
+        bad = replace(s, facet_forms=(s.facet_forms[0], (0, 2)))
+        patch, calls = patched_hermite(lambda h: h)
+        with patch, pytest.raises(InternalConsistencyError, match="lattice point"):
+            _residue_axes(bad)
+        assert calls == []
+
+    def test_unit_column_of_lower_order_rejected(self):
+        # a column taken although its gcd with det is not 1 sweeps a
+        # class more than once: the first gcd call lies
+        s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
+        lies = iter([1])
+        with mock.patch.object(simplex_module, "gcd",
+                               lambda *a: next(lies, None) or gcd(*a)), \
+                pytest.raises(InternalConsistencyError, match="triangular"):
+            _residue_axes(s)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 5).flatmap(
@@ -304,16 +371,14 @@ class TestResidueAxes:
             assert sorted(got) == residue_classes(gens)
 
     def test_wrong_diagonal_rejected(self):
-        # the Hermite rows of ((1, 0), (3, 5)) are (1, 3) and (0, 5):
-        # pivot 5 on row 0 drops the only axis
-        s = simplex(((1, 0), (3, 5)))
-        patch, calls = patched_hermite(replaced_row(0, (5, 0)))
+        # the Hermite rows of this simplex are (8, 0, 14), (0, 8, 14) and
+        # (0, 0, 4) modulo 16; pivot 16 on row 0 drops an axis
+        s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
+        patch, calls = patched_hermite(replaced_row(0, (16, 0, 0)))
         with patch, pytest.raises(InternalConsistencyError, match="multiply"):
             _residue_axes(s)
-        assert calls == [5]
-        # rows (8, 0, 14), (0, 8, 14), (0, 0, 4) modulo 16; pivot 7 keeps
-        # the ranges (2, 2, 4) but does not divide 16
-        s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
+        assert calls == [16]
+        # pivot 7 keeps the ranges (2, 2, 4) but does not divide 16
         patch, _ = patched_hermite(replaced_row(0, (7, 0, 14)))
         with patch, pytest.raises(InternalConsistencyError, match="triangular"):
             _residue_axes(s)
@@ -325,20 +390,20 @@ class TestResidueAxes:
             _residue_axes(s)
 
     def test_entry_above_det_rejected(self):
-        # (1, 8) is (1, 3) plus det·e_1: the same class and still a lattice
-        # point, but past the det² bound that _block_dtype relies on
-        s = simplex(((1, 0), (3, 5)))
-        patch, _ = patched_hermite(replaced_row(0, (1, 8)))
+        # (8, 0, 30) is (8, 0, 14) plus det·e_2: the same class and still a
+        # lattice point, but past the det² bound that _block_dtype relies on
+        s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
+        patch, _ = patched_hermite(replaced_row(0, (8, 0, 30)))
         with patch, pytest.raises(InternalConsistencyError, match="triangular"):
             _residue_axes(s)
 
     def test_row_off_the_lattice_rejected(self):
-        # adding e_1 to the axis row adds gens[1]/det to its point
-        s = simplex(((1, 0), (3, 5)))
-        patch, calls = patched_hermite(replaced_row(0, (1, 4)))
+        # adding e_2 to the axis row adds gens[2]/det to its point
+        s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
+        patch, calls = patched_hermite(replaced_row(0, (8, 0, 15)))
         with patch, pytest.raises(InternalConsistencyError, match="lattice point"):
             _residue_axes(s)
-        assert calls == [5]
+        assert calls == [16]
 
     def test_negated_row_is_another_valid_transform(self):
         # negating a generator leaves the lattice, and so the points, as
