@@ -129,5 +129,5 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
         return ()
     if big:
         big = [sub for sub, out in zip(big, separated(s, big)) if not out]
-    cands = np.vstack([la.as_rows(over)] + [hb_candidates(sub) for sub in big])
+    cands = np.vstack([la.stack(over)] + [hb_candidates(sub) for sub in big])
     return tuple(sorted({la.as_vec(row) for row in points_below(s, cands)}))

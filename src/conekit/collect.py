@@ -160,12 +160,12 @@ def reduce_to_hilbert_basis(candidates, support_forms) -> tuple[IntVec, ...]:
     Hilbert basis (205,262 candidates, a 7,022-element basis) it gave no
     gain either: 1.61-2.02 s with it against 1.66-1.88 s without.
     """
-    cands = candidates if isinstance(candidates, np.ndarray) else la.as_rows(candidates)
+    cands = candidates if isinstance(candidates, np.ndarray) else la.stack(list(candidates))
     if cands.size:  # an empty candidate list comes as an array of one axis
         cands = cands[np.any(cands != 0, axis=1)]
     if cands.size == 0:
         return ()
-    vals = la.support_values(cands, support_forms)
+    vals = la.products(cands, la.stack(support_forms).T)
     aux = vals.sum(axis=1)
     order = np.lexsort((*cands.T[::-1], aux))
     cands, vals, aux = cands[order], vals[order], aux[order]

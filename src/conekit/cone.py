@@ -127,18 +127,19 @@ def make_simplicial_cone(gens) -> SimplicialCone:
     return SimplicialCone(gens, det, forms)
 
 
-def exchange(forms: np.ndarray, det: np.ndarray, u: np.ndarray, i: list, gens,
-             at: list) -> tuple[list[SimplicialCone], np.ndarray, np.ndarray]:
-    """The simplices over gens, and their facet forms and dets as arrays,
-    by one stacked fraction-free pivot.
+def exchange(forms: np.ndarray, det: np.ndarray, u: np.ndarray, i: list,
+             gens: np.ndarray, at: list) -> tuple[list[SimplicialCone], np.ndarray, np.ndarray]:
+    """The simplices over the generator stack gens (k, r, r), and their
+    facet forms and dets as arrays, by one stacked fraction-free pivot.
 
     Simplex k is a known simplex S_k, of det det[k] and facet forms
     forms[k], with generator i[k] exchanged for the point x_k =
-    gens[k][at[k]], and u[k] = F·x_k; i and at are lists of ints.  The
-    other generators keep their order.  linalg.pivot takes the new dets and forms from those of S_k
-    for r² products each, where make_simplicial_cone pivots r times
-    from the unit basis; both give the same forms, since the inverse is
-    unique.  F'·g'_k = det'·e_k must hold for every generator.
+    gens[k, at[k]], and u[k] = F·x_k; i and at are lists of ints.  The
+    other generators keep their order.  linalg.pivot takes the new dets
+    and forms from those of S_k for r² products each, where
+    make_simplicial_cone pivots r times from the unit basis; both give
+    the same forms, since the inverse is unique.  F'·g'_k = det'·e_k
+    must hold for every generator.
     """
     forms, det = la.pivot(forms, det, u, i)
     if i != at:
@@ -146,9 +147,9 @@ def exchange(forms: np.ndarray, det: np.ndarray, u: np.ndarray, i: list, gens,
         for order, ik, ak in zip(perm, i, at):
             order.insert(ak, order.pop(ik))
         forms = forms[np.arange(len(i))[:, None], perm]
-    la.check_forms(forms, la.stack(gens), det, "exchanged facet forms failed F'·g' = det'·I")
-    return [SimplicialCone(gs, d, tuple(map(tuple, f)))
-            for gs, d, f in zip(gens, det.tolist(), forms.tolist())], forms, det
+    la.check_forms(forms, gens, det, "exchanged facet forms failed F'·g' = det'·I")
+    return [SimplicialCone(tuple(map(tuple, g)), d, tuple(map(tuple, f)))
+            for g, d, f in zip(gens.tolist(), det.tolist(), forms.tolist())], forms, det
 
 
 def build_simplices(vectors, cells):
@@ -188,10 +189,9 @@ def build_simplices(vectors, cells):
             built.update(level)
             rows, i, at = map(list, zip(*jobs.values()))
             forms, det = forms[rows], det[rows]
-            x = vecs[[new[a] for new, a in zip(level, at)]]
-            u = la.products(forms, x[:, :, None])[:, :, 0]
-            out, forms, det = exchange(forms, det, u, i,
-                                       [tuple(vectors[g] for g in new) for new in level], at)
+            gens = vecs[np.array(level)]
+            u = la.products(forms, gens[np.arange(len(at)), at, :, None])[:, :, 0]
+            out, forms, det = exchange(forms, det, u, i, gens, at)
             yield from out
 
 
@@ -365,11 +365,9 @@ def build_cone(ci: ConeInput) -> Cone:
         gens_amb = ci.generators
     gens_amb = tuple(g for g in gens_amb if any(g))
     if not gens_amb:
-        cone = Cone(ambient_dim=d, rank=0, generators=(), triangulation=(),
-                    support_forms=(), lattice_basis=(), grading=None)
-        if ci.grading is not None:
-            cone = replace(cone, grading=())
-        return cone
+        return Cone(ambient_dim=d, rank=0, generators=(), triangulation=(),
+                    support_forms=(), lattice_basis=(),
+                    grading=None if ci.grading is None else ())
 
     r = len(la.basis_forms(gens_amb, d)[0])
     if r == d:

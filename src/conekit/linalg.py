@@ -9,9 +9,9 @@ takes one step on a whole stack of simplices in arrays, and check_forms
 checks the stack.  basis_forms, the greedy basis among some rows and
 its facet forms, takes the same step and check on one simplex in Python
 ints (_pivot_one): for r = 5 an array step on a stack of one costs
-about four times as much.  The array helpers as_rows, stack, products
-and support_values hold the package's one int64-or-object policy,
-int_dtype.
+about four times as much.  The package's one int64-or-object policy,
+int_dtype, is held by stack, which builds every integer array, and by
+products, which makes every exact product of arrays.
 """
 
 from __future__ import annotations
@@ -36,26 +36,6 @@ def int_dtype(bound: int) -> object:
     return np.int64 if bound < INT64_SAFE else object
 
 
-def as_rows(rows) -> np.ndarray:
-    """Integer rows as an int64 array when every entry is below
-    INT64_SAFE in magnitude, else object."""
-    out = stack([tuple(r) for r in rows])
-    return out.astype(int_dtype(magnitude(out) if out.size else INT64_SAFE))
-
-
-def support_values(cands: np.ndarray, forms: IntMat) -> np.ndarray:
-    """Exact values cands · formsᵀ of forms given as Python ints.
-
-    int64 arithmetic is used when a bound on each value and on their
-    sum over all forms, the aux degree, proves it exact; Python ints
-    otherwise.
-    """
-    bound = (magnitude(cands) * max((abs(x) for f in forms for x in f), default=0) *
-             cands.shape[1] * len(forms))
-    dtype = object if cands.dtype == object else int_dtype(bound)
-    return cands.astype(dtype, copy=False) @ np.array(forms, dtype=dtype).T
-
-
 def stack(blocks) -> np.ndarray:
     """Nested integer sequences of one shape as an array: int64 when
     every entry fits, Python ints (object) otherwise."""
@@ -76,11 +56,12 @@ def magnitude(a: np.ndarray) -> int:
 
 
 def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b: int64 when the inner dimension times the largest
-    entries of a and b, and those entries, are below INT64_SAFE, Python
-    ints otherwise."""
+    """Exact a @ b: int64 when the inner dimension times the columns of
+    b times the largest entries of a and b, and those entries, are below
+    INT64_SAFE, Python ints otherwise.  The columns factor bounds each
+    row's sum too: with b = formsᵀ, a row's aux degree."""
     ma, mb = magnitude(a), magnitude(b)
-    dtype = int_dtype(max(a.shape[-1] * ma * mb, ma, mb))
+    dtype = int_dtype(max(a.shape[-1] * b.shape[-1] * ma * mb, ma, mb))
     return a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
 
 

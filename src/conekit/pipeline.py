@@ -123,11 +123,9 @@ def compute(ci: ConeInput, options: RunOptions = RunOptions()) -> ComputationRes
     t0 = time.monotonic()
     hilbert_basis = ()
     if want_hb:
-        if cands:
-            # a leaf of Python ints turns the whole stack into Python ints
-            basis_r = reduce_to_hilbert_basis(np.vstack(cands), cone.support_forms)
-        else:
-            basis_r = ()
+        # a leaf of Python ints turns the whole stack into Python ints
+        basis_r = reduce_to_hilbert_basis(np.vstack(cands) if cands else (),
+                                          cone.support_forms)
         ambient = [cone.to_ambient(v) for v in basis_r]
         hilbert_basis = tuple(sorted(ambient, key=lambda v: (sum(v), v)))
 

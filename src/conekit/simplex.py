@@ -120,7 +120,7 @@ def points_below(s: SimplicialCone, rows: np.ndarray) -> np.ndarray:
     sum, lies in (0, det).  The facet forms sum to (det/h)·N for the
     height normal N and the generator height h, so aux < det says N·x < h.
     """
-    vals = la.support_values(rows, s.facet_forms)
+    vals = la.products(rows, la.stack(s.facet_forms).T)
     aux = vals.sum(axis=1)
     return rows[np.all(vals >= 0, axis=1) & (aux > 0) & (aux < s.det)]
 

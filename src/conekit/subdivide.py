@@ -277,8 +277,8 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     total determinant satisfies sum det(T_i) = det(S)·(N·xhat)/(N·gen).
     A point inside a non-primitive ray gives one piece: that generator
     shortened to xhat.  Piece i is S with gens[i] replaced by xhat, so
-    all pieces come from S's forms, det and u by one pivot (cone.star),
-    not by pivoting from scratch.
+    all pieces come from S's forms, det and u by one pivot
+    (cone.exchange), not by pivoting from scratch.
     """
     xhat = la.as_vec(xhat)
     u = s.q_numerators(xhat)
@@ -293,7 +293,8 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     same = [0] * len(support)  # row 0 once per piece
     pieces, _, _ = exchange(la.stack([s.facet_forms])[same], la.stack([s.det])[same],
                             la.stack([u])[same], support,
-                            [s.gens[:i] + (xhat,) + s.gens[i + 1:] for i in support], support)
+                            la.stack([s.gens[:i] + (xhat,) + s.gens[i + 1:] for i in support]),
+                            support)
     if sum(p.det for p in pieces) != sum(u[i] for i in support):
         raise InternalConsistencyError("stellar volume identity failed")
     return tuple(pieces)
@@ -331,7 +332,7 @@ def recursive_subdivide(s: SimplicialCone, cfg: SubdivisionConfig,
         if len(pool):
             pool = points_below(cur, pool)
         if not len(pool):
-            pool = la.as_rows(finder(cur))
+            pool = la.stack(finder(cur))
         xhat = best_candidate(cur, pool)
         if xhat is None:
             leaves.append(cur)

@@ -29,8 +29,8 @@ import numpy as np
 from conekit.approx import approximate_cone
 from conekit.cone import ConeInput, build_cone, build_simplices, dual_description
 from conekit.errors import InternalConsistencyError, NotPointedError
-from conekit.linalg import (as_rows, as_vec, hermite_mod, sublattice, support_values,
-                            transpose, vec_mat)
+from conekit.linalg import (as_vec, hermite_mod, products, stack, sublattice, transpose,
+                            vec_mat)
 from conekit.simplex import (POINT_BUDGET, hb_candidates, points_below,
                              points_from_block, residue_blocks)
 from conekit.subdivide import stellar_subdivide
@@ -527,7 +527,9 @@ def unique_sort_reduction(candidates, forms):
     against the earlier minimal rows and itself in slabs of 2^20
     booleans."""
     block, slab = 1 << 12, 1 << 20
-    cands = candidates if isinstance(candidates, np.ndarray) else as_rows(candidates)
+    cands = candidates if isinstance(candidates, np.ndarray) else stack(list(candidates))
+    if not len(cands):  # an empty list stacks to one axis
+        return ()
     if cands.dtype == object:
         cands = np.array(sorted({tuple(int(x) for x in row)
                                  for row in cands if any(row)}), dtype=object)
@@ -535,7 +537,7 @@ def unique_sort_reduction(candidates, forms):
         cands = np.unique(cands[np.any(cands != 0, axis=1)], axis=0)
     if cands.size == 0:
         return ()
-    vals = support_values(cands, forms)
+    vals = products(cands, stack(forms).T)
     aux = vals.sum(axis=1)
     order = np.argsort(aux, kind="stable")
     cands, vals, aux = cands[order], vals[order], aux[order]
@@ -779,5 +781,5 @@ def sweep_all_approx_candidates(s, level=1):
             big.append(sub)
     if sum(sub.det for sub in big) > POINT_BUDGET:
         return ()
-    cands = np.vstack([as_rows(over)] + [hb_candidates(sub) for sub in big])
+    cands = np.vstack([stack(over)] + [hb_candidates(sub) for sub in big])
     return tuple(sorted({as_vec(row) for row in points_below(s, cands)}))

@@ -124,21 +124,57 @@ class TestReduce:
         assert ip.hilbert_basis == none.hilbert_basis
 
 
-class TestAsRows:
-    def test_int64_below_the_bound(self):
-        out = la.as_rows([(2**62 - 1, 0), (0, -(2**62 - 1))])
+class TestStack:
+    def test_int64_up_to_the_int64_edge(self):
+        out = la.stack([(2**63 - 1, 0), (0, -2**63)])
         assert out.dtype == np.int64
-        assert out.tolist() == [[2**62 - 1, 0], [0, -(2**62 - 1)]]
+        assert out.tolist() == [[2**63 - 1, 0], [0, -2**63]]
 
-    def test_object_at_the_bound(self):
-        # 2**62 fits int64 but not the one-bit-spare bound
-        out = la.as_rows([(2**62, 0), (1, 1)])
+    @pytest.mark.parametrize("edge", [2**63, -2**63 - 1])
+    def test_object_past_the_int64_edge(self, edge):
+        out = la.stack([(edge, 0), (1, 1)])
         assert out.dtype == object
-        assert out.tolist() == [[2**62, 0], [1, 1]]
+        assert out.tolist() == [[edge, 0], [1, 1]]
 
     def test_empty(self):
-        out = la.as_rows([])
-        assert out.dtype == object and out.size == 0
+        out = la.stack([])
+        assert out.dtype == np.int64 and out.size == 0
+
+
+@st.composite
+def product_pairs(draw):
+    """(a, b) as nested lists whose largest entries ma, mb put the
+    products bound, inner · cols · ma · mb, at and around INT64_SAFE:
+    mb is INT64_SAFE / 2^shift / ma, give or take 2.  Most entries are
+    +ma or +mb, so row sums reach past the int64 range when the bound
+    leaves out a factor."""
+    n, inner = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 8))
+    ma = draw(st.integers(1, 1 << 31))
+    mb = max(1, (la.INT64_SAFE >> draw(st.integers(0, 3))) // ma + draw(st.integers(-2, 2)))
+    a = [[draw(st.sampled_from([ma, ma, ma, -ma, 0, 1])) for _ in range(inner)]
+         for _ in range(n)]
+    b = [[draw(st.sampled_from([mb, mb, mb, -mb, 0, 1])) for _ in range(cols)]
+         for _ in range(inner)]
+    return a, b
+
+
+class TestProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(product_pairs(), st.sampled_from(["stack", "object"]))
+    # each product below INT64_SAFE, their row sum near 2^64
+    @example(([[2**31]], [[2**31 - 1] * 4]), "stack")
+    def test_products_and_row_sums_are_exact(self, pair, kind):
+        a, b = pair
+        if kind == "stack":
+            arr_a, arr_b = la.stack(a), la.stack(b)
+        else:
+            arr_a, arr_b = np.array(a, dtype=object), np.array(b, dtype=object)
+        want = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        got = la.products(arr_a, arr_b)
+        assert got.dtype in (np.int64, object)
+        assert got.tolist() == want
+        assert got.sum(axis=1).tolist() == [sum(row) for row in want]
 
 
 def naive_minimal(candidates, forms):
@@ -211,7 +247,7 @@ class TestReduceProperty:
     @given(candidate_unions(), st.sampled_from(["int64", "object", "tuples", "scaled"]),
            st.sampled_from([1, 32]))
     def test_matches_unique_sort_reference(self, case, form, first):
-        # scaled rows pass 2^62 and take the Python-int path
+        # scaled rows pass 2^62, so their support values take Python ints
         rows, forms = case
         if form == "object":
             rows = rows.astype(object)

@@ -547,12 +547,13 @@ def pivot_dtypes():
 
 def exchange_jobs(jobs):
     """cone.exchange on the jobs (s, i, x, at), s with gens[i] replaced by
-    x at position at, their parents' forms, dets and u = F·x stacked."""
+    x at position at, their parents' forms, dets, u = F·x and the new
+    generators stacked."""
     parents, i, xs, at = map(list, zip(*jobs))
     return exchange(la.stack([s.facet_forms for s in parents]),
                     la.stack([s.det for s in parents]),
                     la.stack([s.q_numerators(x) for s, x in zip(parents, xs)]),
-                    i, [moved(*job) for job in jobs], at)
+                    i, la.stack([moved(*job) for job in jobs]), at)
 
 
 @st.composite

@@ -226,3 +226,41 @@ def test_layer_scan_flags_upward_imports():
     }
     assert upward_imports(sources, ("a", "b", "c", "d")) == [
         "a -> b", "a -> c", "a -> x", "c -> c", "d -> e", "stray: no layer"]
+
+
+# The one module that may fall back from int64 to Python ints on overflow:
+# linalg.stack builds every integer array, so no other module needs its own.
+OVERFLOW_MODULES = {"linalg"}
+
+
+def overflow_handlers(sources: dict[str, str], allowed=OVERFLOW_MODULES) -> list[str]:
+    """Every `except` clause that names OverflowError, alone or in a
+    tuple, as "module (line N)", outside the allowed modules."""
+    found = []
+    for mod, source in sources.items():
+        if mod in allowed:
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                    isinstance(n, (ast.Name, ast.Attribute))
+                    and (n.id if isinstance(n, ast.Name) else n.attr) == "OverflowError"
+                    for n in ast.walk(node.type)):
+                found.append(f"{mod} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_only_linalg_catches_overflow():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert overflow_handlers(sources) == []
+
+
+def test_overflow_scan_flags_handlers_outside_linalg():
+    body = "try:\n    f()\n"
+    sources = {
+        "linalg": body + "except OverflowError:\n    pass\n",
+        "a": body + "except (ValueError, OverflowError):\n    pass\n",
+        "b": body + "except builtins.OverflowError as e:\n    raise\n",
+        "c": body + "except ValueError:\n    pass\nexcept Exception:\n    pass\n",
+        "d": body + "except:\n    pass\n",
+    }
+    assert overflow_handlers(sources) == ["a (line 3)", "b (line 3)"]

@@ -10,7 +10,8 @@ from conekit import linalg as la, simplex as simplex_module
 from conekit.cone import make_simplicial_cone
 from conekit.errors import InternalConsistencyError
 from conekit.simplex import (
-    _block_dtype, _residue_axes, hb_candidates, residue_blocks, series_contribution,
+    _block_dtype, _residue_axes, hb_candidates, points_below, residue_blocks,
+    series_contribution,
 )
 
 from oracles import (brute_fundamental_points, dotv, excluded_facets, fundamental_points,
@@ -213,6 +214,20 @@ class TestHbCandidates:
         # E \ {0} first, then the generators in order
         assert rows(got[-2:]) == [(1, 0), (3, 5)]
         assert tuple(got[-1]) == (3, 5)
+
+
+class TestPointsBelow:
+    def test_keeps_nonzero_points_below_generator_height(self):
+        s = simplex(((1, 0), (3, 5)))
+        pts = np.array([[1, 1], [2, 3], [3, 5], [0, 0], [-1, 0], [1, 2]])
+        assert rows(points_below(s, pts)) == [(1, 1), (2, 3)]
+
+    def test_zero_rows_against_huge_forms(self):
+        # the rows' magnitude is 0, so only the forms' own magnitude
+        # sends the product to Python ints
+        s = simplex(((2**64, 0), (1, 2**64)))
+        got = points_below(s, np.zeros((1, 2), np.int64))
+        assert got.shape == (0, 2)
 
 
 class TestBlocks:
