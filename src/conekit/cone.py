@@ -12,14 +12,14 @@ Simplicial cones are built by fraction-free pivots:
 make_simplicial_cone pivots the generators into the unit basis
 (linalg.facet_forms), and exchange takes the forms of simplices that
 each differ from a known one in one generator by one linalg.pivot on
-their stack, for a breadth-first level of a triangulation as for the
-pieces of a stellar cut.  Both give the same SimplicialCone, checked by
-linalg.check_forms: generators, det and facet forms, all that
+their stack, for the last generator of a triangulation's cells as for
+the pieces of a stellar cut.  Both give the same SimplicialCone, checked
+by linalg.check_forms: generators, det and facet forms, all that
 subdivision and evaluation read.  A triangulation is a tuple of sorted
-index tuples into its vectors; build_simplices builds its simplices
-breadth first across shared facets, the first of every connected run
-from scratch and then one exchange per breadth-first level, on the
-arrays the previous level's exchange returned.  `Cone.triangulation` is the
+index tuples into its vectors; build_simplices builds its simplices in
+that order, a lone cell from scratch and two or more by one stacked
+elimination, r - 1 pivots from the unit basis and one exchange.
+`Cone.triangulation` is the
 pulling triangulation from the generator on the most facets, read off
 the facet masks of the cone's one double description; only a
 non-simplicial facet without that apex takes a small double description
@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg as la
-from .errors import DimensionError, GradingNotPositiveError, NotPointedError
+from .errors import (DimensionError, GradingNotPositiveError, NotPointedError,
+                     SingularMatrixError)
 from .linalg import IntMat, IntVec
 
 
@@ -128,71 +129,55 @@ def make_simplicial_cone(gens) -> SimplicialCone:
 
 
 def exchange(forms: np.ndarray, det: np.ndarray, u: np.ndarray, i: list,
-             gens: np.ndarray, at: list) -> tuple[list[SimplicialCone], np.ndarray, np.ndarray]:
-    """The simplices over the generator stack gens (k, r, r), and their
-    facet forms and dets as arrays, by one stacked fraction-free pivot.
+             gens: np.ndarray) -> list[SimplicialCone]:
+    """The simplices over the generator stack gens (k, r, r), by one
+    stacked fraction-free pivot.
 
     Simplex k is a known simplex S_k, of det det[k] and facet forms
     forms[k], with generator i[k] exchanged for the point x_k =
-    gens[k, at[k]], and u[k] = F·x_k; i and at are lists of ints.  The
-    other generators keep their order.  linalg.pivot takes the new dets
-    and forms from those of S_k for r² products each, where
-    make_simplicial_cone pivots r times from the unit basis; both give
-    the same forms, since the inverse is unique.  F'·g'_k = det'·e_k
-    must hold for every generator.
+    gens[k, i[k]], and u[k] = F·x_k; i is a list of ints.  linalg.pivot
+    takes the new dets and forms from those of S_k for r² products
+    each, where make_simplicial_cone pivots r times from the unit basis;
+    both give the same forms, since the inverse is unique.  F'·g'_k =
+    det'·e_k must hold for every generator.
     """
     forms, det = la.pivot(forms, det, u, i)
-    if i != at:
-        perm = [list(range(forms.shape[1])) for _ in i]
-        for order, ik, ak in zip(perm, i, at):
-            order.insert(ak, order.pop(ik))
-        forms = forms[np.arange(len(i))[:, None], perm]
     la.check_forms(forms, gens, det, "exchanged facet forms failed F'·g' = det'·I")
     return [SimplicialCone(tuple(map(tuple, g)), d, tuple(map(tuple, f)))
-            for g, d, f in zip(gens.tolist(), det.tolist(), forms.tolist())], forms, det
+            for g, d, f in zip(gens.tolist(), det.tolist(), forms.tolist())]
 
 
-def build_simplices(vectors, cells):
-    """Yield the simplex over each cell, a sorted index tuple into vectors.
+def build_simplices(vectors, cells) -> list[SimplicialCone]:
+    """The simplex over each cell, a sorted index tuple into vectors, in
+    the order of cells.
 
-    The cells are visited breadth first across shared facets: the first
-    cell of each connected run is built by make_simplicial_cone, every
-    other one from its first discoverer, its new vector moved to its
-    sorted place, by one exchange per breadth-first level on the rows of
-    the previous level's forms and dets.  The forms of a simplex are
-    unique, so it does not matter which neighbour it is pivoted from.
+    A lone cell is built by make_simplicial_cone: a numpy stack of one
+    costs about three times its Python pivots.  Two or more are
+    eliminated together from the unit forms and det 1 by basis_forms'
+    rule: step t pivots generator t of every cell into the first
+    position still held by a unit vector where u = F·g_t is nonzero, by
+    one linalg.pivot on the stack.  The rows are then put in generator
+    order, the last free position last, and one exchange brings the
+    last generator in and checks every simplex.
     """
-    by_facet = {}
-    for idx in cells:
-        for k in range(len(idx)):
-            by_facet.setdefault(idx[:k] + idx[k + 1:], []).append(idx)
-    vecs = la.stack(vectors)
-    built = set()
-    for start in cells:
-        if start in built:
-            continue
-        built.add(start)
-        s = make_simplicial_cone(tuple(vectors[g] for g in start))
-        yield s
-        level, forms, det = [start], la.stack([s.facet_forms]), la.stack([s.det])
-        while True:
-            jobs = {}
-            for row, idx in enumerate(level):
-                for k in range(len(idx)):
-                    for new in by_facet[idx[:k] + idx[k + 1:]]:
-                        if new not in built and new not in jobs:
-                            at = next(t for t, g in enumerate(new) if g not in idx)
-                            jobs[new] = (row, k, at)
-            if not jobs:
-                break
-            level = list(jobs)
-            built.update(level)
-            rows, i, at = map(list, zip(*jobs.values()))
-            forms, det = forms[rows], det[rows]
-            gens = vecs[np.array(level)]
-            u = la.products(forms, gens[np.arange(len(at)), at, :, None])[:, :, 0]
-            out, forms, det = exchange(forms, det, u, i, gens, at)
-            yield from out
+    if len(cells) < 2:
+        return [make_simplicial_cone([vectors[g] for g in idx]) for idx in cells]
+    gens = la.stack(vectors)[np.array(cells)]
+    k, r = len(cells), len(cells[0])
+    rows = np.arange(k)
+    forms, det = np.tile(np.eye(r, dtype=np.int64), (k, 1, 1)), np.ones(k, dtype=np.int64)
+    free, at = np.ones((k, r), dtype=bool), []
+    for t in range(r - 1):
+        u = la.products(forms, gens[:, t, :, None])[:, :, 0]
+        ok = free & (u != 0)
+        if not ok.any(axis=1).all():
+            raise SingularMatrixError("the vectors of a cell are linearly dependent")
+        at.append(ok.argmax(axis=1))
+        forms, det = la.pivot(forms, det, u, at[-1])
+        free[rows, at[-1]] = False
+    forms = forms[rows[:, None], np.stack(at + [free.argmax(axis=1)], axis=1)]
+    u = la.products(forms, gens[:, r - 1, :, None])[:, :, 0]
+    return exchange(forms, det, u, [r - 1] * k, gens)
 
 
 def dual_description(vectors):

@@ -154,7 +154,7 @@ def series_contribution(s: SimplicialCone, deg: IntVec,
     excluded = [i for i, f in enumerate(s.facet_forms) if lex_sign(f, anchor) < 0]
     det = s.det
     top = sum(degs)
-    counts = np.zeros(top, dtype=np.int64)
+    counts = np.zeros(top + 1, dtype=np.int64)  # degree top: the origin when every facet is excluded
     w = np.array(degs, dtype=np.int64)
     for v in residue_blocks(s):
         dv = v.dot(w if v.dtype == np.int64 else w.astype(object)) // det
@@ -162,7 +162,7 @@ def series_contribution(s: SimplicialCone, deg: IntVec,
             dv = dv + degs[i] * (v[:, i] == 0)
         if dv.dtype == object:
             dv = dv.astype(np.int64)
-        counts += np.bincount(dv, minlength=top)
+        counts += np.bincount(dv, minlength=top + 1)
     if int(counts.sum()) != det:
         raise InternalConsistencyError("fundamental domain count mismatch")
     while len(counts) > 1 and counts[-1] == 0:

@@ -291,10 +291,9 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
         raise DomainError("subdivision point lies on a ray of the simplex, "
                           "at or beyond its generator")
     same = [0] * len(support)  # row 0 once per piece
-    pieces, _, _ = exchange(la.stack([s.facet_forms])[same], la.stack([s.det])[same],
-                            la.stack([u])[same], support,
-                            la.stack([s.gens[:i] + (xhat,) + s.gens[i + 1:] for i in support]),
-                            support)
+    pieces = exchange(la.stack([s.facet_forms])[same], la.stack([s.det])[same],
+                      la.stack([u])[same], support,
+                      la.stack([s.gens[:i] + (xhat,) + s.gens[i + 1:] for i in support]))
     if sum(p.det for p in pieces) != sum(u[i] for i in support):
         raise InternalConsistencyError("stellar volume identity failed")
     return tuple(pieces)

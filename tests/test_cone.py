@@ -2,7 +2,7 @@ import importlib.util
 import random
 import sys
 from dataclasses import fields, replace
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 from unittest import mock
 
@@ -513,16 +513,10 @@ def replaced(s, i, x):
     return s.gens[:i] + (x,) + s.gens[i + 1:]
 
 
-def moved(s, i, x, at):
-    gens = list(s.gens[:i] + s.gens[i + 1:])
-    gens.insert(at, x)
-    return tuple(gens)
-
-
 @st.composite
 def mixed_level(draw):
-    """Jobs (s, i, x, at) of one rank r in 2-4 with small entries, one
-    of them scaled by 2^64, so that its facet forms, the (r-1)-minors,
+    """Jobs (s, i, x) of one rank r in 2-4 with small entries, one of
+    them scaled by 2^64, so that its facet forms, the (r-1)-minors,
     leave int64 range."""
     r = draw(st.integers(2, 4))
     cases = draw(st.lists(exchange_case(r, SMALL), min_size=2, max_size=5))
@@ -530,7 +524,7 @@ def mixed_level(draw):
     s, i, x = cases[k]
     cases[k] = (make_simplicial_cone([[c << 64 for c in g] for g in s.gens]), i,
                 tuple(c << 64 for c in x))
-    return [(s, i, x, draw(st.integers(0, r - 1))) for s, i, x in cases]
+    return cases
 
 
 def pivot_dtypes():
@@ -546,14 +540,13 @@ def pivot_dtypes():
 
 
 def exchange_jobs(jobs):
-    """cone.exchange on the jobs (s, i, x, at), s with gens[i] replaced by
-    x at position at, their parents' forms, dets, u = F·x and the new
-    generators stacked."""
-    parents, i, xs, at = map(list, zip(*jobs))
+    """cone.exchange on the jobs (s, i, x), s with gens[i] replaced by x:
+    their parents' forms, dets, u = F·x and the new generators stacked."""
+    parents, i, xs = map(list, zip(*jobs))
     return exchange(la.stack([s.facet_forms for s in parents]),
                     la.stack([s.det for s in parents]),
                     la.stack([s.q_numerators(x) for s, x in zip(parents, xs)]),
-                    i, la.stack([moved(*job) for job in jobs]), at)
+                    i, la.stack([replaced(*job) for job in jobs]))
 
 
 @st.composite
@@ -572,25 +565,14 @@ class TestExchange:
     @given(exchange_case())
     def test_equals_adjugate_route(self, case):
         s, i, x = case
-        assert exchange_jobs([(s, i, x, i)])[0] == [make_simplicial_cone(replaced(s, i, x))]
-
-    @settings(max_examples=50, deadline=None)
-    @given(exchange_case(), st.data())
-    def test_moves_new_generator(self, case, data):
-        s, i, x = case
-        at = data.draw(st.integers(0, s.dim - 1))
-        out, forms, det = exchange_jobs([(s, i, x, at)])
-        assert out == [make_simplicial_cone(moved(s, i, x, at))]
-        # the arrays handed to the next level hold the moved forms too
-        assert forms.tolist() == [list(map(list, out[0].facet_forms))]
-        assert det.tolist() == [out[0].det]
+        assert exchange_jobs([(s, i, x)]) == [make_simplicial_cone(replaced(s, i, x))]
 
     @settings(max_examples=200, deadline=None)
     @given(star_case())
     def test_shared_parent_equals_adjugate_route(self, case):
         # the pieces of a stellar cut: one parent repeated down the stack
         s, x, support = case
-        assert exchange_jobs([(s, i, x, i) for i in support])[0] == \
+        assert exchange_jobs([(s, i, x) for i in support]) == \
             [make_simplicial_cone(replaced(s, i, x)) for i in support]
 
     def test_one_pivot_on_the_given_u(self):
@@ -618,45 +600,31 @@ class TestExchange:
         # job still gets the forms of its own simplex
         spy, dtypes = pivot_dtypes()
         with mock.patch.object(la, "pivot", spy):
-            out = exchange_jobs(jobs)[0]
+            out = exchange_jobs(jobs)
         assert dtypes == [object]
-        assert out == [make_simplicial_cone(moved(*job)) for job in jobs]
+        assert out == [make_simplicial_cone(replaced(*job)) for job in jobs]
 
     def test_small_level_stays_int64(self):
         s = make_simplicial_cone(((2, 1), (3, 7)))
         spy, dtypes = pivot_dtypes()
         with mock.patch.object(la, "pivot", spy):
-            out = exchange_jobs([(s, 0, (1, 1), 0), (s, 1, (1, 1), 1)])[0]
+            out = exchange_jobs([(s, 0, (1, 1)), (s, 1, (1, 1))])
         assert dtypes == [np.int64]
         assert out == [make_simplicial_cone(((1, 1), (3, 7))),
                        make_simplicial_cone(((2, 1), (1, 1)))]
-
-    def test_dtype_changes_across_levels(self):
-        # a chain of 2-cells over the rays (1, k), k = 0..6, with rays 1
-        # and 5 scaled by 2^64: each level pivots the previous level's
-        # arrays, and the dtype of a level follows its own entries, not
-        # those of the level before (object forms of (2, 3) pivot in
-        # int64 to (3, 4); int64 forms of (3, 4) in objects to (4, 5))
-        vectors = [(1 << 64, k << 64) if k in (1, 5) else (1, k) for k in range(7)]
-        cells = [(k, k + 1) for k in range(6)]
-        spy, dtypes = pivot_dtypes()
-        with mock.patch.object(la, "pivot", spy):
-            built = list(build_simplices(vectors, cells))
-        assert dtypes == [object, object, np.int64, object, object]
-        assert built == [make_simplicial_cone([vectors[g] for g in idx]) for idx in cells]
 
     def test_point_on_opposite_facet(self):
         # u_0 = 0 for (3, 5), a generator of the facet opposite g_0
         s = make_simplicial_cone(CONE35)
         with pytest.raises(SingularMatrixError):
-            exchange_jobs([(s, 0, (3, 5), 0)])
+            exchange_jobs([(s, 0, (3, 5))])
         with pytest.raises(SingularMatrixError):
-            exchange_jobs([(s, 1, (1, 1), 1), (s, 0, (3, 5), 0)])
+            exchange_jobs([(s, 1, (1, 1)), (s, 0, (3, 5))])
 
     def test_shared_parent_point_on_opposite_facet(self):
         s = make_simplicial_cone(CONE35)
         with pytest.raises(SingularMatrixError):
-            exchange_jobs([(s, 0, (3, 5), 0), (s, 1, (3, 5), 1)])
+            exchange_jobs([(s, 0, (3, 5)), (s, 1, (3, 5))])
 
     def test_shared_parent_wrong_forms_raise(self):
         # as below, with one corrupted parent repeated down the stack
@@ -664,18 +632,18 @@ class TestExchange:
         bad = replace(s, facet_forms=(s.facet_forms[0],
                                       (s.facet_forms[1][0] + 1, s.facet_forms[1][1])))
         with pytest.raises(InternalConsistencyError, match="remainder"):
-            exchange_jobs([(bad, 0, (1, 1), 0), (bad, 1, (1, 1), 1)])
+            exchange_jobs([(bad, 0, (1, 1)), (bad, 1, (1, 1))])
         bad = replace(s, facet_forms=((s.facet_forms[0][0] + s.det, s.facet_forms[0][1]),
                                       s.facet_forms[1]))
         with pytest.raises(InternalConsistencyError, match="F'"):
-            exchange_jobs([(bad, 0, (1, 1), 0), (bad, 0, (1, 1), 0)])
+            exchange_jobs([(bad, 0, (1, 1)), (bad, 0, (1, 1))])
 
     @staticmethod
     def corrupted(s, forms):
         """A stack of good jobs around one job on s with wrong forms."""
         good = make_simplicial_cone(((1, 2), (4, 1)))
-        return [(good, 0, (1, 1), 0), (replace(s, facet_forms=forms), 0, (1, 1), 0),
-                (good, 1, (1, 1), 1)]
+        return [(good, 0, (1, 1)), (replace(s, facet_forms=forms), 0, (1, 1)),
+                (good, 1, (1, 1))]
 
     def test_inexact_division_raises(self):
         # det 11 and u = (4, 1) at x = (1, 1); one more on an entry of
@@ -695,73 +663,74 @@ class TestExchange:
             exchange_jobs(self.corrupted(s, (pivot, s.facet_forms[1])))
 
 
-def facet_runs(cells):
-    """The number of connected runs of the cells, two cells joined when
-    they share all indices but one."""
-    left, runs = set(cells), 0
-    while left:
-        runs += 1
-        todo = [left.pop()]
-        while todo:
-            idx = todo.pop()
-            near = {c for c in left if len(set(c) & set(idx)) == len(idx) - 1}
-            left -= near
-            todo.extend(near)
-    return runs
-
-
-def queue_order(cells):
-    """(cell, parent) for every cell in the order of a breadth-first
-    queue across shared facets that takes one cell at a time; parent is
-    the cell that first reached it, None for the first of a run."""
-    out, seen = [], set()
-    for start in cells:
-        if start in seen:
-            continue
-        seen.add(start)
-        out.append((start, None))
-        queue = [start]
-        for idx in queue:  # grows while it runs
-            for k in range(len(idx)):
-                facet = idx[:k] + idx[k + 1:]
-                for new in cells:
-                    if new not in seen and set(facet) <= set(new):
-                        seen.add(new)
-                        out.append((new, idx))
-                        queue.append(new)
-    return out
-
-
 def pivoted_simplices(*exchange_mocks) -> int:
     """The number of simplices pivoted through wrapped exchanges."""
     return sum(len(c.args[3]) for m in exchange_mocks for c in m.call_args_list)
 
 
 def check_simplices(vectors, cells, rng):
-    """build_simplices over the cells, shuffled, yields every cell once as
-    make_simplicial_cone's simplex over its sorted vectors, in
-    queue_order, each pivoted from the forms and det of its parent there,
-    and builds one simplex from scratch per connected run."""
+    """build_simplices over the cells, shuffled, returns
+    make_simplicial_cone's simplex over each cell's vectors, in the order
+    of the cells; a lone cell is built from scratch, two or more by one
+    exchange over every cell."""
     cells = list(cells)
     assert all(idx == tuple(sorted(idx)) for idx in cells)
     rng.shuffle(cells)
-    runs = facet_runs(cells)
     with mock.patch.object(cone_module, "make_simplicial_cone",
                            wraps=cone_module.make_simplicial_cone) as scratch, \
             mock.patch.object(cone_module, "exchange",
                               wraps=cone_module.exchange) as pivoted:
-        built = list(build_simplices(vectors, cells))
-    assert scratch.call_count == runs
-    assert pivoted_simplices(pivoted) == len(cells) - runs
-    order = queue_order(cells)
-    def gens(idx):
-        return tuple(vectors[g] for g in idx)
-    assert [s.gens for s in built] == [gens(idx) for idx, _ in order]
-    parents = [(f, d) for c in pivoted.call_args_list
-               for f, d in zip(c.args[0].tolist(), c.args[1].tolist())]
-    expected = [make_simplicial_cone(gens(p)) for _, p in order if p is not None]
-    assert parents == [(list(map(list, s.facet_forms)), s.det) for s in expected]
-    assert all(s == make_simplicial_cone(s.gens) for s in built)
+        built = build_simplices(vectors, cells)
+    assert scratch.call_count == (len(cells) == 1)
+    assert pivoted_simplices(pivoted) == (len(cells) if len(cells) > 1 else 0)
+    assert built == [make_simplicial_cone([vectors[g] for g in idx]) for idx in cells]
+
+
+@st.composite
+def random_cells(draw):
+    """(vectors, cells): r to r + 3 vectors in Z^r, r = 1-4, with entries
+    of up to 70 bits, and one to six sorted r-subsets of them that span,
+    repeats allowed."""
+    r = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[ENTRY] * r), min_size=r, max_size=r + 3))
+    spanning = [idx for idx in combinations(range(len(vectors)), r)
+                if minor_det([vectors[g] for g in idx])]
+    assume(spanning)
+    return vectors, draw(st.lists(st.sampled_from(spanning), min_size=1, max_size=6))
+
+
+class TestBuildSimplices:
+    @settings(max_examples=150, deadline=None)
+    @given(random_cells(), st.randoms(use_true_random=False))
+    def test_random_cells(self, case, rng):
+        check_simplices(*case, rng)
+
+    def test_stack_dtype_follows_its_entries(self):
+        # 2-cells over the rays (1, k), k = 0..4: a small stack pivots in
+        # int64 throughout; ray 0 scaled by 2^64, the first generator of
+        # one cell, puts both steps in Python ints, and ray 4, the last
+        # generator of one cell, only the exchange step
+        cells = [(k, k + 1) for k in range(4)]
+        for big, expected in [(None, [np.int64, np.int64]), (0, [object, object]),
+                              (4, [np.int64, object])]:
+            vectors = [(1 << 64, k << 64) if k == big else (1, k) for k in range(5)]
+            spy, dtypes = pivot_dtypes()
+            with mock.patch.object(la, "pivot", spy):
+                built = build_simplices(vectors, cells)
+            assert dtypes == expected
+            assert built == [make_simplicial_cone([vectors[g] for g in idx])
+                             for idx in cells]
+
+    @pytest.mark.parametrize("cells", [[(0, 2, 3), (0, 1, 2)], [(0, 2, 3), (0, 2, 4)]])
+    def test_dependent_cell_raises(self, cells):
+        # (0, 1, 2) is dependent at its second generator, (0, 2, 4) at its last
+        vectors = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
+        with pytest.raises(SingularMatrixError):
+            build_simplices(vectors, cells)
+
+    def test_empty_and_lone_cell(self):
+        assert build_simplices(CONE35, []) == []
+        check_simplices(CONE35, [(0, 1)], random.Random(0))
 
 
 FIXTURE_CONES = [build_cone(parse_input(p.read_text()))
@@ -807,10 +776,8 @@ class TestPlacingLinks:
         check_simplices(c.generators, c.triangulation, random.Random(1))
         if c.rank > 1:
             check_pulling(c)
-        tri = triangulate(c)
-        assert len(tri) == len(c.triangulation)
-        assert set(tri) == {make_simplicial_cone(tuple(c.generators[g] for g in idx))
-                            for idx in c.triangulation}
+        assert triangulate(c) == tuple(make_simplicial_cone([c.generators[g] for g in idx])
+                                       for idx in c.triangulation)
 
     @pytest.mark.parametrize("c", FIXTURE_CONES, ids=lambda c: str(c.generators))
     @pytest.mark.parametrize("level", [1, 2])
@@ -890,7 +857,7 @@ class TestPulling:
         d = len(gens[0])
         assume(frac_rank(gens) == d)
         c = build_cone(ConeInput(d, generators=gens))
-        # one simplex from scratch, every other one pivoted from a neighbour
+        # the simplices of the cells, in their order
         check_simplices(c.generators, c.triangulation, rng)
         # every simplex holds the apex and stands on a facet without it
         check_pulling(c)
@@ -1045,11 +1012,15 @@ def test_seed_one_pivot_passes():
     series-polytope cones are pulled from an apex: 358 simplices where
     their placing took 772, for nine more descriptions (one per
     non-simplicial pyramid) and so nine more passes; the other workloads
-    build simplicial cones.  Each triangulation and overcone placing
-    takes one simplex from scratch; the stellar pieces, pivoted by
-    subdivide's exchange, count as pivoted too.  Of the 942 series-approx overcone simplices of det > 1,
-    the 291 that a facet form separates from their simplex are not
-    swept, which leaves 651 hb_candidates calls."""
+    build simplicial cones.  A triangulation or overcone placing of one
+    cell builds it from scratch; one of two or more cells pivots them
+    all in one stacked elimination that ends in an exchange, with no
+    basis_forms pass (the six series-polytope triangulations and 15
+    series-approx overcone placings).  The stellar pieces, pivoted by
+    subdivide's exchange, count as pivoted too.  Of the 942
+    series-approx overcone simplices of det > 1, the 291 that a facet
+    form separates from their simplex are not swept, which leaves 651
+    hb_candidates calls."""
     counts = {}
     for name, runs in seed_one_runs():
         with mock.patch.object(la, "basis_forms", wraps=la.basis_forms) as bf, \
@@ -1072,9 +1043,9 @@ def test_seed_one_pivot_passes():
                         scratch.call_count, pivoted_simplices(pivoted, stellar),
                         swept.call_count)
     assert counts == {"series-ip": (77, 6, 6, 6, 295, 0),
-                      "series-approx": (48, 21, 6, 21, 1610, 651),
+                      "series-approx": (33, 21, 6, 6, 1625, 651),
                       "hb-ip": (37, 8, 8, 8, 50, 0),
-                      "series-polytope": (27, 15, 358, 6, 352, 0)}
+                      "series-polytope": (21, 15, 358, 0, 358, 0)}
 
 
 def test_seed_one_hermite_calls():

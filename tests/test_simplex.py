@@ -197,6 +197,27 @@ class TestSeriesContribution:
             assert excluded_facets(s, anchor) == frozenset({i})
             assert series_contribution(s, deg, anchor).numerator == shifted((i,))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * (r - 1), st.integers(1, 4)),
+                 min_size=r, max_size=r),
+        st.tuples(*[st.integers(-1, 1)] * (r - 1), st.integers(1, 4)))))
+    @example((((1, 0), (1, 2)), (1, 1)))
+    def test_stanley_reciprocity(self, case):
+        # at the anchor -Σg every facet is excluded, and p -> Σg - p maps
+        # E onto its shifts, the points with generator coordinates in
+        # (0, 1]: the numerator is the closed one reversed over the
+        # degrees 0..Σdeg(g), the last of which the origin's shift reaches
+        gens, deg = case
+        assume(minor_det(gens) != 0 and all(dotv(g, deg) > 0 for g in gens))
+        s, top = simplex(gens), sum(dotv(g, deg) for g in gens)
+        anchor = tuple(-x for x in generator_sum(gens))
+        assert excluded_facets(s, anchor) == frozenset(range(len(gens)))
+        closed = closed_series(gens, deg)
+        opened = series_contribution(s, deg, anchor)
+        assert opened.numerator == (closed.numerator + (0,) * top)[top::-1]
+        assert opened.denom_degrees == closed.denom_degrees
+
 
 class TestHbCandidates:
     def test_unimodular(self):
