@@ -10,7 +10,7 @@ coincide.
 
 Simplicial cones are built by fraction-free pivots:
 make_simplicial_cone pivots the generators into the unit basis
-(linalg.facet_forms), and exchange takes the forms of simplices that
+(linalg.basis_forms), and exchange takes the forms of simplices that
 each differ from a known one in one generator by one linalg.pivot on
 their stack, for the last generator of a triangulation's cells as for
 the pieces of a stellar cut.  Both give the same SimplicialCone, checked
@@ -122,9 +122,12 @@ class SimplicialCone:
 
 
 def make_simplicial_cone(gens) -> SimplicialCone:
-    """The simplicial cone over `gens`, its facet forms from linalg.facet_forms."""
+    """The simplicial cone over `gens` by one linalg.basis_forms pass: dependent
+    generators raise SingularMatrixError, a non-square matrix DimensionError."""
     gens = la.as_mat(gens)
-    forms, det = la.facet_forms(gens)
+    kept, forms, det = la.basis_forms(gens, len(gens))
+    if len(kept) < len(gens):
+        raise SingularMatrixError("the generators are linearly dependent")
     return SimplicialCone(gens, det, forms)
 
 
@@ -261,13 +264,13 @@ def ambient_support_forms(cone: Cone) -> IntMat:
 
     The lift of a form y is the ambient form in span(B) that agrees with
     y on the basis rows, (G^-1·y)·B; the Gram matrix G is symmetric and
-    positive definite, so its facet forms are adj(G) = det(G)·G^-1, and
-    adj(G)·y is a positive multiple of G^-1·y with the same primitive lift.
+    positive definite, so make_simplicial_cone(G) has the facet forms
+    adj(G) = det(G)·G^-1, which give the same primitive lifts.
     """
     if cone.rank == cone.ambient_dim:
         return cone.support_forms
     b = cone.lattice_basis
-    adj, _ = la.facet_forms(la.matmul(b, la.transpose(b)))
+    adj = make_simplicial_cone(la.matmul(b, la.transpose(b))).facet_forms
     return tuple(sorted(la.primitive(la.vec_mat(la.mat_vec(adj, form), b))
                         for form in cone.support_forms))
 

@@ -4,14 +4,14 @@ Vectors are tuples of Python ints, matrices are tuples of such rows;
 stacks of simplices are int64 or object arrays (below).  Everything
 here is exact; no floating point is used anywhere.
 
-Every exact inverse comes from checked fraction-free pivots.  pivot
-takes one step on a whole stack of simplices in arrays, and check_forms
-checks the stack.  basis_forms, the greedy basis among some rows and
-its facet forms, takes the same step and check on one simplex in Python
-ints (_pivot_one): for r = 5 an array step on a stack of one costs
-about four times as much.  The package's one int64-or-object policy,
-int_dtype, is held by stack, which builds every integer array, and by
-products, which makes every exact product of arrays.
+Every exact inverse is checked and built once: a unimodular transform
+carries it through its own steps (lll_reduce, sublattice), and facet
+forms come from fraction-free pivots, by pivot on a stack of simplices
+in arrays (checked by check_forms) and by basis_forms on one simplex in
+Python ints (_pivot_one): at r = 5 an array step on a stack of one costs
+about four times as much.  The one int64-or-object policy, int_dtype,
+is held by stack, which builds every integer array, and by products,
+which makes every exact product.
 """
 
 from __future__ import annotations
@@ -167,7 +167,8 @@ def basis_forms(rows, n: int) -> tuple[list[int], IntMat, int]:
     the span of the rows taken and is skipped.  The pass stops once
     every position is taken.  kept lists the indices of the rows taken,
     B; row j of F, in the order of kept, vanishes on every row of B but
-    the j-th and takes δ on it.  Checked exactly: F·B^T = δ·I.
+    the j-th and takes δ on it.  Checked exactly: F·B^T = δ·I.  At full
+    rank, F = sgn(det B)·adj(B)^T and δ = |det B| (make_simplicial_cone).
     """
     forms, det = identity(n), 1
     free = list(range(n))
@@ -212,33 +213,22 @@ def _pivot_one(forms: IntMat, delta: int, u: IntVec, i: int) -> tuple[IntMat, in
     return tuple(out), det
 
 
-def facet_forms(m: IntMat) -> tuple[IntMat, int]:
-    """(F, δ) with F·m^T = δ·I and δ = |det m|, all entries integer.
-
-    Row j of F vanishes on every row of m but the j-th, and is positive
-    on it: F = sgn(det m)·adj(m)^T.  basis_forms checks it exactly, and
-    its dot products raise DimensionError when m is not square.
-    """
-    n = len(m)
-    kept, forms, det = basis_forms(m, n)
-    if len(kept) < n:
-        raise SingularMatrixError("facet forms of a singular matrix")
-    return forms, det
-
-
-def lll_reduce(basis) -> tuple[IntMat, IntMat]:
-    """(reduced, h): an LLL-reduced basis (δ = 3/4) of the lattice spanned
-    by the rows of `basis`, with reduced = h·basis and h unimodular.  The
-    rows must be linearly independent; dependent rows raise
-    SingularMatrixError.
+def lll_reduce(basis) -> tuple[IntMat, IntMat, IntMat]:
+    """(reduced, h, g): an LLL-reduced basis (δ = 3/4) of the lattice
+    spanned by the rows of `basis`, with reduced = h·basis, h unimodular
+    and g = (h^-1)^T, checked: h·g^T = I.  The rows must be linearly
+    independent; dependent rows raise SingularMatrixError.
 
     Integral LLL (Cohen, Alg. 2.6.7): d[i] is the Gram determinant of
     the first i rows and lam[k][j] = d[j+1]·μ_kj, both integers, updated
     incrementally by size reduction and swaps, so no rational is formed.
+    g follows h's row steps: h[k] -= q·h[j] is g[j] += q·g[k], and a swap
+    of two rows of h swaps them in g.
     """
     b = [list(r) for r in as_mat(basis)]
     n = len(b)
     h = [list(r) for r in identity(n)]
+    g = [list(r) for r in identity(n)]
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
 
@@ -249,6 +239,7 @@ def lll_reduce(basis) -> tuple[IntMat, IntMat]:
         q = (2 * lk[j] + dj) // (2 * dj)
         b[k] = [x - q * y for x, y in zip(b[k], b[j])]
         h[k] = [x - q * y for x, y in zip(h[k], h[j])]
+        g[j] = [x + q * y for x, y in zip(g[j], g[k])]
         lk[j] -= q * dj
         for i in range(j):
             lk[i] -= q * lj[i]
@@ -277,6 +268,7 @@ def lll_reduce(basis) -> tuple[IntMat, IntMat]:
             # swap rows k-1 and k; d[k] and the lam of columns k-1, k change
             b[k - 1], b[k] = b[k], b[k - 1]
             h[k - 1], h[k] = h[k], h[k - 1]
+            g[k - 1], g[k] = g[k], g[k - 1]
             for j in range(k - 1):
                 lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
             new = (d[k - 1] * d[k + 1] + m * m) // d[k]
@@ -290,7 +282,9 @@ def lll_reduce(basis) -> tuple[IntMat, IntMat]:
         for j in range(k - 2, -1, -1):
             reduce(k, j)
         k += 1
-    return tuple(map(tuple, b)), tuple(map(tuple, h))
+    if matmul(h, transpose(g)) != identity(n):
+        raise InternalConsistencyError("LLL transform failed h·g^T = I")
+    return tuple(map(tuple, b)), tuple(map(tuple, h)), tuple(map(tuple, g))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -356,8 +350,8 @@ def sublattice(rows, dim: int) -> tuple[IntMat, IntMat, IntMat]:
     so the first k rows of u^-1 are a basis of span_Q(rows) ∩ Z^dim and
     the last dim - k columns of u a basis of the saturated lattice
     {x in Z^dim : row·x = 0 for all rows}.  Both are returned
-    LLL-reduced: `basis` = g·u^-1[:k] and `coords` = h·g^-1, so
-    coords·basis = rows.
+    LLL-reduced: `basis` = g·u^-1[:k] and `coords` = h·g^-1, with
+    (g^-1)^T the third value of lll_reduce, so coords·basis = rows.
     """
     rows = as_mat(rows)
     if not rows:
@@ -379,8 +373,7 @@ def sublattice(rows, dim: int) -> tuple[IntMat, IntMat, IntMat]:
                                   [x * t - y * s for s, t in zip(inv[k], inv[j])])
         if k < dim and r[k]:
             k += 1
-    basis, g = lll_reduce(inv[:k])
-    ginv_t, _ = facet_forms(g)  # g is unimodular, so g^-1 = F^T
+    basis, _, ginv_t = lll_reduce(inv[:k])
     coords = tuple(mat_vec(ginv_t, r[:k]) for r in a)
     if k and matmul(coords, basis) != rows:  # at rank 0 the rows are zero
         raise InternalConsistencyError("restricted coordinates do not give the rows")

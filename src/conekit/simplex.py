@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg as la
 from .cone import SimplicialCone
-from .errors import GradingNotPositiveError, InternalConsistencyError
+from .errors import DomainError, GradingNotPositiveError, InternalConsistencyError
 from .linalg import IntVec
 
 DEFAULT_BLOCK = 1 << 20
@@ -92,9 +92,12 @@ def residue_blocks(s: SimplicialCone):
 
     Each row v encodes one fundamental-domain point e = (v · gens) / det
     with q-coordinates v/det in [0,1)^r.  A block is its digit array
-    times the axis rows, reduced modulo det once.
+    times the axis rows, reduced modulo det once.  The digits are int64
+    indices, so det >= INT64_SAFE raises DomainError.
     """
     det = s.det
+    if det >= la.INT64_SAFE:
+        raise DomainError(f"a simplex of det {det} is too large to sweep")
     dtype = _block_dtype(s)
     axes = _residue_axes(s)
     if not axes:  # det 1: the origin alone

@@ -201,18 +201,16 @@ def solve_star_ip(s: SimplicialCone,
     if height <= 1:
         return IpOutcome("infeasible")
     normal = s.height_normal
-    # search in y = U^-1·x, with the columns of F·U LLL-reduced
-    transform = la.transpose(la.lll_reduce(la.transpose(s.facet_forms))[1])
-    uinv_t, _ = la.facet_forms(transform)  # U is unimodular, so U^-1 = F^T
-    ygens = [la.vec_mat(g, uinv_t) for g in s.gens]
-    forms = la.matmul(s.facet_forms, transform)
-    order = la.vec_mat(normal, transform)
+    # search in y = U^-1·x, U = h^T: the columns of F·U = reduced^T are LLL-reduced
+    reduced, h, uinv = la.lll_reduce(la.transpose(s.facet_forms))
+    ygens = [la.mat_vec(uinv, x) for x in s.gens]
+    order = la.mat_vec(h, normal)
     r = s.dim
     pos_coord = next((j for j in range(r) if all(g[j] > 0 for g in ygens)),
                      None)
     gmin = [min(g[j] for g in ygens) for j in range(r)]
     gmax = [max(g[j] for g in ygens) for j in range(r)]
-    facet_terms = [_terms(f) for f in forms]
+    facet_terms = [_terms(f) for f in la.transpose(reduced)]  # the rows of F·U
     order_terms = _terms(order)
     search = _Search(_deadline(cfg, det), cfg.node_limit)
 
@@ -232,7 +230,7 @@ def solve_star_ip(s: SimplicialCone,
         cap = (det * b) // height
         rows = [(*t, 0, cap) for t in facet_terms] + [(*order_terms, a, b)]
         y = search.find(rows, lo, hi, order)
-        return None if y is None else la.mat_vec(transform, y)
+        return None if y is None else la.vec_mat(y, h)
 
     try:
         # the lowest levels have the tightest boxes and, for big

@@ -292,6 +292,19 @@ class TestMain:
         assert err.startswith("error: ") and str(csv_path) in err
         assert err.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("goal", ["all", "hb", "series"])
+    def test_leaf_too_large_to_sweep_exit_code(self, tmp_path, capsys, goal):
+        # det 2^71 at generator height 1: no strategy can cut it, and the
+        # leaf is refused with a domain error, not a traceback
+        p = write_input(tmp_path, "huge.in",
+                        "amb_space 3\ncone 3\n1 0 1\n0 1 1\n"
+                        "1180591620717411303424 1180591620717411303425 1\n"
+                        "grading\n0 0 1\n")
+        assert main([str(p), "--time-limit-scale", "0", "--goal", goal]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: a simplex of det {2**71} is too large to sweep\n"
+        assert not (tmp_path / "huge.out").exists()
+
     def test_failed_stats_csv_leaves_no_report(self, tmp_path):
         p = write_input(tmp_path, "a.in", "amb_space 2\ncone 2\n1 0\n3 5\n")
         assert main([str(p), "--stats-csv", str(tmp_path / "missing" / "x.csv")]) == 1

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conekit.errors import DimensionError, InternalConsistencyError, SingularMatrixError
 from conekit import linalg as la
-from conekit.cone import dual_description
+from conekit.cone import dual_description, make_simplicial_cone
 
 from oracles import (frac_rank, fraction_free_independent_rows, gram_restrict,
                      gram_schmidt, lattice_index, minor_det, minors_gcd)
@@ -23,25 +23,31 @@ def square_matrices(max_dim=5, max_entry=1000):
     )
 
 
+def facet_forms(m):
+    """(F, δ) of make_simplicial_cone(m): F·m^T = δ·I and δ = |det m|."""
+    s = make_simplicial_cone(m)
+    return s.facet_forms, s.det
+
+
 class TestDeterminant:
-    """facet_forms's δ is |det|; the sign goes into the forms."""
+    """make_simplicial_cone's det is |det|; the sign goes into the forms."""
 
     def test_identity(self):
-        assert la.facet_forms(la.identity(3)) == (la.identity(3), 1)
+        assert facet_forms(la.identity(3)) == (la.identity(3), 1)
 
     def test_lower_triangular(self):
-        assert la.facet_forms(((1, 0), (3, 5)))[1] == 5
+        assert facet_forms(((1, 0), (3, 5)))[1] == 5
 
     def test_row_swap_sign(self):
         # det -1: δ is 1, and the forms are -adj^T
-        assert la.facet_forms(((0, 1), (1, 0))) == (((0, 1), (1, 0)), 1)
+        assert facet_forms(((0, 1), (1, 0))) == (((0, 1), (1, 0)), 1)
 
     def test_empty(self):
-        assert la.facet_forms(()) == ((), 1)
+        assert facet_forms(()) == ((), 1)
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            la.facet_forms(((1, 2), (3, 4), (5, 6)))
+            facet_forms(((1, 2), (3, 4), (5, 6)))
 
     @settings(max_examples=100, deadline=None)
     @given(square_matrices(max_dim=5, max_entry=1000))
@@ -58,9 +64,9 @@ def assert_delta_is_abs_det(rows):
     det = minor_det(rows)
     if det == 0:
         with pytest.raises(SingularMatrixError):
-            la.facet_forms(la.as_mat(rows))
+            facet_forms(la.as_mat(rows))
     else:
-        assert la.facet_forms(la.as_mat(rows))[1] == abs(det)
+        assert facet_forms(la.as_mat(rows))[1] == abs(det)
 
 
 def cofactor_adjugate(rows):
@@ -91,41 +97,42 @@ def adjugate_inputs(draw):
 
 
 class TestAdjugate:
-    """facet_forms(m) is the oriented, transposed adjugate sgn(det m)·adj(m)^T."""
+    """The facet forms of make_simplicial_cone(m) are the oriented,
+    transposed adjugate sgn(det m)·adj(m)^T."""
 
     def test_identity(self):
-        assert la.facet_forms(la.identity(2)) == (la.identity(2), 1)
+        assert facet_forms(la.identity(2)) == (la.identity(2), 1)
 
     def test_columns_of_generators(self):
         # row j of F is δ times the j-th q-coordinate form of the rows
-        assert la.facet_forms(((1, 3), (0, 5))) == (((5, 0), (-3, 1)), 5)
+        assert facet_forms(((1, 3), (0, 5))) == (((5, 0), (-3, 1)), 5)
 
     def test_diagonal(self):
-        assert la.facet_forms(((2, 0), (0, 2))) == (((2, 0), (0, 2)), 4)
+        assert facet_forms(((2, 0), (0, 2))) == (((2, 0), (0, 2)), 4)
 
     def test_empty_and_one_by_one(self):
-        assert la.facet_forms(()) == ((), 1)
-        assert la.facet_forms(((-7,),)) == (((-1,),), 7)
-        assert la.facet_forms(((2**70,),)) == (((1,),), 2**70)
+        assert facet_forms(()) == ((), 1)
+        assert facet_forms(((-7,),)) == (((-1,),), 7)
+        assert facet_forms(((2**70,),)) == (((1,),), 2**70)
 
     def test_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
-            la.facet_forms(((1, 1), (2, 2)))
+            facet_forms(((1, 1), (2, 2)))
         with pytest.raises(SingularMatrixError):
-            la.facet_forms(((0,),))
+            facet_forms(((0,),))
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            la.facet_forms(((1, 2, 3), (4, 5, 6)))
+            facet_forms(((1, 2, 3), (4, 5, 6)))
 
     def test_exactness_check(self):
         # a wrong elimination result is caught, not returned: with every
         # pivot step giving the same wrong forms, the pass's check fails
-        # for facet_forms and for every other reader of the pass
+        # for make_simplicial_cone and for every other reader of the pass
         wrong = (((5, 0), (0, 1)), 5)
         with mock.patch.object(la, "_pivot_one", return_value=wrong):
             with pytest.raises(InternalConsistencyError):
-                la.facet_forms(((1, 0), (3, 5)))
+                facet_forms(((1, 0), (3, 5)))
             with pytest.raises(InternalConsistencyError, match="F·B"):
                 la.basis_forms(((1, 0), (2, 0), (3, 5)), 2)
             with pytest.raises(InternalConsistencyError, match="F·B"):
@@ -139,9 +146,9 @@ class TestAdjugate:
         n = len(rows)
         if det == 0:
             with pytest.raises(SingularMatrixError):
-                la.facet_forms(m)
+                facet_forms(m)
             return
-        forms, d = la.facet_forms(m)
+        forms, d = facet_forms(m)
         assert d == abs(det)
         assert la.matmul(forms, la.transpose(m)) == scaled_identity(n, d)
         sg = 1 if det > 0 else -1
@@ -206,7 +213,7 @@ class TestHelpers:
             la.dot((1, 2), (1, 2, 3))
 
     def test_adjugate(self):
-        forms, det = la.facet_forms(((1, 0), (3, 5)))
+        forms, det = facet_forms(((1, 0), (3, 5)))
         assert det == 5
         assert la.matmul(forms, ((1, 3), (0, 5))) == ((5, 0), (0, 5))
 
@@ -296,14 +303,14 @@ class TestHelpers:
     @given(rows_with_repeats())
     def test_basis_forms_are_the_facet_forms_of_the_basis(self, case):
         # one pass gives the greedy basis B, forms with F·B^T = δ·I and,
-        # at full rank, the (F, δ) that facet_forms(B) computes again
+        # at full rank, the (F, δ) that make_simplicial_cone(B) computes again
         rows, n = case
         kept, forms, det = la.basis_forms(rows, n)
         assert kept == fraction_free_independent_rows(rows, n)
         basis = la.as_mat([rows[k] for k in kept])
         assert la.matmul(forms, la.transpose(basis)) == scaled_identity(len(kept), det)
         if len(kept) == n:
-            assert (forms, det) == la.facet_forms(basis)
+            assert (forms, det) == facet_forms(basis)
 
 
 @st.composite
@@ -348,8 +355,8 @@ class TestSublattice:
         true_lll = la.lll_reduce
 
         def wrong(basis):
-            reduced, h = true_lll(basis)
-            return reduced, tuple((-r[0],) + r[1:] for r in h)
+            reduced, h, g = true_lll(basis)
+            return reduced, h, tuple((-r[0],) + r[1:] for r in g)
 
         with mock.patch.object(la, "lll_reduce", wrong):
             with pytest.raises(InternalConsistencyError,
@@ -367,29 +374,65 @@ def nonsingular_bases(draw):
     return rows
 
 
+@st.composite
+def independent_rows(draw):
+    """k <= n linearly independent rows in Z^n, entries up to 2^70 in
+    some draws, that bound itself included."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    bound = draw(st.sampled_from([9, 10**6, 2**70]))
+    entry = st.one_of(st.integers(-bound, bound), st.sampled_from([bound, -bound]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    assume(frac_rank(rows) == k)
+    return rows
+
+
 class TestLll:
     @settings(max_examples=150, deadline=None)
     @given(nonsingular_bases())
     def test_reduced_basis(self, rows):
-        reduced, h = la.lll_reduce(rows)
+        reduced, h, g = la.lll_reduce(rows)
         assert la.matmul(h, rows) == reduced
         assert abs(minor_det(h)) == 1
+        assert la.matmul(h, la.transpose(g)) == la.identity(len(rows))
         mu, norms = gram_schmidt(reduced)
         assert all(abs(c) <= Fraction(1, 2) for row in mu for c in row)
         assert all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
                    for k in range(1, len(rows)))
-        assert la.lll_reduce(reduced) == (reduced, la.identity(len(rows)))
+        unit = la.identity(len(rows))
+        assert la.lll_reduce(reduced) == (reduced, unit, unit)
 
     def test_one_row(self):
-        assert la.lll_reduce(((-7,),)) == (((-7,),), ((1,),))
+        assert la.lll_reduce(((-7,),)) == (((-7,),), ((1,),), ((1,),))
 
     def test_reduced_basis_unchanged(self):
         rows = ((1, 0, 0), (0, 2, 1), (0, -1, 3))
-        assert la.lll_reduce(rows) == (rows, la.identity(3))
+        assert la.lll_reduce(rows) == (rows, la.identity(3), la.identity(3))
 
     def test_dependent_rows_rejected(self):
         with pytest.raises(SingularMatrixError):
             la.lll_reduce(((1, 2), (2, 4)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(independent_rows())
+    def test_carries_the_inverse(self, rows):
+        # g = (h^-1)^T comes out of the row steps, not an elimination
+        reduced, h, g = la.lll_reduce(rows)
+        assert la.matmul(h, rows) == reduced
+        assert la.matmul(h, la.transpose(g)) == la.identity(len(rows))
+
+    def test_corrupted_inverse_raises(self):
+        # the check h·g^T = I sees a g with one entry off
+        true_transpose = la.transpose
+
+        def tampered(m):
+            m = [list(r) for r in m]
+            m[0][0] += 1
+            return true_transpose(m)
+
+        with mock.patch.object(la, "transpose", tampered):
+            with pytest.raises(InternalConsistencyError, match="h·g"):
+                la.lll_reduce(((1, 2), (3, 4)))
 
 
 def _int_solve(basis, target):

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conekit import linalg as la, simplex as simplex_module
 from conekit.cone import make_simplicial_cone
-from conekit.errors import InternalConsistencyError
+from conekit.errors import DomainError, InternalConsistencyError
 from conekit.simplex import (
     _block_dtype, _residue_axes, hb_candidates, points_below, residue_blocks,
     series_contribution,
@@ -497,10 +497,26 @@ def test_unimodular_invariance(case):
     # sum((-1)^k·g_k) moves with U and lies off every facet hyperplane,
     # so both simplices exclude the same (odd) facets.
     deg = simplex(gens).height_normal
-    uinv_t, _ = la.facet_forms(la.as_mat(u))  # U^-1 = F^T
+    uinv_t = make_simplicial_cone(u).facet_forms  # U^-1 = F^T
     anchor = [tuple(sum((-1) ** k * g[j] for k, g in enumerate(m)) for j in range(len(m)))
               for m in (gens, moved)]
     want = series_contribution(simplex(gens), deg, anchor[0])
     moved_s = simplex(moved)
     assert excluded_facets(moved_s, anchor[1]) == frozenset(range(1, len(gens), 2))
     assert series_contribution(moved_s, la.vec_mat(deg, uinv_t), anchor[1]) == want
+
+
+HUGE = ((1, 0, 1), (0, 1, 1), (2**70, 2**70 + 1, 1))  # det 2^71, generator height 1
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda s: series_contribution(s, (0, 0, 1), (1, 1, 1)),
+    hb_candidates,
+], ids=["series_contribution", "hb_candidates"])
+def test_sweep_past_int64_indices_raises(sweep):
+    # the mixed-radix digits are int64 indices, so a sweep of det >=
+    # INT64_SAFE is refused up front, with the det in the message
+    s = simplex(HUGE)
+    assert s.det == 2**71 and s.gen_height == 1
+    with pytest.raises(DomainError, match=f"det {2**71} is too large to sweep"):
+        sweep(s)
