@@ -7,8 +7,11 @@ the staircase (braid-arrangement) triangulation of its surrounding unit
 cube.  The overcone is cheap to evaluate; its fundamental-domain points
 falling inside the original simplex and strictly below generator height
 are returned as subdivision candidates, all of which recursive_subdivide
-hands down its stellar tree.  An overcone simplex that a facet form
-separates from the simplex holds none of them and is not swept.
+hands down its stellar tree.  The overcone's simplices stay one stack
+of arrays (cone.Simplices) from their elimination to their sweep: the
+size tests reduce its det array, and one hb_candidates call sweeps
+every overcone simplex of det > 1 that no facet form separates from
+the simplex, since a separated one holds none of the candidates.
 """
 
 from __future__ import annotations
@@ -77,13 +80,12 @@ def approximate_cone(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     return tuple(gens)
 
 
-def separated(s: SimplicialCone, subs) -> np.ndarray:
-    """Mask of the simplices in `subs` that a facet form separates from
-    s: a form of s negative on all of their generators, or one of their
-    forms negative on all of s's.  Either is a Gordan certificate that
-    the two simplicial cones meet only at 0."""
-    gens = la.stack([sub.gens for sub in subs])
-    forms = la.stack([sub.facet_forms for sub in subs])
+def separated(s: SimplicialCone, gens: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """Mask of the simplices of a stack, generators gens and facet forms
+    forms (k, r, r), that a facet form separates from s: a form of s
+    negative on all of their generators, or one of their forms negative
+    on all of s's.  Either is a Gordan certificate that the two
+    simplicial cones meet only at 0."""
     by_s = la.products(gens, la.stack(s.facet_forms).T)  # [k, gen, form of s]
     by_sub = la.products(forms, la.stack(s.gens).T)  # [k, form, gen of s]
     return (by_s < 0).all(axis=1).any(axis=1) | (by_sub < 0).all(axis=2).any(axis=1)
@@ -92,20 +94,21 @@ def separated(s: SimplicialCone, subs) -> np.ndarray:
 def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     """Subdivision candidates found through the overcone, sorted.
 
-    Builds every simplex of the overcone's placing triangulation (without
+    Builds the stack of the overcone's placing triangulation (without
     further subdivision) by build_simplices.  Empty output means the
     approximation found nothing at this level; it is also the result
     when an overcone simplex is at least as big as the simplex itself,
     in which case approximating cannot pay off, and when the overcone
     simplices of det > 1 hold more than POINT_BUDGET points together,
-    which keeps the enumeration's memory bounded.  Both tests count
-    every overcone simplex of det > 1.  Of those, the ones that no facet
-    form separates from the simplex (see separated) are swept, and
-    their distinct points that points_below keeps are returned: the
-    points in the simplex strictly below generator height.  A separated
-    overcone simplex meets the simplex only at 0, so none of its points
-    can pass, and a unimodular one adds only its generators, which are
-    overcone generators already.
+    which keeps the enumeration's memory bounded.  Both tests reduce the
+    det array of every overcone simplex of det > 1, the sum in Python
+    ints.  Of those, the ones that no facet form separates from the
+    simplex (see separated) are swept by one hb_candidates call on their
+    stack, and their distinct points that points_below keeps are
+    returned: the points in the simplex strictly below generator
+    height.  A separated overcone simplex meets the simplex only at 0,
+    so none of its points can pass, and a unimodular one adds only its
+    generators, which are overcone generators already.
 
     Every candidate goes into recursive_subdivide's pool, so they are
     not reduced to their minimal elements.  Stellar subdivision at any
@@ -119,15 +122,12 @@ def approx_candidates(s: SimplicialCone, level: int = 1) -> tuple[IntVec, ...]:
     forms, _, placing = dual_description(over)
     if any(la.dot(f, g) < 0 for f in forms for g in s.gens):
         raise InternalConsistencyError("approximation is not an overcone")
-    big = []
-    for sub in build_simplices(over, placing):
-        if sub.det >= max(2, s.det):
-            return ()
-        if sub.det > 1:
-            big.append(sub)
-    if sum(sub.det for sub in big) > POINT_BUDGET:
+    subs = build_simplices(over, placing)
+    if la.magnitude(subs.det) >= max(2, s.det):
         return ()
-    if big:
-        big = [sub for sub, out in zip(big, separated(s, big)) if not out]
-    cands = np.vstack([la.stack(over)] + [hb_candidates(sub) for sub in big])
+    subs = subs[subs.det > 1]
+    if sum(subs.det.tolist()) > POINT_BUDGET:
+        return ()
+    subs = subs[~separated(s, subs.gens, subs.forms)]
+    cands = np.vstack([la.stack(over), hb_candidates(subs)])
     return tuple(sorted({la.as_vec(row) for row in points_below(s, cands)}))

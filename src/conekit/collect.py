@@ -10,7 +10,7 @@ from math import lcm
 import numpy as np
 
 from . import linalg as la
-from .cone import SimplicialCone, build_simplices, dual_description
+from .cone import SimplicialCone, build_simplices, dual_description, stacked
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntMat, IntVec
 from .simplex import POINT_BUDGET, hb_candidates
@@ -248,7 +248,7 @@ def bottom_volume(s: SimplicialCone) -> int:
     if s.det > POINT_BUDGET:
         raise DomainError(f"determinant {s.det} is above the budget of {POINT_BUDGET} points")
     r = s.dim
-    points = reduce_to_hilbert_basis(hb_candidates(s), s.facet_forms)
+    points = reduce_to_hilbert_basis(hb_candidates(stacked([s], r)), s.facet_forms)
     homog = [p + (1,) for p in points] + [tuple(g) + (0,) for g in s.gens]
     facets, _, _ = dual_description(homog)
     total = 0
@@ -258,5 +258,5 @@ def bottom_volume(s: SimplicialCone) -> int:
             continue
         on_facet = [p for p in points if la.dot(eta, p) + offset == 0]
         placing = dual_description(on_facet)[2]
-        total += sum(sub.det for sub in build_simplices(on_facet, placing))
+        total += sum(build_simplices(on_facet, placing).det.tolist())
     return total

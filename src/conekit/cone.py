@@ -13,10 +13,13 @@ make_simplicial_cone pivots the generators into the unit basis
 (linalg.basis_forms), and exchange takes the forms of simplices that
 each differ from a known one in one generator by one linalg.pivot on
 their stack, for the last generator of a triangulation's cells as for
-the pieces of a stellar cut.  Both give the same SimplicialCone, checked
-by linalg.check_forms: generators, det and facet forms, all that
-subdivision and evaluation read.  A triangulation is a tuple of sorted
-index tuples into its vectors; build_simplices builds its simplices in
+the pieces of a stellar cut.  Both give the same forms, checked by
+linalg.check_forms: generators, det and facet forms, all that
+subdivision and evaluation read.  Many simplices travel as one
+Simplices stack of arrays, from their elimination to their sweep;
+simplicial_cones turns a stack into SimplicialCone tuples where one
+simplex is read on its own.  A triangulation is a tuple of sorted
+index tuples into its vectors; build_simplices builds its stack in
 that order, a lone cell from scratch and two or more by one stacked
 elimination, r - 1 pivots from the unit basis and one exchange.
 `Cone.triangulation` is the
@@ -121,6 +124,38 @@ class SimplicialCone:
         return tuple(la.dot(f, x) for f in self.facet_forms)
 
 
+@dataclass(frozen=True)
+class Simplices:
+    """A stack of k simplicial cones of rank r as integer arrays (int64
+    or object): generators gens (k, r, r), facet forms (k, r, r) and
+    dets (k), the fields of SimplicialCone.  Indexing takes a sub-stack."""
+
+    gens: np.ndarray
+    forms: np.ndarray
+    det: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.det)
+
+    def __getitem__(self, keep) -> Simplices:
+        return Simplices(self.gens[keep], self.forms[keep], self.det[keep])
+
+
+def stacked(simplices, r: int) -> Simplices:
+    """The SimplicialCones of rank r as one stack, empty or not."""
+    k = len(simplices)
+    return Simplices(la.stack([s.gens for s in simplices]).reshape(k, r, r),
+                     la.stack([s.facet_forms for s in simplices]).reshape(k, r, r),
+                     la.stack([s.det for s in simplices]).reshape(k))
+
+
+def simplicial_cones(stack: Simplices) -> tuple[SimplicialCone, ...]:
+    """The simplices of a stack, each as a SimplicialCone of Python ints."""
+    return tuple(SimplicialCone(tuple(map(tuple, g)), d, tuple(map(tuple, f)))
+                 for g, d, f in zip(stack.gens.tolist(), stack.det.tolist(),
+                                    stack.forms.tolist()))
+
+
 def make_simplicial_cone(gens) -> SimplicialCone:
     """The simplicial cone over `gens` by one linalg.basis_forms pass: dependent
     generators raise SingularMatrixError, a non-square matrix DimensionError."""
@@ -132,39 +167,39 @@ def make_simplicial_cone(gens) -> SimplicialCone:
 
 
 def exchange(forms: np.ndarray, det: np.ndarray, u: np.ndarray, i: list,
-             gens: np.ndarray) -> list[SimplicialCone]:
-    """The simplices over the generator stack gens (k, r, r), by one
-    stacked fraction-free pivot.
+             gens: np.ndarray) -> Simplices:
+    """The stack of simplices over the generator stack gens (k, r, r), by
+    one stacked fraction-free pivot.
 
     Simplex k is a known simplex S_k, of det det[k] and facet forms
     forms[k], with generator i[k] exchanged for the point x_k =
     gens[k, i[k]], and u[k] = F·x_k; i is a list of ints.  linalg.pivot
     takes the new dets and forms from those of S_k for r² products
     each, where make_simplicial_cone pivots r times from the unit basis;
-    both give the same forms, since the inverse is unique.  F'·g'_k =
-    det'·e_k must hold for every generator.
+    both give the same forms, since the inverse is unique.  F'·g' =
+    det'·I must hold for every simplex of the stack.
     """
     forms, det = la.pivot(forms, det, u, i)
     la.check_forms(forms, gens, det, "exchanged facet forms failed F'·g' = det'·I")
-    return [SimplicialCone(tuple(map(tuple, g)), d, tuple(map(tuple, f)))
-            for g, d, f in zip(gens.tolist(), det.tolist(), forms.tolist())]
+    return Simplices(gens, forms, det)
 
 
-def build_simplices(vectors, cells) -> list[SimplicialCone]:
-    """The simplex over each cell, a sorted index tuple into vectors, in
-    the order of cells.
+def build_simplices(vectors, cells) -> Simplices:
+    """The stack of the simplices over the cells, sorted index tuples into
+    vectors, in the order of cells.
 
-    A lone cell is built by make_simplicial_cone: a numpy stack of one
-    costs about three times its Python pivots.  Two or more are
-    eliminated together from the unit forms and det 1 by basis_forms'
-    rule: step t pivots generator t of every cell into the first
-    position still held by a unit vector where u = F·g_t is nonzero, by
-    one linalg.pivot on the stack.  The rows are then put in generator
-    order, the last free position last, and one exchange brings the
-    last generator in and checks every simplex.
+    A lone cell is built by make_simplicial_cone, a stack of one: a numpy
+    elimination of one cell costs about three times its Python pivots.
+    Two or more are eliminated together from the unit forms and det 1 by
+    basis_forms' rule: step t pivots generator t of every cell into the
+    first position still held by a unit vector where u = F·g_t is
+    nonzero, by one linalg.pivot on the stack.  The rows are then put in
+    generator order, the last free position last, and one exchange
+    brings the last generator in and checks every simplex.
     """
     if len(cells) < 2:
-        return [make_simplicial_cone([vectors[g] for g in idx]) for idx in cells]
+        r = len(vectors[0]) if len(vectors) else 0
+        return stacked([make_simplicial_cone([vectors[g] for g in idx]) for idx in cells], r)
     gens = la.stack(vectors)[np.array(cells)]
     k, r = len(cells), len(cells[0])
     rows = np.arange(k)
@@ -410,4 +445,4 @@ def triangulate(cone: Cone) -> tuple[SimplicialCone, ...]:
     """The simplices of the pulling triangulation that build_cone recorded,
     built by build_simplices from its index tuples, with no double
     description."""
-    return tuple(build_simplices(cone.generators, cone.triangulation))
+    return simplicial_cones(build_simplices(cone.generators, cone.triangulation))

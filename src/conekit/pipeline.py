@@ -5,13 +5,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import linalg as la
 from .approx import approx_candidates
 from .collect import (ComputationResult, StatsRecord, accumulate_series,
                       reduce_to_hilbert_basis, series_period)
-from .cone import ConeInput, ambient_support_forms, build_cone, triangulate
+from .cone import ConeInput, ambient_support_forms, build_cone, stacked, triangulate
 from .errors import DomainError
 from .simplex import hb_candidates, series_contribution
 from .subdivide import (APPROX_LEVEL_CAP, HUGE_DET, SubdivisionConfig,
@@ -117,15 +115,13 @@ def compute(ci: ConeInput, options: RunOptions = RunOptions()) -> ComputationRes
     anchor = tuple(map(sum, zip(*cone.generators)))
     contribs = ([series_contribution(leaf, cone.grading, anchor) for leaf in leaves]
                 if want_series else [])
-    cands = [hb_candidates(leaf) for leaf in leaves] if want_hb else []
+    cands = hb_candidates(stacked(leaves, cone.rank)) if want_hb else ()
     times["evaluate"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     hilbert_basis = ()
     if want_hb:
-        # a leaf of Python ints turns the whole stack into Python ints
-        basis_r = reduce_to_hilbert_basis(np.vstack(cands) if cands else (),
-                                          cone.support_forms)
+        basis_r = reduce_to_hilbert_basis(cands, cone.support_forms)
         ambient = [cone.to_ambient(v) for v in basis_r]
         hilbert_basis = tuple(sorted(ambient, key=lambda v: (sum(v), v)))
 

@@ -1,4 +1,4 @@
-"""Evaluation of a single simplicial cone.
+"""Evaluation of simplicial cones.
 
 The fundamental domain E (all lattice points with generator coordinates
 in [0,1)) is enumerated through its q numerators: they are the classes
@@ -13,17 +13,25 @@ exact, and Python big-int (object dtype) arrays otherwise.  A simplex
 is only its generators, det and facet forms; the facets a half-open
 simplex excludes are read off the triangulation's anchor when its
 series is counted, the one place that needs them.
+
+A series is counted one simplex at a time (residue_blocks).  The
+Hilbert-basis candidates of a whole stack of simplices (cone.Simplices),
+most of them small, are swept as one concatenated range by
+hb_candidates, so a simplex pays no fixed cost of its own beyond its
+residue axes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, prod
 
 import numpy as np
 
 from . import linalg as la
-from .cone import SimplicialCone
+from .cone import Simplices, SimplicialCone
 from .errors import DomainError, GradingNotPositiveError, InternalConsistencyError
 from .linalg import IntVec
 
@@ -43,19 +51,19 @@ class SeriesContribution:
     denom_degrees: tuple[int, ...]
 
 
-def _residue_axes(s: SimplicialCone):
-    """Mixed-radix axes (range, residue-increment row) of the residue sweep.
+def _residue_axes(gens, det: int, forms):
+    """Mixed-radix axes (range, residue-increment row) of the residue sweep
+    of the simplex with generators gens, det det and facet forms forms.
 
     The q numerators of the lattice points are the lattice
-    L = facet_forms·Z^r, which contains det·Z^r; its classes modulo
-    det·Z^r are the points of E.  Column j of the facet forms is the q
+    L = forms·Z^r, which contains det·Z^r; its classes modulo det·Z^r
+    are the points of E.  Column j of the facet forms is the q
     numerator vector of the unit point e_j; when gcd(column, det) = 1 it
     has order det, and it alone is an axis of range det.  Otherwise row
     i of the Hermite form of L modulo det, with pivot t_i, is an axis of
     range det/t_i; rows with t_i = det add nothing, so det 1 has no axis.
     """
-    det = s.det
-    cols = la.transpose(s.facet_forms)
+    cols = la.transpose(forms)
     j = next((j for j, c in enumerate(cols) if gcd(*c, det) == 1), None)
     if det > 1 and j is not None:
         axes = [(det, tuple(x % det for x in cols[j]), j)]
@@ -72,18 +80,22 @@ def _residue_axes(s: SimplicialCone):
             any(any(row[:i]) or row[i] * m != det for m, row, i in axes)):
         raise InternalConsistencyError("residue axis is not triangular modulo det")
     # each row must be the q-numerator vector of a lattice point
-    if any(x % det for _, t, _ in axes for x in la.vec_mat(t, s.gens)):
+    if any(x % det for _, t, _ in axes for x in la.vec_mat(t, gens)):
         raise InternalConsistencyError("residue axis is not a lattice point")
     return [(m, row) for m, row, _ in axes]
 
 
-def _block_dtype(s: SimplicialCone) -> object:
+def _block_dtype(det: int, entry: int, r: int) -> object:
     # bounds the residue sums digits·rows (at most Σ(m-1)(det-1) < det²
     # for ranges m multiplying to det, one axis or Hermite rows), the
-    # generator entries and the products v · gens of points_from_block
-    det = s.det
-    max_a = max((abs(x) for g in s.gens for x in g), default=1)
-    return la.int_dtype(max(det * det + det, s.dim * det * max_a))
+    # generator entries, at most entry, and the products v · gens of
+    # r terms that map a row to its point
+    return la.int_dtype(max(det * det + det, r * det * entry))
+
+
+def _too_large(det: int) -> None:
+    if det >= la.INT64_SAFE:
+        raise DomainError(f"a simplex of det {det} is too large to sweep")
 
 
 def residue_blocks(s: SimplicialCone):
@@ -96,10 +108,9 @@ def residue_blocks(s: SimplicialCone):
     indices, so det >= INT64_SAFE raises DomainError.
     """
     det = s.det
-    if det >= la.INT64_SAFE:
-        raise DomainError(f"a simplex of det {det} is too large to sweep")
-    dtype = _block_dtype(s)
-    axes = _residue_axes(s)
+    _too_large(det)
+    dtype = _block_dtype(det, max(abs(x) for g in s.gens for x in g), s.dim)
+    axes = _residue_axes(s.gens, det, s.facet_forms)
     if not axes:  # det 1: the origin alone
         yield np.zeros((1, s.dim), dtype=dtype)
         return
@@ -109,12 +120,6 @@ def residue_blocks(s: SimplicialCone):
         idx = np.arange(start, min(det, start + DEFAULT_BLOCK), dtype=np.int64)
         digits = np.array(np.unravel_index(idx, shape), dtype=dtype)
         yield digits.T @ rows % det
-
-
-def points_from_block(s: SimplicialCone, v: np.ndarray) -> np.ndarray:
-    """Map residue numerators to fundamental-domain points (exact)."""
-    gens = np.array(s.gens, dtype=v.dtype)
-    return v.dot(gens) // s.det
 
 
 def points_below(s: SimplicialCone, rows: np.ndarray) -> np.ndarray:
@@ -174,10 +179,64 @@ def series_contribution(s: SimplicialCone, deg: IntVec,
                               denom_degrees=tuple(sorted(degs)))
 
 
-def hb_candidates(s: SimplicialCone) -> np.ndarray:
-    """Hilbert-basis candidates of the simplex, one per row: E \\ {0}
-    followed by the generators."""
-    blocks = [points_from_block(s, v[np.any(v != 0, axis=1)])
-              for v in residue_blocks(s)]
-    blocks.append(np.array(s.gens, dtype=blocks[0].dtype))
+def hb_candidates(stack: Simplices) -> np.ndarray:
+    """Hilbert-basis candidates of a stack of simplices, one per row: E \\ {0}
+    of every simplex, then the generators of every simplex in stack order.
+
+    The fundamental domains are swept as one.  Each simplex takes its
+    axes from _residue_axes; its mixed radix is injective, so its
+    indices 1..det-1 give E \\ {0}.  These ranges are concatenated with
+    the simplices sorted by their number of axes, most first, so the
+    rows that read axis a are a prefix of every block: a simplex with
+    fewer axes has range 1 there, which adds nothing.  A row reads its
+    simplex's range and axis row, repeated over the simplex's run of
+    rows; each run is reduced modulo its simplex's det and mapped to
+    points by one product with the simplex's generators.  A block has at
+    most DEFAULT_BLOCK rows, so a simplex larger than that is swept over
+    several, and its dtype comes from the largest det and generator
+    entry of the simplices it meets.
+    """
+    k, r = len(stack), stack.gens.shape[-1]
+    dets = stack.det.tolist()
+    _too_large(max(dets, default=0))
+    axes = [_residue_axes(g, det, f)
+            for g, det, f in zip(stack.gens.tolist(), dets, stack.forms.tolist())]
+    order = sorted(range(k), key=lambda j: -len(axes[j]))
+    axes, dets, gens = [axes[j] for j in order], [dets[j] for j in order], stack.gens[order]
+    fewer = [-len(ax) for ax in axes]  # ascending
+    # axis a of the simplices that have one, a prefix of the sorted stack
+    ranges, steps = [], []
+    for a in range(-fewer[0] if k else 0):
+        have = axes[:bisect_left(fewer, -a)]
+        ranges.append(np.array([ax[a][0] for ax in have], dtype=np.int64))
+        steps.append(np.array([ax[a][1] for ax in have], dtype=np.int64))
+    starts = list(accumulate((d - 1 for d in dets), initial=0))
+    blocks = []
+    for start in range(0, starts[-1], DEFAULT_BLOCK):
+        n = min(starts[-1] - start, DEFAULT_BLOCK)
+        # simplices first..last-1 meet the block, at its rows edges[j - first]
+        # to edges[j - first + 1]
+        first, last = bisect_right(starts, start) - 1, bisect_left(starts, start + n)
+        edges = [min(max(x - start, 0), n) for x in starts[first:last + 1]]
+        counts = np.diff(edges)
+
+        def runs(a, upto):
+            return np.repeat(a[first:upto], counts[:upto - first], axis=0)
+        dtype = _block_dtype(max(dets[first:last]), la.magnitude(gens[first:last]), r)
+        # the index of each row in its simplex, from 1
+        q = np.arange(n, dtype=np.int64) + np.repeat(
+            np.array([start - x + 1 for x in starts[first:last]], dtype=np.int64), counts)
+        v = np.zeros((n, r), dtype=dtype)
+        for a in reversed(range(len(ranges))):  # the last axis runs fastest
+            upto = bisect_left(fewer, -a, first, last)
+            rows = edges[upto - first]
+            q[:rows], digit = np.divmod(q[:rows], runs(ranges[a], upto))
+            v[:rows] += digit.astype(dtype, copy=False)[:, None] * \
+                runs(steps[a], upto).astype(dtype, copy=False)
+        for g, det, lo, hi in zip(gens[first:last].astype(dtype, copy=False),
+                                  dets[first:last], edges, edges[1:]):
+            np.matmul(v[lo:hi] % det, g, out=v[lo:hi])
+            v[lo:hi] //= det
+        blocks.append(v)
+    blocks.append(stack.gens.reshape(k * r, r))
     return np.vstack(blocks)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg as la
-from .cone import SimplicialCone, exchange
+from .cone import SimplicialCone, exchange, simplicial_cones
 from .errors import DomainError, InternalConsistencyError
 from .linalg import IntVec
 from .simplex import points_below
@@ -292,9 +292,9 @@ def stellar_subdivide(s: SimplicialCone, xhat: IntVec) -> tuple[SimplicialCone, 
     pieces = exchange(la.stack([s.facet_forms])[same], la.stack([s.det])[same],
                       la.stack([u])[same], support,
                       la.stack([s.gens[:i] + (xhat,) + s.gens[i + 1:] for i in support]))
-    if sum(p.det for p in pieces) != sum(u[i] for i in support):
+    if sum(pieces.det.tolist()) != sum(u[i] for i in support):
         raise InternalConsistencyError("stellar volume identity failed")
-    return tuple(pieces)
+    return simplicial_cones(pieces)
 
 
 def best_candidate(s: SimplicialCone, cands) -> IntVec | None:

@@ -15,7 +15,9 @@ greedy basis of linalg.basis_forms and of minimal_cube_face_vertices, and
 placing_triangulation the triangulation build_cone recorded before it
 pulled one from an apex, and rank_pointed its rank test for a line,
 kept as references, as is hermite_residue_axes, the residue axes of
-every simplex from the Hermite form, cyclic ones included.
+every simplex from the Hermite form, cyclic ones included, and
+simplex_hb_candidates, the one-simplex sweep that the stacked
+simplex.hb_candidates replaced.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ import numpy as np
 from conekit.approx import approximate_cone
 from conekit.cone import ConeInput, build_cone, build_simplices, dual_description
 from conekit.errors import InternalConsistencyError, NotPointedError
-from conekit.linalg import (as_vec, hermite_mod, products, stack, sublattice, transpose,
-                            vec_mat)
-from conekit.simplex import (POINT_BUDGET, hb_candidates, points_below,
-                             points_from_block, residue_blocks)
+from conekit.linalg import (as_vec, hermite_mod, magnitude, products, stack, sublattice,
+                            transpose, vec_mat)
+from conekit.simplex import POINT_BUDGET, hb_candidates, points_below, residue_blocks
 from conekit.subdivide import stellar_subdivide
 
 
@@ -195,19 +196,18 @@ def residue_classes(gens):
     return sorted(seen)
 
 
-def hermite_residue_axes(s):
+def hermite_residue_axes(gens, det, forms):
     """simplex._residue_axes by the Hermite form alone: row i of the
-    Hermite form of facet_forms·Z^r modulo det, with pivot t_i < det, is
-    an axis of range det/t_i, checked as the package checked it."""
-    det = s.det
-    h = hermite_mod(transpose(s.facet_forms), det)
+    Hermite form of forms·Z^r modulo det, with pivot t_i < det, is an
+    axis of range det/t_i, checked as the package checked it."""
+    h = hermite_mod(transpose(forms), det)
     axes = [(det // row[i], row, i) for i, row in enumerate(h) if row[i] < det]
     if prod(m for m, _, _ in axes) != det:
         raise InternalConsistencyError("residue ranges do not multiply to det")
     if any(any(row[:i]) or row[i] * m != det or not 0 <= min(row) <= max(row) < det
            for m, row, i in axes):
         raise InternalConsistencyError("residue axis is not triangular modulo det")
-    if any(x % det for _, t, _ in axes for x in vec_mat(t, s.gens)):
+    if any(x % det for _, t, _ in axes for x in vec_mat(t, gens)):
         raise InternalConsistencyError("residue axis is not a lattice point")
     return [(m, row) for m, row, _ in axes]
 
@@ -647,12 +647,28 @@ def stellar_tree(s, cfg, find_point):
     return tuple(leaves)
 
 
+def points_from_block(s, v):
+    """Residue numerators v (one per row) mapped to their fundamental-domain
+    points (v · gens) / det, exactly, as the package mapped one simplex's
+    blocks before it swept stacks."""
+    return v.dot(np.array(s.gens, dtype=v.dtype)) // s.det
+
+
 def fundamental_points(s):
     """All |det| points of the simplex's fundamental domain, one per row,
     in the package's residue-sweep order."""
     pts = np.vstack([points_from_block(s, v) for v in residue_blocks(s)])
     assert len(pts) == s.det, f"enumerated {len(pts)} points for det {s.det}"
     return pts
+
+
+def simplex_hb_candidates(s):
+    """The package's Hilbert-basis candidates of one simplex before it
+    swept stacks, the reference for the stacked sweep: E \\ {0} from the
+    simplex's own residue blocks, then its generators."""
+    blocks = [points_from_block(s, v[np.any(v != 0, axis=1)]) for v in residue_blocks(s)]
+    blocks.append(np.array(s.gens, dtype=blocks[0].dtype))
+    return np.vstack(blocks)
 
 
 def is_pointed(gens) -> bool:
@@ -770,16 +786,14 @@ def placing_triangulation(gens):
 def sweep_all_approx_candidates(s, level=1):
     """approx_candidates with the fundamental domain of every overcone
     simplex of det > 1 swept, also of those a facet form separates from
-    s; the same early return and POINT_BUDGET test."""
+    s; the same early return and POINT_BUDGET test on the stack."""
     over = approximate_cone(s, level)
     _, _, placing = dual_description(over)
-    big = []
-    for sub in build_simplices(over, placing):
-        if sub.det >= max(2, s.det):
-            return ()
-        if sub.det > 1:
-            big.append(sub)
-    if sum(sub.det for sub in big) > POINT_BUDGET:
+    subs = build_simplices(over, placing)
+    if magnitude(subs.det) >= max(2, s.det):
         return ()
-    cands = np.vstack([stack(over)] + [hb_candidates(sub) for sub in big])
+    big = subs[subs.det > 1]
+    if sum(big.det.tolist()) > POINT_BUDGET:
+        return ()
+    cands = np.vstack([stack(over), hb_candidates(big)])
     return tuple(sorted({as_vec(row) for row in points_below(s, cands)}))

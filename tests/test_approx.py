@@ -16,7 +16,8 @@ from conekit.approx import (
     minimal_cube_face_vertices,
 )
 from conekit.collect import StatsRecord, reduce_to_hilbert_basis
-from conekit.cone import build_simplices, dual_description, make_simplicial_cone
+from conekit.cone import (build_simplices, dual_description, make_simplicial_cone,
+                          simplicial_cones, stacked)
 from conekit.errors import InternalConsistencyError
 from conekit.simplex import POINT_BUDGET, hb_candidates
 from conekit.pipeline import make_finder
@@ -24,7 +25,8 @@ from conekit.subdivide import (APPROX_LEVEL_CAP, HUGE_DET, SubdivisionConfig,
                                best_candidate, recursive_subdivide, solve_star_ip)
 
 from oracles import (dotv, filter_approx_candidates, fundamental_points, minor_det,
-                     staircase_face_vertices, sweep_all_approx_candidates)
+                     simplex_hb_candidates, staircase_face_vertices,
+                     sweep_all_approx_candidates)
 
 
 def simplex(gens):
@@ -173,7 +175,7 @@ def tuple_approx_candidates(s, level):
         sub = make_simplicial_cone(tuple(over[i] for i in idx))
         if sub.det >= max(2, s.det):
             return ()
-        cands.extend(tuple(int(a) for a in x) for x in hb_candidates(sub))
+        cands.extend(tuple(int(a) for a in x) for x in simplex_hb_candidates(sub))
     survivors = filter_approx_candidates(cands, s.facet_forms, s.height_normal,
                                          s.gen_height)
     return tuple(sorted(survivors))
@@ -268,7 +270,8 @@ class TestSeparatedSkip:
         # lies outside s
         s = simplex(((2, -4, 1), (-3, 5, 5), (-2, 4, 5)))
         over = approximate_cone(s)
-        big = [t for t in build_simplices(over, dual_description(over)[2]) if t.det > 1]
+        big = [t for t in simplicial_cones(build_simplices(over, dual_description(over)[2]))
+               if t.det > 1]
         assert [t.det for t in big] == [2, 4, 2, 2]
         assert [separating_form(s, t) for t in big] == [False, False, False, True]
         outside = big[-1]
@@ -278,9 +281,21 @@ class TestSeparatedSkip:
         with mock.patch.object(approx, "hb_candidates",
                                wraps=approx.hb_candidates) as swept:
             cands = approx_candidates(s)
-        assert [t.gens for t in (c.args[0] for c in swept.call_args_list)] == \
-            [t.gens for t in big[:3]]
+        [stack] = [c.args[0] for c in swept.call_args_list]
+        assert [t.gens for t in simplicial_cones(stack)] == [t.gens for t in big[:3]]
         assert cands == sweep_all_approx_candidates(s) == ((0, 0, 1),)
+
+    def test_every_big_simplex_separated(self):
+        # det 20: the level-1 overcone's one simplex of det > 1 (det 2) is
+        # separated, so the sweep gets an empty stack, and the candidate
+        # is an overcone generator
+        s = simplex(((-5, -1, 4), (0, -2, 1), (-5, -3, 3)))
+        with mock.patch.object(approx, "hb_candidates",
+                               wraps=approx.hb_candidates) as swept:
+            cands = approx_candidates(s)
+        [stack] = [c.args[0] for c in swept.call_args_list]
+        assert stack.gens.shape == (0, 3, 3)
+        assert cands == sweep_all_approx_candidates(s) == ((-1, -1, 1),)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda d: st.lists(
@@ -291,8 +306,9 @@ class TestSeparatedSkip:
         assume(minor_det(rows) != 0)
         s = simplex(rows)
         over = approximate_cone(s, level)
-        subs = list(build_simplices(over, dual_description(over)[2]))
-        assert approx.separated(s, subs).tolist() == [separating_form(s, t) for t in subs]
+        subs = build_simplices(over, dual_description(over)[2])
+        assert approx.separated(s, subs.gens, subs.forms).tolist() == \
+            [separating_form(s, t) for t in simplicial_cones(subs)]
 
 
 def approx_finder(cfg):
@@ -319,9 +335,10 @@ class TestApproxDrivenSubdivision:
         basis = {}
         for name, finder in [("approx", approx_finder(cfg)), ("ip", ip_find)]:
             leaves = recursive_subdivide(s, cfg, finder)
-            cands = np.vstack([hb_candidates(leaf) for leaf in leaves])
+            cands = hb_candidates(stacked(leaves, s.dim))
             basis[name] = set(reduce_to_hilbert_basis(cands, s.facet_forms))
-        direct = set(reduce_to_hilbert_basis(hb_candidates(s), s.facet_forms))
+        direct = set(reduce_to_hilbert_basis(hb_candidates(stacked([s], s.dim)),
+                                             s.facet_forms))
         assert basis["approx"] == basis["ip"] == direct
 
 

@@ -322,14 +322,17 @@ class TestMain:
 
 class TestComputeLibrary:
     def test_evaluation_runs_in_the_calling_thread(self, monkeypatch):
-        # a hexagon cone: four simplices, each evaluated for both goals
+        # a hexagon cone: four simplices, each evaluated for both goals,
+        # the Hilbert basis's by one sweep of their stack
         gens = ((0, 0, 1), (1, 0, 1), (2, 1, 1), (2, 2, 1), (1, 2, 1), (0, 1, 1))
         ci = ConeInput(3, generators=gens, grading=(0, 0, 1))
-        calls = []
+        calls, stacks = [], []
 
         def recorded(fn):
             def wrapper(*args):
                 calls.append((fn.__name__, threading.get_ident()))
+                if fn.__name__ == "hb_candidates":
+                    stacks.append(len(args[0]))
                 return fn(*args)
             return wrapper
 
@@ -337,8 +340,9 @@ class TestComputeLibrary:
             monkeypatch.setattr(pipeline, name, recorded(getattr(pipeline, name)))
         compute(ci, RunOptions(goals=ALL_GOALS, threads=4))
         assert sorted(calls) == sorted(
-            [("hb_candidates", threading.get_ident())] * 4
+            [("hb_candidates", threading.get_ident())]
             + [("series_contribution", threading.get_ident())] * 4)
+        assert stacks == [4]
 
     def test_low_dim_cone_end_to_end(self):
         ci = ConeInput(3, inequalities=((1, 0, 0), (0, 0, 1)),

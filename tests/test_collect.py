@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conekit import collect
 from conekit import linalg as la
-from conekit.cone import ConeInput, build_cone, make_simplicial_cone, triangulate
+from conekit.cone import ConeInput, build_cone, make_simplicial_cone, stacked, triangulate
 from conekit.collect import (
     HilbertSeries, StatsRecord, accumulate_series, bottom_volume, reduce_to_hilbert_basis,
 )
@@ -38,13 +38,13 @@ class TestReduce:
 
     def test_cone35_candidates(self):
         c = build_cone(ConeInput(2, generators=((1, 0), (3, 5))))
-        cands = hb_candidates(triangulate(c)[0])
+        cands = hb_candidates(stacked(triangulate(c)[:1], c.rank))
         got = reduce_to_hilbert_basis(cands, c.support_forms)
         assert set(got) == {(1, 0), (1, 1), (2, 3), (3, 5)}
 
     def test_idempotent_and_order_free(self):
         c = build_cone(ConeInput(2, generators=((1, 0), (3, 5))))
-        cands = hb_candidates(triangulate(c)[0])
+        cands = hb_candidates(stacked(triangulate(c)[:1], c.rank))
         once = reduce_to_hilbert_basis(cands, c.support_forms)
         twice = reduce_to_hilbert_basis(once, c.support_forms)
         assert set(once) == set(twice)
@@ -53,7 +53,7 @@ class TestReduce:
 
     def test_discarded_have_witnesses(self):
         c = build_cone(ConeInput(2, generators=((1, 0), (3, 5))))
-        cands = {tuple(int(a) for a in x) for x in hb_candidates(triangulate(c)[0])}
+        cands = {tuple(int(a) for a in x) for x in hb_candidates(stacked(triangulate(c)[:1], c.rank))}
         kept = set(reduce_to_hilbert_basis(cands, c.support_forms))
         for x in cands - kept:
             assert any(
@@ -64,7 +64,7 @@ class TestReduce:
     def test_matches_brute_force(self):
         for gens in [((1, 0), (3, 5)), ((2, 1), (3, 7)), ((1, -2), (4, 1))]:
             c = build_cone(ConeInput(2, generators=gens))
-            cands = np.vstack([hb_candidates(s) for s in triangulate(c)])
+            cands = hb_candidates(stacked(triangulate(c), c.rank))
             got = set(reduce_to_hilbert_basis(cands, c.support_forms))
             assert got == set(brute_hilbert_basis(list(c.generators)))
 
@@ -73,7 +73,7 @@ class TestReduce:
         # int32 rows (numpy's default integer on some platforms) of even
         # and odd width reduce as their int64 copies do
         c = build_cone(ConeInput(len(gens), generators=gens))
-        cands = np.vstack([hb_candidates(s) for s in triangulate(c)])
+        cands = hb_candidates(stacked(triangulate(c), c.rank))
         got = reduce_to_hilbert_basis(cands.astype(np.int32), c.support_forms)
         assert got == reduce_to_hilbert_basis(cands, c.support_forms)
         assert set(got) == set(brute_hilbert_basis(list(c.generators)))
@@ -104,7 +104,7 @@ class TestReduce:
             subdivision=SubdivisionConfig(strategy="none")))
         assert set(got.hilbert_basis) == expected
         s = make_simplicial_cone(gens)
-        cands = [tuple(int(a) for a in x) for x in hb_candidates(s)]
+        cands = [tuple(int(a) for a in x) for x in hb_candidates(stacked([s], s.dim))]
         assert set(reduce_to_hilbert_basis(cands, s.facet_forms)) == expected
 
     def test_subdivided_basis_matches_undivided_at_det_2e4(self):
@@ -196,7 +196,7 @@ def candidate_sets(draw):
                          min_size=d, max_size=d))
     assume(0 < abs(minor_det(rows)) <= 60)
     s = make_simplicial_cone(rows)
-    pool = [tuple(int(a) for a in x) for x in hb_candidates(s)]
+    pool = [tuple(int(a) for a in x) for x in hb_candidates(stacked([s], s.dim))]
     picked = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
     picked += [(0,) * d] * draw(st.integers(0, 2))
     scale = draw(st.sampled_from([1, 1, 2**62 + 1]))
@@ -217,7 +217,7 @@ def candidate_unions(draw):
     c = build_cone(ConeInput(d, generators=tuple((*x, h) for x, h in gens)))
     tri = triangulate(c)
     assume(sum(s.det for s in tri) <= 500)
-    rows = np.vstack([hb_candidates(s) for s in tri])
+    rows = hb_candidates(stacked(tri, c.rank))
     again = draw(st.lists(st.integers(0, len(rows) - 1), max_size=20))
     rows = np.vstack([rows, rows[again], np.zeros((draw(st.integers(0, 2)), c.rank),
                                                   dtype=rows.dtype)])

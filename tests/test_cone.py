@@ -16,7 +16,8 @@ from conekit.cli import parse_input
 from conekit.approx import approximate_cone
 from conekit.cone import (
     ConeInput, build_cone, dual_description, exchange, make_simplicial_cone,
-    normalize_grading, build_simplices, triangulate, ambient_support_forms,
+    normalize_grading, build_simplices, simplicial_cones, triangulate,
+    ambient_support_forms,
 )
 from conekit.errors import (GradingNotPositiveError, InternalConsistencyError,
                             NotPointedError, SingularMatrixError)
@@ -539,14 +540,23 @@ def pivot_dtypes():
     return spy, dtypes
 
 
+def cones(stack):
+    """The simplices of a stack as a list of SimplicialCones, after
+    checking the shapes of its arrays."""
+    k, r = len(stack), stack.gens.shape[-1]
+    assert stack.gens.shape == stack.forms.shape == (k, r, r) and stack.det.shape == (k,)
+    return list(simplicial_cones(stack))
+
+
 def exchange_jobs(jobs):
-    """cone.exchange on the jobs (s, i, x), s with gens[i] replaced by x:
-    their parents' forms, dets, u = F·x and the new generators stacked."""
+    """The SimplicialCones of cone.exchange's stack on the jobs (s, i, x),
+    s with gens[i] replaced by x: their parents' forms, dets, u = F·x and
+    the new generators stacked."""
     parents, i, xs = map(list, zip(*jobs))
-    return exchange(la.stack([s.facet_forms for s in parents]),
+    return cones(exchange(la.stack([s.facet_forms for s in parents]),
                     la.stack([s.det for s in parents]),
                     la.stack([s.q_numerators(x) for s, x in zip(parents, xs)]),
-                    i, la.stack([replaced(*job) for job in jobs]))
+                    i, la.stack([replaced(*job) for job in jobs])))
 
 
 @st.composite
@@ -669,7 +679,7 @@ def pivoted_simplices(*exchange_mocks) -> int:
 
 
 def check_simplices(vectors, cells, rng):
-    """build_simplices over the cells, shuffled, returns
+    """build_simplices over the cells, shuffled, returns the stack of
     make_simplicial_cone's simplex over each cell's vectors, in the order
     of the cells; a lone cell is built from scratch, two or more by one
     exchange over every cell."""
@@ -680,7 +690,7 @@ def check_simplices(vectors, cells, rng):
                            wraps=cone_module.make_simplicial_cone) as scratch, \
             mock.patch.object(cone_module, "exchange",
                               wraps=cone_module.exchange) as pivoted:
-        built = build_simplices(vectors, cells)
+        built = cones(build_simplices(vectors, cells))
     assert scratch.call_count == (len(cells) == 1)
     assert pivoted_simplices(pivoted) == (len(cells) if len(cells) > 1 else 0)
     assert built == [make_simplicial_cone([vectors[g] for g in idx]) for idx in cells]
@@ -716,7 +726,7 @@ class TestBuildSimplices:
             vectors = [(1 << 64, k << 64) if k == big else (1, k) for k in range(5)]
             spy, dtypes = pivot_dtypes()
             with mock.patch.object(la, "pivot", spy):
-                built = build_simplices(vectors, cells)
+                built = cones(build_simplices(vectors, cells))
             assert dtypes == expected
             assert built == [make_simplicial_cone([vectors[g] for g in idx])
                              for idx in cells]
@@ -729,7 +739,8 @@ class TestBuildSimplices:
             build_simplices(vectors, cells)
 
     def test_empty_and_lone_cell(self):
-        assert build_simplices(CONE35, []) == []
+        assert cones(build_simplices(CONE35, [])) == []
+        assert build_simplices(CONE35, []).gens.shape == (0, 2, 2)
         check_simplices(CONE35, [(0, 1)], random.Random(0))
 
 
@@ -1022,7 +1033,9 @@ def test_seed_one_pivot_passes():
     pass: LLL carries its transform's inverse.  Of the 942
     series-approx overcone simplices of det > 1, the 291 that a facet
     form separates from their simplex are not swept, which leaves 651
-    hb_candidates calls."""
+    simplices in the stacks of the 15 hb_candidates calls, one per
+    finder call; 43,645 candidate rows, overcone generators and swept
+    points together, reach points_below over those 15 calls."""
     counts = {}
     for name, runs in seed_one_runs():
         with mock.patch.object(la, "basis_forms", wraps=la.basis_forms) as bf, \
@@ -1037,17 +1050,21 @@ def test_seed_one_pivot_passes():
                 mock.patch.object(subdivide_module, "exchange",
                                   wraps=subdivide_module.exchange) as stellar, \
                 mock.patch.object(approx_module, "hb_candidates",
-                                  wraps=approx_module.hb_candidates) as swept:
+                                  wraps=approx_module.hb_candidates) as swept, \
+                mock.patch.object(approx_module, "points_below",
+                                  wraps=approx_module.points_below) as below:
             for ci, options in runs:
                 compute(ci, options)
         simplices = sum(len(build_cone(ci).triangulation) for ci, _ in runs)
         counts[name] = (bf.call_count, dd.call_count + dd_approx.call_count, simplices,
                         scratch.call_count, pivoted_simplices(pivoted, stellar),
-                        swept.call_count)
-    assert counts == {"series-ip": (18, 6, 6, 6, 295, 0),
-                      "series-approx": (33, 21, 6, 6, 1625, 651),
-                      "hb-ip": (24, 8, 8, 8, 50, 0),
-                      "series-polytope": (21, 15, 358, 0, 358, 0)}
+                        sum(len(c.args[0]) for c in swept.call_args_list),
+                        swept.call_count,
+                        sum(len(c.args[1]) for c in below.call_args_list))
+    assert counts == {"series-ip": (18, 6, 6, 6, 295, 0, 0, 0),
+                      "series-approx": (33, 21, 6, 6, 1625, 651, 15, 43645),
+                      "hb-ip": (24, 8, 8, 8, 50, 0, 0, 0),
+                      "series-polytope": (21, 15, 358, 0, 358, 0, 0, 0)}
 
 
 def test_seed_one_hermite_calls():

@@ -264,3 +264,35 @@ def test_overflow_scan_flags_handlers_outside_linalg():
         "d": body + "except:\n    pass\n",
     }
     assert overflow_handlers(sources) == ["a (line 3)", "b (line 3)"]
+
+
+# A simplex read on its own is a SimplicialCone, built in cone alone:
+# make_simplicial_cone from scratch and simplicial_cones from a stack.
+SIMPLEX_HOME = "cone"
+
+
+def simplex_constructions(sources: dict[str, str], home=SIMPLEX_HOME) -> list[str]:
+    """Every call of SimplicialCone, by name or attribute, as "module
+    (line N)", outside the home module."""
+    return sorted(
+        f"{mod} (line {node.lineno})"
+        for mod, source in sources.items() if mod != home
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        and (node.func.id if isinstance(node.func, ast.Name) else node.func.attr)
+        == "SimplicialCone")
+
+
+def test_only_cone_builds_simplicial_cones():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert simplex_constructions(sources) == []
+
+
+def test_construction_scan_flags_calls_outside_cone():
+    sources = {
+        "cone": "def make(g):\n    return SimplicialCone(g, 1, g)\n",
+        "a": "from .cone import SimplicialCone\ns = SimplicialCone((), 1, ())\n",
+        "b": "from . import cone\n\ns = cone.SimplicialCone((), 1, ())\n",
+        "c": "from .cone import SimplicialCone\n\ndef f(s: SimplicialCone):\n    return s\n",
+    }
+    assert simplex_constructions(sources) == ["a (line 2)", "b (line 3)"]

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from math import gcd, prod
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conekit import linalg as la, simplex as simplex_module
-from conekit.cone import make_simplicial_cone
+from conekit.cone import make_simplicial_cone, stacked
 from conekit.errors import DomainError, InternalConsistencyError
 from conekit.simplex import (
     _block_dtype, _residue_axes, hb_candidates, points_below, residue_blocks,
@@ -15,16 +16,56 @@ from conekit.simplex import (
 )
 
 from oracles import (brute_fundamental_points, dotv, excluded_facets, fundamental_points,
-                     generator_sum, hermite_residue_axes, minor_det, residue_classes)
+                     generator_sum, hermite_residue_axes, minor_det, residue_classes,
+                     simplex_hb_candidates)
 
 
 def simplex(gens):
     return make_simplicial_cone(gens)
 
 
+def hb_one(s):
+    """hb_candidates of the stack of one simplex."""
+    return hb_candidates(stacked([s], s.dim))
+
+
+def axes_of(s):
+    """_residue_axes of a SimplicialCone."""
+    return _residue_axes(s.gens, s.det, s.facet_forms)
+
+
+def block_dtype(s):
+    """_block_dtype of a simplex's residue blocks."""
+    return _block_dtype(s.det, max(abs(x) for g in s.gens for x in g), s.dim)
+
+
+def as_row(point):
+    return tuple(int(x) for x in point)
+
+
 def rows(points):
     """Rows of a point array as sorted tuples of Python ints."""
-    return sorted(tuple(int(x) for x in p) for p in points)
+    return sorted(map(as_row, points))
+
+
+@st.composite
+def sweep_stacks(draw):
+    """One to five simplices of one rank r = 1-4, det at most 100: small
+    entries (cyclic or not), upper triangular with diagonal 1-6 and other
+    entries up to 2^70 (often of Hermite axes, object dtype past 2^62),
+    or unitriangular (det 1)."""
+    r = draw(st.integers(1, 4))
+    big = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70), st.just(2**64))
+
+    def upper(diagonal):
+        return st.tuples(*(st.tuples(*(diagonal if j == i else big if j > i else st.just(0)
+                                       for j in range(r))) for i in range(r)))
+    small = st.lists(st.lists(st.integers(-5, 5), min_size=r, max_size=r),
+                     min_size=r, max_size=r)
+    gens = draw(st.lists(st.one_of(small, upper(st.integers(1, 6)), upper(st.just(1))),
+                         min_size=1, max_size=5))
+    assume(all(0 < abs(minor_det(g)) <= 100 for g in gens))
+    return [simplex(g) for g in gens]
 
 
 def half_open_shift(p, s, anchor):
@@ -67,10 +108,10 @@ class TestFundamentalPoints:
             s = simplex(gens)
             anchor = generator_sum(s.gens)
             big = (fundamental_points(s), series_contribution(s, deg, anchor),
-                   hb_candidates(s))
+                   hb_one(s))
             with mock.patch.object(simplex_module, "DEFAULT_BLOCK", 3):
                 small = (fundamental_points(s), series_contribution(s, deg, anchor),
-                         hb_candidates(s))
+                         hb_one(s))
                 assert len(list(residue_blocks(s))) == -(-s.det // 3)
             assert np.array_equal(small[0], big[0])
             assert small[1] == big[1]
@@ -221,20 +262,43 @@ class TestSeriesContribution:
 
 class TestHbCandidates:
     def test_unimodular(self):
-        got = hb_candidates(simplex(((1, 0), (0, 1))))
+        got = hb_one(simplex(((1, 0), (0, 1))))
         assert got.shape == (2, 2)
         assert rows(got) == [(0, 1), (1, 0)]
 
     def test_det_two(self):
-        assert rows(hb_candidates(simplex(((1, 0), (1, 2))))) == \
+        assert rows(hb_one(simplex(((1, 0), (1, 2))))) == \
             [(1, 0), (1, 1), (1, 2)]
 
     def test_cone35(self):
-        got = hb_candidates(simplex(((1, 0), (3, 5))))
+        got = hb_one(simplex(((1, 0), (3, 5))))
         assert rows(got) == [(1, 0), (1, 1), (2, 2), (2, 3), (3, 4), (3, 5)]
         # E \ {0} first, then the generators in order
         assert rows(got[-2:]) == [(1, 0), (3, 5)]
         assert tuple(got[-1]) == (3, 5)
+
+    def test_empty_stack(self):
+        got = hb_candidates(stacked([], 3))
+        assert got.shape == (0, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_stacks(), st.sampled_from([2, 3, 7, 1 << 20]))
+    def test_stack_matches_per_simplex_sweeps(self, simplices, block):
+        # the stacked sweep returns the rows of the one-simplex sweeps,
+        # as a multiset, with every generator at the end in stack order;
+        # a block of a few rows splits simplices and holds one alone
+        # where it is larger.  The blocks cover the det - 1 nonzero
+        # points of every simplex.
+        stack = stacked(simplices, simplices[0].dim)
+        with mock.patch.object(simplex_module, "DEFAULT_BLOCK", block), \
+                mock.patch.object(simplex_module, "_block_dtype",
+                                  wraps=simplex_module._block_dtype) as blocks:
+            got = hb_candidates(stack)
+        assert blocks.call_count == -(-sum(s.det - 1 for s in simplices) // block)
+        want = np.vstack([simplex_hb_candidates(s) for s in simplices])
+        assert Counter(map(as_row, got)) == Counter(map(as_row, want))
+        gens = [g for s in simplices for g in s.gens]
+        assert [as_row(g) for g in got[len(got) - len(gens):]] == gens
 
 
 class TestPointsBelow:
@@ -260,14 +324,14 @@ class TestBlocks:
             ((1, 0), (2**64, 1)),
         ]:
             s = simplex(gens)
-            assert _block_dtype(s) is object
+            assert block_dtype(s) is object
             assert sum(len(v) for v in residue_blocks(s)) == s.det
             pts = rows(fundamental_points(s))
             assert len(set(pts)) == s.det
             for p in pts:
                 u = s.q_numerators(p)
                 assert all(0 <= x < s.det for x in u)
-            assert rows(hb_candidates(s)) == sorted(
+            assert rows(hb_one(s)) == sorted(
                 {p for p in pts if any(p)} | set(gens))
 
 
@@ -320,7 +384,7 @@ class TestResidueAxes:
         assume(minor_det(gens) != 0)
         s = simplex(gens)
         det = s.det
-        axes = _residue_axes(s)
+        axes = axes_of(s)
         assert prod(m for m, _ in axes) == det
         if unit_column(s):
             [(m, row)] = axes
@@ -358,9 +422,9 @@ class TestResidueAxes:
     def test_both_routes_are_taken(self):
         patch, calls = patched_hermite(lambda h: h)
         with patch:
-            assert _residue_axes(simplex(((1, 0), (3, 5)))) == [(5, (2, 1))]
-            assert _residue_axes(simplex(((1, 0), (2**70, 1)))) == []
-            assert len(_residue_axes(simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4))))) == 3
+            assert axes_of(simplex(((1, 0), (3, 5)))) == [(5, (2, 1))]
+            assert axes_of(simplex(((1, 0), (2**70, 1)))) == []
+            assert len(axes_of(simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4))))) == 3
         assert calls == [1, 16]
 
     def test_corrupted_facet_form_rejected(self):
@@ -370,7 +434,7 @@ class TestResidueAxes:
         bad = replace(s, facet_forms=(s.facet_forms[0], (0, 2)))
         patch, calls = patched_hermite(lambda h: h)
         with patch, pytest.raises(InternalConsistencyError, match="lattice point"):
-            _residue_axes(bad)
+            axes_of(bad)
         assert calls == []
 
     def test_unit_column_of_lower_order_rejected(self):
@@ -381,7 +445,7 @@ class TestResidueAxes:
         with mock.patch.object(simplex_module, "gcd",
                                lambda *a: next(lies, None) or gcd(*a)), \
                 pytest.raises(InternalConsistencyError, match="triangular"):
-            _residue_axes(s)
+            axes_of(s)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 5).flatmap(
@@ -401,7 +465,7 @@ class TestResidueAxes:
         for gens, det in [(((1, 10**18), (1, 10**18 + 5)), 5),
                           (((2, 2**70, 0), (0, 2, 2**66), (0, 0, 4)), 16)]:
             s = simplex(gens)
-            assert s.det == det and _block_dtype(s) is object
+            assert s.det == det and block_dtype(s) is object
             got = [tuple(int(x) for x in v) for b in residue_blocks(s) for v in b]
             assert len(got) == det
             assert sorted(got) == residue_classes(gens)
@@ -412,18 +476,18 @@ class TestResidueAxes:
         s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
         patch, calls = patched_hermite(replaced_row(0, (16, 0, 0)))
         with patch, pytest.raises(InternalConsistencyError, match="multiply"):
-            _residue_axes(s)
+            axes_of(s)
         assert calls == [16]
         # pivot 7 keeps the ranges (2, 2, 4) but does not divide 16
         patch, _ = patched_hermite(replaced_row(0, (7, 0, 14)))
         with patch, pytest.raises(InternalConsistencyError, match="triangular"):
-            _residue_axes(s)
+            axes_of(s)
 
     def test_row_left_of_pivot_rejected(self):
         s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
         patch, _ = patched_hermite(replaced_row(1, (8, 8, 14)))
         with patch, pytest.raises(InternalConsistencyError, match="triangular"):
-            _residue_axes(s)
+            axes_of(s)
 
     def test_entry_above_det_rejected(self):
         # (8, 0, 30) is (8, 0, 14) plus det·e_2: the same class and still a
@@ -431,14 +495,14 @@ class TestResidueAxes:
         s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
         patch, _ = patched_hermite(replaced_row(0, (8, 0, 30)))
         with patch, pytest.raises(InternalConsistencyError, match="triangular"):
-            _residue_axes(s)
+            axes_of(s)
 
     def test_row_off_the_lattice_rejected(self):
         # adding e_2 to the axis row adds gens[2]/det to its point
         s = simplex(((2, 0, 1), (0, 2, 1), (0, 0, 4)))
         patch, calls = patched_hermite(replaced_row(0, (8, 0, 15)))
         with patch, pytest.raises(InternalConsistencyError, match="lattice point"):
-            _residue_axes(s)
+            axes_of(s)
         assert calls == [16]
 
     def test_negated_row_is_another_valid_transform(self):
@@ -450,9 +514,9 @@ class TestResidueAxes:
         def negated_first(rows, det):
             return true_hermite((tuple(-x for x in rows[0]),) + tuple(rows[1:]), det)
         with mock.patch.object(la, "hermite_mod", negated_first):
-            axes = _residue_axes(s)
+            axes = axes_of(s)
             negated = rows(fundamental_points(s))
-        assert axes != _residue_axes(s)
+        assert axes != axes_of(s)
         assert negated == rows(fundamental_points(s))
 
 
@@ -486,7 +550,7 @@ def test_unimodular_invariance(case):
     moved = [[sum(g[k] * u[k][j] for k in range(len(g))) for j in range(len(g))]
              for g in gens]
     s = simplex(moved)
-    assert _block_dtype(s) is object
+    assert block_dtype(s) is object
     got = rows(fundamental_points(s))
     want = sorted(tuple(sum(p[k] * u[k][j] for k in range(len(p)))
                         for j in range(len(p)))
@@ -511,7 +575,7 @@ HUGE = ((1, 0, 1), (0, 1, 1), (2**70, 2**70 + 1, 1))  # det 2^71, generator heig
 
 @pytest.mark.parametrize("sweep", [
     lambda s: series_contribution(s, (0, 0, 1), (1, 1, 1)),
-    hb_candidates,
+    hb_one,
 ], ids=["series_contribution", "hb_candidates"])
 def test_sweep_past_int64_indices_raises(sweep):
     # the mixed-radix digits are int64 indices, so a sweep of det >=

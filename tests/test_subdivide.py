@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conekit import linalg as la, subdivide as subdivide_module
 from conekit.collect import StatsRecord, reduce_to_hilbert_basis
-from conekit.cone import make_simplicial_cone
+from conekit.cone import make_simplicial_cone, stacked
 from conekit.errors import DomainError
 from conekit.pipeline import make_finder
 from conekit.simplex import hb_candidates
@@ -406,6 +406,6 @@ def test_approx_pool_lowers_volume():
         pooled = recursive_subdivide(s, cfg, find)
         oracle = stellar_tree(s, cfg, lambda t: best_candidate(t, find(t)))
         assert sum(p.det for p in pooled) < sum(p.det for p in oracle)
-        cands = np.vstack([hb_candidates(leaf) for leaf in pooled])
-        direct = reduce_to_hilbert_basis(hb_candidates(s), s.facet_forms)
+        cands = hb_candidates(stacked(pooled, s.dim))
+        direct = reduce_to_hilbert_basis(hb_candidates(stacked([s], s.dim)), s.facet_forms)
         assert set(reduce_to_hilbert_basis(cands, s.facet_forms)) == set(direct)
