@@ -18,7 +18,8 @@ A series is counted one simplex at a time (residue_blocks).  The
 Hilbert-basis candidates of a whole stack of simplices (cone.Simplices),
 most of them small, are swept as one concatenated range by
 hb_candidates, so a simplex pays no fixed cost of its own beyond its
-residue axes.
+residue axes.  Both sweeps decode their indices by one mixed radix
+(_digits) and take numerators as digits · axis rows modulo det.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .linalg import IntVec
 
 DEFAULT_BLOCK = 1 << 20
 POINT_BUDGET = 1 << 22  # most overcone points or series coefficients held at once
+SWEEP_BUDGET = 1 << 40  # largest det swept: about 30 h at 10^7 points/s
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,20 @@ def _block_dtype(det: int, entry: int, r: int) -> object:
 
 
 def _too_large(det: int) -> None:
-    if det >= la.INT64_SAFE:
+    if det > SWEEP_BUDGET:
         raise DomainError(f"a simplex of det {det} is too large to sweep")
+
+
+def _digits(q: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """The (n, A) mixed-radix digits of the n int64 indices q, the last
+    axis running fastest.  ranges holds the A axis ranges, one row for
+    all indices or one row per index; each index is below the product of
+    its ranges, so the first axis takes the quotient left by the others."""
+    digits = np.empty((len(q), ranges.shape[-1]), dtype=np.int64)
+    for a in range(ranges.shape[-1] - 1, 0, -1):
+        q, digits[:, a] = np.divmod(q, ranges[..., a])
+    digits[:, :1] = q[:, None]
+    return digits
 
 
 def residue_blocks(s: SimplicialCone):
@@ -104,22 +118,18 @@ def residue_blocks(s: SimplicialCone):
 
     Each row v encodes one fundamental-domain point e = (v · gens) / det
     with q-coordinates v/det in [0,1)^r.  A block is its digit array
-    times the axis rows, reduced modulo det once.  The digits are int64
-    indices, so det >= INT64_SAFE raises DomainError.
+    times the axis rows, reduced modulo det once; det 1 has no axis and
+    one zero row.  A det above SWEEP_BUDGET raises DomainError.
     """
     det = s.det
     _too_large(det)
     dtype = _block_dtype(det, max(abs(x) for g in s.gens for x in g), s.dim)
     axes = _residue_axes(s.gens, det, s.facet_forms)
-    if not axes:  # det 1: the origin alone
-        yield np.zeros((1, s.dim), dtype=dtype)
-        return
-    shape = tuple(m for m, _ in axes)
-    rows = np.array([row for _, row in axes], dtype=dtype)
+    ranges = np.array([m for m, _ in axes], dtype=np.int64)
+    rows = np.array([row for _, row in axes], dtype=dtype).reshape(len(axes), s.dim)
     for start in range(0, det, DEFAULT_BLOCK):
-        idx = np.arange(start, min(det, start + DEFAULT_BLOCK), dtype=np.int64)
-        digits = np.array(np.unravel_index(idx, shape), dtype=dtype)
-        yield digits.T @ rows % det
+        q = np.arange(start, min(det, start + DEFAULT_BLOCK), dtype=np.int64)
+        yield _digits(q, ranges).astype(dtype, copy=False) @ rows % det
 
 
 def points_below(s: SimplicialCone, rows: np.ndarray) -> np.ndarray:
@@ -181,35 +191,28 @@ def series_contribution(s: SimplicialCone, deg: IntVec,
 
 def hb_candidates(stack: Simplices) -> np.ndarray:
     """Hilbert-basis candidates of a stack of simplices, one per row: E \\ {0}
-    of every simplex, then the generators of every simplex in stack order.
+    of each simplex in stack order, then the generators of every simplex
+    in stack order.
 
-    The fundamental domains are swept as one.  Each simplex takes its
-    axes from _residue_axes; its mixed radix is injective, so its
-    indices 1..det-1 give E \\ {0}.  These ranges are concatenated with
-    the simplices sorted by their number of axes, most first, so the
-    rows that read axis a are a prefix of every block: a simplex with
-    fewer axes has range 1 there, which adds nothing.  A row reads its
-    simplex's range and axis row, repeated over the simplex's run of
-    rows; each run is reduced modulo its simplex's det and mapped to
-    points by one product with the simplex's generators.  A block has at
-    most DEFAULT_BLOCK rows, so a simplex larger than that is swept over
-    several, and its dtype comes from the largest det and generator
-    entry of the simplices it meets.
+    The fundamental domains are swept as one.  Each simplex's axes come
+    from _residue_axes, padded by axes of range 1 to the stack's widest
+    count; its indices 1..det-1 decode to E \\ {0} in the order of
+    residue_blocks, and its run of rows is mapped to points by its axis
+    rows modulo det and one product with its generators.  A block has at
+    most DEFAULT_BLOCK rows, so a large simplex spans several; its dtype
+    comes from the largest det and generator entry of the simplices it
+    meets.
     """
     k, r = len(stack), stack.gens.shape[-1]
     dets = stack.det.tolist()
     _too_large(max(dets, default=0))
     axes = [_residue_axes(g, det, f)
             for g, det, f in zip(stack.gens.tolist(), dets, stack.forms.tolist())]
-    order = sorted(range(k), key=lambda j: -len(axes[j]))
-    axes, dets, gens = [axes[j] for j in order], [dets[j] for j in order], stack.gens[order]
-    fewer = [-len(ax) for ax in axes]  # ascending
-    # axis a of the simplices that have one, a prefix of the sorted stack
-    ranges, steps = [], []
-    for a in range(-fewer[0] if k else 0):
-        have = axes[:bisect_left(fewer, -a)]
-        ranges.append(np.array([ax[a][0] for ax in have], dtype=np.int64))
-        steps.append(np.array([ax[a][1] for ax in have], dtype=np.int64))
+    width = max(map(len, axes), default=0)
+    axes = [ax + [(1, (0,) * r)] * (width - len(ax)) for ax in axes]
+    ranges = np.array([[m for m, _ in ax] for ax in axes], dtype=np.int64).reshape(k, width)
+    steps = np.array([[row for _, row in ax] for ax in axes],
+                     dtype=np.int64).reshape(k, width, r)
     starts = list(accumulate((d - 1 for d in dets), initial=0))
     blocks = []
     for start in range(0, starts[-1], DEFAULT_BLOCK):
@@ -219,24 +222,14 @@ def hb_candidates(stack: Simplices) -> np.ndarray:
         first, last = bisect_right(starts, start) - 1, bisect_left(starts, start + n)
         edges = [min(max(x - start, 0), n) for x in starts[first:last + 1]]
         counts = np.diff(edges)
-
-        def runs(a, upto):
-            return np.repeat(a[first:upto], counts[:upto - first], axis=0)
-        dtype = _block_dtype(max(dets[first:last]), la.magnitude(gens[first:last]), r)
+        gens = stack.gens[first:last]
+        dtype = _block_dtype(max(dets[first:last]), la.magnitude(gens), r)
         # the index of each row in its simplex, from 1
         q = np.arange(n, dtype=np.int64) + np.repeat(
             np.array([start - x + 1 for x in starts[first:last]], dtype=np.int64), counts)
-        v = np.zeros((n, r), dtype=dtype)
-        for a in reversed(range(len(ranges))):  # the last axis runs fastest
-            upto = bisect_left(fewer, -a, first, last)
-            rows = edges[upto - first]
-            q[:rows], digit = np.divmod(q[:rows], runs(ranges[a], upto))
-            v[:rows] += digit.astype(dtype, copy=False)[:, None] * \
-                runs(steps[a], upto).astype(dtype, copy=False)
-        for g, det, lo, hi in zip(gens[first:last].astype(dtype, copy=False),
-                                  dets[first:last], edges, edges[1:]):
-            np.matmul(v[lo:hi] % det, g, out=v[lo:hi])
-            v[lo:hi] //= det
-        blocks.append(v)
+        digits = _digits(q, np.repeat(ranges[first:last], counts, axis=0)).astype(dtype)
+        blocks += [digits[lo:hi] @ t % det @ g // det for t, g, det, lo, hi in zip(
+            steps[first:last].astype(dtype, copy=False), gens.astype(dtype, copy=False),
+            dets[first:last], edges, edges[1:])]
     blocks.append(stack.gens.reshape(k * r, r))
     return np.vstack(blocks)

@@ -189,10 +189,8 @@ def solve_star_ip(s: SimplicialCone,
     Feasible points have all generator coordinates in [0,1) (a
     coordinate q_i >= 1 would put x - gen_i in S at negative height), so
     the facet-form rows and the slab boxes bound the search.  The x != 0
-    condition is subsumed by the height bound N·x >= 1; a coordinate of y
-    on which all generators are positive additionally gets a lower bound
-    of 1.  A time or node limit yields the status "limit", never a silently
-    suboptimal answer.
+    condition is subsumed by the height bound N·x >= 1.  A time or node
+    limit yields the status "limit", never a silently suboptimal answer.
     """
     det = s.det
     if det == 1:
@@ -206,8 +204,6 @@ def solve_star_ip(s: SimplicialCone,
     ygens = [la.mat_vec(uinv, x) for x in s.gens]
     order = la.mat_vec(h, normal)
     r = s.dim
-    pos_coord = next((j for j in range(r) if all(g[j] > 0 for g in ygens)),
-                     None)
     gmin = [min(g[j] for g in ygens) for j in range(r)]
     gmax = [max(g[j] for g in ygens) for j in range(r)]
     facet_terms = [_terms(f) for f in la.transpose(reduced)]  # the rows of F·U
@@ -223,8 +219,6 @@ def solve_star_ip(s: SimplicialCone,
         """
         lo = [_ceil_div(min(a * m, b * m), height) for m in gmin]
         hi = [max(a * m, b * m) // height for m in gmax]
-        if pos_coord is not None:
-            lo[pos_coord] = max(lo[pos_coord], 1)
         if any(x > y for x, y in zip(lo, hi)):
             return None
         cap = (det * b) // height

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -293,17 +296,22 @@ class TestMain:
         assert err.count("\n") == 1  # one line, no traceback
 
     @pytest.mark.parametrize("goal", ["all", "hb", "series"])
-    def test_leaf_too_large_to_sweep_exit_code(self, tmp_path, capsys, goal):
-        # det 2^71 at generator height 1: no strategy can cut it, and the
-        # leaf is refused with a domain error, not a traceback
-        p = write_input(tmp_path, "huge.in",
-                        "amb_space 3\ncone 3\n1 0 1\n0 1 1\n"
-                        "1180591620717411303424 1180591620717411303425 1\n"
-                        "grading\n0 0 1\n")
-        assert main([str(p), "--time-limit-scale", "0", "--goal", goal]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: a simplex of det {2**71} is too large to sweep\n"
-        assert not (tmp_path / "huge.out").exists()
+    def test_leaf_too_large_to_sweep_exit_code(self, tmp_path, goal):
+        # det 2^71 and 2^45, both above SWEEP_BUDGET, at generator height
+        # 1: no strategy can cut them, and the leaf is refused with a
+        # domain error, not a traceback.  Each run is a child process
+        # with a timeout, so a missing guard fails instead of sweeping.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for e in (70, 44):
+            p = write_input(tmp_path, "huge.in",
+                            "amb_space 3\ncone 3\n1 0 1\n0 1 1\n"
+                            f"{2**e} {2**e + 1} 1\ngrading\n0 0 1\n")
+            out = subprocess.run(
+                [sys.executable, "-m", "conekit", str(p), "--time-limit-scale", "0",
+                 "--goal", goal], capture_output=True, text=True, env=env, timeout=60)
+            assert out.returncode == 2
+            assert out.stderr == f"error: a simplex of det {2**(e + 1)} is too large to sweep\n"
+            assert not (tmp_path / "huge.out").exists()
 
     def test_failed_stats_csv_leaves_no_report(self, tmp_path):
         p = write_input(tmp_path, "a.in", "amb_space 2\ncone 2\n1 0\n3 5\n")

@@ -296,3 +296,32 @@ def test_construction_scan_flags_calls_outside_cone():
         "c": "from .cone import SimplicialCone\n\ndef f(s: SimplicialCone):\n    return s\n",
     }
     assert simplex_constructions(sources) == ["a (line 2)", "b (line 3)"]
+
+
+# simplex._digits is the one mixed-radix decoder of residue indices.
+DECODER = "unravel_index"
+
+
+def decoder_calls(sources: dict[str, str], name=DECODER) -> list[str]:
+    """Every call of the named function, by name or attribute, as
+    "module (line N)"."""
+    return sorted(
+        f"{mod} (line {node.lineno})"
+        for mod, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        and (node.func.id if isinstance(node.func, ast.Name) else node.func.attr) == name)
+
+
+def test_only_digits_decodes_residues():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert decoder_calls(sources) == []
+
+
+def test_decoder_scan_flags_unravel_index_calls():
+    sources = {
+        "a": "import numpy as np\nd = np.unravel_index(q, (2, 3))\n",
+        "b": "from numpy import unravel_index\n\nd = unravel_index(q, s)\n",
+        "c": "def _digits(q, ranges):\n    return q % ranges\n",
+    }
+    assert decoder_calls(sources) == ["a (line 2)", "b (line 3)"]

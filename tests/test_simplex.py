@@ -1,5 +1,6 @@
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 from math import gcd, prod
 from unittest import mock
 
@@ -11,8 +12,8 @@ from conekit import linalg as la, simplex as simplex_module
 from conekit.cone import make_simplicial_cone, stacked
 from conekit.errors import DomainError, InternalConsistencyError
 from conekit.simplex import (
-    _block_dtype, _residue_axes, hb_candidates, points_below, residue_blocks,
-    series_contribution,
+    SWEEP_BUDGET, _block_dtype, _residue_axes, hb_candidates, points_below,
+    residue_blocks, series_contribution,
 )
 
 from oracles import (brute_fundamental_points, dotv, excluded_facets, fundamental_points,
@@ -300,6 +301,21 @@ class TestHbCandidates:
         gens = [g for s in simplices for g in s.gens]
         assert [as_row(g) for g in got[len(got) - len(gens):]] == gens
 
+    @settings(max_examples=100, deadline=None)
+    @given(sweep_stacks(), st.sampled_from([2, 3, 7, 1 << 20]))
+    @example([simplex(((1, 0), (1, 2))), simplex(((1, 0), (0, 1))),
+              simplex(((2, 0), (0, 2)))], 1 << 20)
+    def test_rows_come_in_stack_order(self, simplices, block):
+        # each simplex's residue-block rows 1..det-1 mapped to points, in
+        # stack order whatever its axis count (one, none, then two axes
+        # in the example), then every generator in stack order
+        stack = stacked(simplices, simplices[0].dim)
+        with mock.patch.object(simplex_module, "DEFAULT_BLOCK", block):
+            got = hb_candidates(stack)
+            want = [as_row(p) for s in simplices for p in fundamental_points(s)[1:]]
+        want += [g for s in simplices for g in s.gens]
+        assert [as_row(p) for p in got] == want
+
 
 class TestPointsBelow:
     def test_keeps_nonzero_points_below_generator_height(self):
@@ -333,6 +349,15 @@ class TestBlocks:
                 assert all(0 <= x < s.det for x in u)
             assert rows(hb_one(s)) == sorted(
                 {p for p in pts if any(p)} | set(gens))
+
+
+    def test_digits_run_the_last_axis_fastest(self):
+        # one row of ranges for every index, or one row per index
+        assert simplex_module._digits(np.arange(12), np.array([2, 3, 2])).tolist() == [
+            list(d) for d in product(range(2), range(3), range(2))]
+        ranges = np.array([[2, 3]] * 3 + [[3, 1]] * 3)
+        assert simplex_module._digits(np.array([0, 4, 5, 0, 1, 2]), ranges).tolist() == [
+            [0, 0], [1, 1], [1, 2], [0, 0], [1, 0], [2, 0]]
 
 
 def patched_hermite(change):
@@ -571,6 +596,8 @@ def test_unimodular_invariance(case):
 
 
 HUGE = ((1, 0, 1), (0, 1, 1), (2**70, 2**70 + 1, 1))  # det 2^71, generator height 1
+# det SWEEP_BUDGET + 2, the next det of the family after SWEEP_BUDGET
+OVER_BUDGET = ((1, 0, 1), (0, 1, 1), (2**39 + 1, 2**39 + 2, 1))
 
 
 @pytest.mark.parametrize("sweep", [
@@ -578,9 +605,14 @@ HUGE = ((1, 0, 1), (0, 1, 1), (2**70, 2**70 + 1, 1))  # det 2^71, generator heig
     hb_one,
 ], ids=["series_contribution", "hb_candidates"])
 def test_sweep_past_int64_indices_raises(sweep):
-    # the mixed-radix digits are int64 indices, so a sweep of det >=
-    # INT64_SAFE is refused up front, with the det in the message
-    s = simplex(HUGE)
-    assert s.det == 2**71 and s.gen_height == 1
-    with pytest.raises(DomainError, match=f"det {2**71} is too large to sweep"):
-        sweep(s)
+    # a det above SWEEP_BUDGET, past int64 indices or just over the
+    # budget, is refused up front, before its axes are taken, with the
+    # det in the message; SWEEP_BUDGET itself passes the guard
+    simplex_module._too_large(SWEEP_BUDGET)
+    for gens, det in ((HUGE, 2**71), (OVER_BUDGET, SWEEP_BUDGET + 2)):
+        s = simplex(gens)
+        assert s.det == det and s.gen_height == 1
+        with mock.patch.object(simplex_module, "_residue_axes",
+                               side_effect=AssertionError("axes taken")), \
+                pytest.raises(DomainError, match=f"det {det} is too large to sweep"):
+            sweep(s)
